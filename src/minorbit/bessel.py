@@ -5,8 +5,9 @@ phi_tau(z) = K_tau(sqrt z) / (sqrt z)^tau solves
     D phi = 4 z phi'' + 4 (tau + 1) phi' - phi = 0,
 
 and its derivatives close under the shift phi_tau' = -phi_{tau+1} / 2.
-Evaluation uses scipy's K as a fast path, certified against adaptive
-quadrature of the integral representation
+Evaluation goes through one kernel, k_ladder (closed forms, k0/k1 and the
+upward recurrence), certified order by order against adaptive quadrature
+of the integral representation
 
     K_tau(z) = integral_0^inf exp(-z cosh t) cosh(tau t) dt.
 """
@@ -52,45 +53,95 @@ def bessel_k_integral(tau, z: float) -> float:
     return math.exp(-z) * val
 
 
-def _audit_fast_path(tau: float) -> bool:
-    ok = _FAST_PATH_OK.get(tau)
+def k_ladder(tau, w, count: int = 1) -> tuple:
+    """(K_tau(w), K_{tau+1}(w), ...): count consecutive orders at once.
+
+    This is the one K kernel behind bessel_k, phi_tau and the vectorized
+    profiles.  Every order is evaluated at its absolute value, so
+    K_{-t} = K_t holds bit for bit.  Integer orders are seeded with k0/k1 and
+    half-integer orders with the closed forms (DLMF 10.49)
+
+        K_{1/2}(w) = sqrt(pi / 2w) e^{-w},   K_{3/2}(w) = K_{1/2}(w) (1 + 1/w);
+
+    every higher order comes from the upward recurrence (DLMF 10.29)
+
+        K_{nu+1}(w) = K_{nu-1}(w) + (2 nu / w) K_nu(w),
+
+    which is stable for K because it is the dominant solution.  Any other
+    order is taken from kv, one call per order.  w is a Python float or a
+    float array; a float gives Python floats and an array gives arrays, with
+    bit-identical values.  The kernel is not certified here: callers go
+    through the cached quadrature audit first.
+    """
+    t = float(tau)
+    orders = [abs(t + j) for j in range(count)]
+    scalar = isinstance(w, (float, int))
+    if scalar:
+        w = float(w)
+    base = min(orders) % 1.0
+    if base not in (0.0, 0.5):
+        return tuple(float(special.kv(a, w)) if scalar else special.kv(a, w)
+                     for a in orders)
+    steps = round(max(orders) - base)
+    if base == 0.5:
+        k = np.sqrt(np.pi / (2.0 * w)) * np.exp(-w)
+        ladder = [k, k * (1.0 + 1.0 / w)] if steps else [k]
+    else:
+        # a request for K_1 alone skips k0
+        ladder = [special.k0(w) if steps != 1 or min(orders) == 0.0 else None]
+        if steps:
+            ladder.append(special.k1(w))
+    if scalar:
+        ladder = [None if k is None else float(k) for k in ladder]
+    for j in range(1, steps):
+        ladder.append(ladder[j - 1] + (2.0 * (base + j) / w) * ladder[j])
+    return tuple(ladder[round(a - base)] for a in orders)
+
+
+def _audit_fast_path(tau) -> bool:
+    """Certify k_ladder at order |tau| against the quadrature oracle, once."""
+    a = abs(float(tau))
+    ok = _FAST_PATH_OK.get(a)
     if ok is None:
-        ok = True
-        for z in _AUDIT_GRID:
-            fast = float(special.kv(tau, z))
-            slow = bessel_k_integral(tau, z)
-            if not math.isclose(fast, slow, rel_tol=_AUDIT_RTOL):
-                ok = False
-                break
-        _FAST_PATH_OK[tau] = ok
+        fast = k_ladder(a, np.array(_AUDIT_GRID))[0]
+        ok = all(math.isclose(k, bessel_k_integral(a, z), rel_tol=_AUDIT_RTOL)
+                 for k, z in zip(fast.tolist(), _AUDIT_GRID))
+        _FAST_PATH_OK[a] = ok
     return ok
+
+
+def _certify(tau) -> None:
+    """Refuse an order whose kernel values failed the quadrature audit."""
+    if not _audit_fast_path(tau):
+        raise QuadratureError(
+            f"K kernel disagrees with the quadrature oracle at order {abs(float(tau))}")
 
 
 def bessel_k(tau, z, method: str = "auto"):
     """K_tau(z) to at least 10 significant digits.
 
-    method "auto" uses the library fast path once it has been certified
-    against the integral oracle for this order; "quadrature" forces the
-    integral representation.  Scalars and arrays are both accepted.
+    method "auto" evaluates k_ladder after the quadrature audit certified
+    this order and raises QuadratureError when it did not; "fast" skips the
+    audit; "quadrature" forces the integral representation.  A scalar z
+    (a Python float or int, or a 0-d array) gives a float, an array an array.
     """
     t = float(tau)
+    scalar = isinstance(z, (float, int)) or np.ndim(z) == 0
+    z = float(z) if scalar else np.asarray(z, dtype=float)
     if method == "quadrature":
-        if np.ndim(z) == 0:
-            return bessel_k_integral(t, float(z))
-        return np.array([bessel_k_integral(t, float(v)) for v in np.asarray(z)])
+        if scalar:
+            return bessel_k_integral(t, z)
+        return np.array([bessel_k_integral(t, float(v)) for v in z])
     if method not in ("auto", "fast"):
         raise ValueError(f"unknown method {method!r}")
-    if np.ndim(z) == 0:
-        zf = float(z)
-        if zf <= 0:
-            raise ValueError(f"K_tau needs z > 0, got {zf}")
-    else:
-        if np.any(np.asarray(z) <= 0):
-            raise ValueError("K_tau needs z > 0")
-    if method == "auto" and not _audit_fast_path(t):
-        return bessel_k(t, z, method="quadrature")
-    out = special.kv(t, z)
-    return float(out) if np.ndim(z) == 0 else out
+    if scalar:
+        if z <= 0:
+            raise ValueError(f"K_tau needs z > 0, got {z}")
+    elif np.any(z <= 0):
+        raise ValueError("K_tau needs z > 0")
+    if method == "auto":
+        _certify(t)
+    return k_ladder(t, z)[0]
 
 
 def k_half_closed_form(z):
@@ -100,7 +151,7 @@ def k_half_closed_form(z):
 
 
 def phi_tau(tau, z: float) -> tuple[float, float, float]:
-    """(phi, phi', phi'') at z > 0.
+    """(phi, phi', phi'') at z > 0, from one kernel evaluation.
 
     Derivatives come from the order-shift identities
     phi_tau' = -phi_{tau+1}/2 and phi_tau'' = phi_{tau+2}/4, which follow
@@ -109,11 +160,12 @@ def phi_tau(tau, z: float) -> tuple[float, float, float]:
     if z < _MIN_Z:
         raise ValueError(f"phi evaluation refused below z={_MIN_Z:g} (singular endpoint)")
     t = float(tau)
+    for j in range(3):
+        _certify(t + j)
     w = math.sqrt(z)
-    v0 = bessel_k(t, w) / w ** t
-    v1 = -0.5 * bessel_k(t + 1.0, w) / w ** (t + 1.0)
-    v2 = 0.25 * bessel_k(t + 2.0, w) / w ** (t + 2.0)
-    return v0, v1, v2
+    k0, k1, k2 = k_ladder(t, w, 3)
+    p = w ** t
+    return k0 / p, -0.5 * k1 / (p * w), 0.25 * k2 / (p * w * w)
 
 
 @dataclass
@@ -134,9 +186,12 @@ def constant_radial(c: float) -> RadialFunction:
 
 def apply_D(tau, f: RadialFunction, z: float) -> float:
     """Evaluate D f = 4 z f'' + 4 (tau + 1) f' - f at z."""
-    v0, v1, v2 = f.eval(z)
-    t = float(tau)
-    return 4.0 * z * v2 + 4.0 * (t + 1.0) * v1 - v0
+    return d_residual(tau, z, *f.eval(z))
+
+
+def d_residual(tau, z: float, v0: float, v1: float, v2: float) -> float:
+    """D f at z for a profile with value v0 and derivatives v1, v2 there."""
+    return 4.0 * z * v2 + 4.0 * (float(tau) + 1.0) * v1 - v0
 
 
 def d_coefficient_identity(d: int, e: int) -> tuple[Fraction, Fraction]:
@@ -177,14 +232,15 @@ def phi_derivative_crosscheck(tau, z: float, tol: float = 1e-6) -> tuple[bool, f
 # ------------------------------------------------------------- fast vectors
 
 def radial_profile_at(tau, w: np.ndarray) -> np.ndarray:
-    """phi_tau evaluated at z = w^2, i.e. K_tau(w) / w^tau, vectorized."""
+    """phi_tau evaluated at z = w^2, i.e. K_tau(w) / w^tau, vectorized.
+
+    The order is certified by the quadrature audit before any point is
+    evaluated; a failed audit raises QuadratureError.
+    """
     t = float(tau)
+    _certify(t)
     w = np.asarray(w, dtype=float)
-    if t == 0.5:
-        return k_half_closed_form(w) / np.sqrt(w)
-    if t == -0.5:
-        return k_half_closed_form(w) * np.sqrt(w)
-    return special.kv(t, w) / w ** t
+    return k_ladder(t, w)[0] / w ** t
 
 
 def radial_profile_d1_at(tau, w: np.ndarray) -> np.ndarray:

@@ -62,6 +62,17 @@ def _resolve_model(args) -> tuple[Family, int] | str:
     return aliases[name], args.n
 
 
+def _build_model(args) -> liealg.GradedModel | str:
+    """Build the model the CLI flags name, or return a one-line diagnostic."""
+    resolved = _resolve_model(args)
+    if isinstance(resolved, str):
+        return resolved
+    try:
+        return liealg.build_model(*resolved)
+    except ValueError as ex:
+        return str(ex)
+
+
 def _emit_reports(reports: list[VerificationReport], json_path: str | None,
                   command: str, config: dict) -> int:
     hard_failed = any(r.hard_failed for r in reports)
@@ -93,11 +104,13 @@ def _emit_reports(reports: list[VerificationReport], json_path: str | None,
 def cmd_table(args) -> int:
     rows = catalog.table_rows()
     if args.family:
-        rows = [r for r in rows
-                if catalog.get_class(args.family).display == r["family"]]
-        if not rows:
-            print(f"unknown family {args.family}", file=sys.stderr)
+        try:
+            display = catalog.get_class(args.family).display
+        except (KeyError, ValueError):
+            tags = ", ".join(f.value for f in Family)
+            print(f"unknown family {args.family!r} (choose from {tags})", file=sys.stderr)
             return EXIT_USAGE
+        rows = [r for r in rows if r["family"] == display]
     if args.format == "csv":
         out = catalog.to_csv() if not args.family else _filtered_csv(rows)
         sys.stdout.write(out)
@@ -129,30 +142,27 @@ _SUITES = ("structural", "constants", "modular", "crown", "orbit", "spherical", 
 
 
 def cmd_verify(args) -> int:
-    resolved = _resolve_model(args)
-    if isinstance(resolved, str):
-        print(resolved, file=sys.stderr)
+    model = _build_model(args)
+    if isinstance(model, str):
+        print(model, file=sys.stderr)
         return EXIT_USAGE
-    family, n = resolved
-    try:
-        model = liealg.build_model(family, n)
-    except ValueError as ex:
-        print(str(ex), file=sys.stderr)
-        return EXIT_USAGE
+    family, n = model.family, model.n
     cfg = SuiteConfig(family, n, seed=args.seed, samples=args.samples,
                       json_path=args.json)
     reports: list[VerificationReport] = []
     suite = args.suite
     if suite in ("structural", "all"):
         reports.append(liealg.structural_suite(model, rand_seed=cfg.seed))
+    constants = None
     if suite in ("constants", "all"):
-        reports.append(sphver.verify_k1(model))
-        reports.append(sphver.verify_kprime(model, samples=100, seed=cfg.seed))
-        reports.append(sphver.verify_kdoubleprime(model))
+        constants = (sphver.verify_k1(model),
+                     sphver.verify_kprime(model, samples=100, seed=cfg.seed),
+                     sphver.verify_kdoubleprime(model))
+        reports.extend(constants)
     if suite in ("modular", "all"):
         reports.append(liealg.modular_character_check(model))
     if suite in ("crown", "all"):
-        reports.append(sphver.assemble_crown(model))
+        reports.append(sphver.assemble_crown(model, constants=constants))
     if suite in ("orbit", "all"):
         reports.append(orbit.scaling_check(model, samples=cfg.samples, seed=cfg.seed))
         reports.append(orbit.equivariance_check(model, l_samples=3, seed=cfg.seed,
@@ -177,29 +187,43 @@ def cmd_bessel(args) -> int:
     if abs(float(tau) - args.tau) > 1e-12:
         print(f"tau must be a half-integer, got {args.tau}", file=sys.stderr)
         return EXIT_USAGE
-    zs = np.linspace(args.zmin, args.zmax, args.steps)
-    writer = csv.writer(sys.stdout if not args.out else open(args.out, "w", newline=""),
-                        lineterminator="\n")
-    writer.writerow(["z", "K_tau", "phi_tau", "D_residual"])
-    f = bessel.phi_radial(tau)
-    for z in zs:
-        k = bessel.bessel_k(tau, float(z))
-        phi = f.eval(float(z))[0]
-        resid = bessel.apply_D(tau, f, float(z))
-        writer.writerow([f"{z:.12g}", f"{k:.12e}", f"{phi:.12e}", f"{resid:.3e}"])
+    zs = np.linspace(args.zmin, args.zmax, args.steps).tolist()
+    if args.out:
+        with open(args.out, "w", newline="", encoding="utf-8") as fh:
+            _write_bessel_table(fh, float(tau), zs)
+    else:
+        _write_bessel_table(sys.stdout, float(tau), zs)
     return EXIT_PASS
+
+
+def _write_bessel_table(fh, tau: float, zs: list[float]) -> None:
+    """Rows (z, K_tau(z), phi_tau(z), D phi_tau(z)).
+
+    The K column is K at z itself and phi is K at sqrt(z), so a row takes
+    two kernel evaluations: K_tau(z), and one ladder of three orders at
+    sqrt(z) giving phi, phi' and phi'' for the D residual.
+    """
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(["z", "K_tau", "phi_tau", "D_residual"])
+    for z in zs:
+        k = bessel.bessel_k(tau, z)
+        phi, d1, d2 = bessel.phi_tau(tau, z)
+        resid = bessel.d_residual(tau, z, phi, d1, d2)
+        writer.writerow([f"{z:.12g}", f"{k:.12e}", f"{phi:.12e}", f"{resid:.3e}"])
 
 
 # ----------------------------------------------------------------- fourier
 
 def cmd_fourier(args) -> int:
     """Transform estimates along a coordinate ray, as CSV or JSON."""
-    resolved = _resolve_model(args)
-    if isinstance(resolved, str):
-        print(resolved, file=sys.stderr)
+    model = _build_model(args)
+    if isinstance(model, str):
+        print(model, file=sys.stderr)
         return EXIT_USAGE
-    family, n = resolved
-    model = liealg.build_model(family, n)
+    if args.samples < orbit.MIN_FOURIER_SAMPLES:
+        print(f"--samples must be at least {orbit.MIN_FOURIER_SAMPLES}, got {args.samples}",
+              file=sys.stderr)
+        return EXIT_USAGE
     rays = orbit.float_backend(model).ray_blocks()
     if args.ray not in rays:
         print(f"unknown ray {args.ray!r} (choose from {sorted(rays)})", file=sys.stderr)
@@ -229,12 +253,11 @@ def cmd_tensor(args) -> int:
     if args.action != "audit":
         print(f"unknown tensor action {args.action!r}", file=sys.stderr)
         return EXIT_USAGE
-    resolved = _resolve_model(args)
-    if isinstance(resolved, str):
-        print(resolved, file=sys.stderr)
+    model = _build_model(args)
+    if isinstance(model, str):
+        print(model, file=sys.stderr)
         return EXIT_USAGE
-    family, n = resolved
-    model = liealg.build_model(family, n)
+    family, n = model.family, model.n
     if not 2 <= args.k < n:
         print(f"k={args.k} outside [2, {n})", file=sys.stderr)
         return EXIT_USAGE

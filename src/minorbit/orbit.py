@@ -98,6 +98,11 @@ def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[
 
 # ------------------------------------------------------------ float backend
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product sum_i a[n, i] b[n, i]."""
+    return np.einsum("ni,ni->n", a, b)
+
+
 class FloatBackend:
     """Vectorized sampling and pairing formulas for one model family.
 
@@ -131,11 +136,11 @@ class FloatBackend:
     def sample_units(self, rng: np.random.Generator, count: int):
         mdim = self.block
         u = rng.standard_normal((count, mdim))
-        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        u /= np.sqrt(_rowdot(u, u))[:, None]
         v = rng.standard_normal((count, mdim))
         if self.family is Family.O2N2N:
-            v -= (np.sum(v * u, axis=1, keepdims=True)) * u
-        v /= np.linalg.norm(v, axis=1, keepdims=True)
+            v -= _rowdot(v, u)[:, None] * u
+        v /= np.sqrt(_rowdot(v, v))[:, None]
         return u, v
 
     def sample_radii(self, rng: np.random.Generator, count: int):
@@ -148,7 +153,7 @@ class FloatBackend:
 
     def pair_x(self, x_block, u, v, w):
         """<x, w * y'(u, v)> for x given by its n-side block."""
-        return w * np.einsum("ni,ij,nj->n", v, x_block, u)
+        return w * _rowdot(v @ x_block, u)
 
     def pair_theta_y1(self, u, v, w):
         return self.pair_x(self.theta_y1_block, u, v, w)
@@ -157,8 +162,7 @@ class FloatBackend:
         """<x, [[theta y, y_1], y]> at y = w * y'(u, v), bilinear in y."""
         if self.family is Family.O2N2N:
             s = x_block @ self.y1_block + self.y1_block @ x_block
-            return 0.5 * (w ** 2) * (
-                np.einsum("ni,ij,nj->n", u, s, u) + np.einsum("ni,ij,nj->n", v, s, v))
+            return 0.5 * (w ** 2) * (_rowdot(u @ s, u) + _rowdot(v @ s, v))
         b = x_block
         term_v = v[:, 0] * (v @ b[:, 0])
         term_u = u[:, 0] * (u @ b[0, :])
@@ -228,14 +232,14 @@ class FloatBackend:
             delta = action[1]
             a = u * delta
             b = v * delta
-            na = np.sum(a * a, axis=1)
-            nb = np.sum(b * b, axis=1)
-            ab = np.sum(a * b, axis=1)
+            na = _rowdot(a, a)
+            nb = _rowdot(b, b)
+            ab = _rowdot(a, b)
             return w * np.sqrt(np.maximum(na * nb - ab * ab, 0.0))
         _, p, q = action
         a = u * q
         b = v / p
-        return w * np.linalg.norm(a, axis=1) * np.linalg.norm(b, axis=1)
+        return w * np.sqrt(_rowdot(a, a)) * np.sqrt(_rowdot(b, b))
 
     # -- default grid rays
 
@@ -307,6 +311,9 @@ def l2_norm_g_tau(m: liealg.GradedModel) -> float:
 
 # ----------------------------------------------------------- Fourier side
 
+MIN_FOURIER_SAMPLES = 10 ** 4
+
+
 @dataclass
 class FourierEstimate:
     value: complex
@@ -347,8 +354,8 @@ def fourier_phi(m: liealg.GradedModel, x, samples: int = 10 ** 5,
     Antithetic y/-y pairing annihilates the imaginary part identically; the
     reported value is real with a standard error from the paired stream.
     """
-    if samples < 10 ** 4:
-        raise ValueError("need at least 1e4 samples")
+    if samples < MIN_FOURIER_SAMPLES:
+        raise ValueError(f"need at least {MIN_FOURIER_SAMPLES} samples")
     be = FloatBackend(m)
     tau = Fraction(m.d - m.e - 1, 2)
     rng = np.random.default_rng(seed)

@@ -79,6 +79,7 @@ def verify_kdoubleprime(m: liealg.GradedModel) -> VerificationReport:
         "family": m.family.value, "n": m.n, "e": m.e})
     scalar = liealg.casimir_omega_scalar(m)
     expected = Fraction(2 - 2 * m.e)
+    report.meta["scalar"] = scalar
     report.add("Omega scalar = 2 - 2e", scalar == expected,
                residual=scalar - expected, detail=f"scalar {scalar}")
     return report
@@ -105,7 +106,10 @@ class CrownAssembly:
 
 
 def assemble_crown(m: liealg.GradedModel | None = None, d: int | None = None,
-                   e: int | None = None) -> VerificationReport:
+                   e: int | None = None,
+                   constants: tuple[VerificationReport, VerificationReport,
+                                    VerificationReport] | None = None
+                   ) -> VerificationReport:
     """Combine the four action terms and match the radial operator D.
 
     Term by term (coefficients of the integrand against <theta y_1, y>):
@@ -114,12 +118,18 @@ def assemble_crown(m: liealg.GradedModel | None = None, d: int | None = None,
     + phi.  With the verified constants the sum is -(D phi), and the -i
     prefactor turns it into + i (D phi): the identity being certified.
     The sign is pinned by the y = y_1 instance through k1 itself.
+
+    constants takes the (verify_k1, verify_kprime, verify_kdoubleprime)
+    reports of m when they have already been computed; without them the
+    three constants are certified here.
     """
     if m is not None:
         d, e = m.d, m.e
-        k1 = Fraction(1) if verify_k1(m).passed else ZERO
-        kp = Fraction(2) if verify_kprime(m, samples=8, seed=0).passed else ZERO
-        kpp = liealg.casimir_omega_scalar(m)
+        k1_rep, kp_rep, kpp_rep = constants or (
+            verify_k1(m), verify_kprime(m, samples=8, seed=0), verify_kdoubleprime(m))
+        k1 = Fraction(1) if k1_rep.passed else ZERO
+        kp = Fraction(2) if kp_rep.passed else ZERO
+        kpp = kpp_rep.meta["scalar"]
     else:
         if d is None or e is None:
             raise ValueError("need a model or explicit (d, e)")

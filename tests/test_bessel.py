@@ -5,6 +5,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy import special
 
 from minorbit import bessel
 from minorbit.reports import QuadratureError
@@ -25,11 +26,10 @@ def test_half_order_closed_form():
 
 
 def test_evenness_in_order():
-    for tau in (0.5, 1.5, 2.5):
+    # the kernel evaluates every order at its absolute value: equal bits
+    for tau in (0.5, 1.0, 1.5, 2.0, 2.5):
         for z in (0.2, 1.0, 3.7, 12.0):
-            a = bessel.bessel_k(tau, z)
-            b = bessel.bessel_k(-tau, z)
-            assert abs(a - b) <= 1e-12 * abs(a)
+            assert bessel.bessel_k(tau, z) == bessel.bessel_k(-tau, z)
 
 
 def test_integral_oracle_matches_high_precision():
@@ -145,3 +145,56 @@ def test_vectorized_profiles_match_scalar():
             v0, v1, _ = bessel.phi_tau(tau, wi * wi)
             assert math.isclose(prof[i], v0, rel_tol=1e-12)
             assert math.isclose(d1[i], v1, rel_tol=1e-12)
+
+
+KERNEL_ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)
+
+
+def test_kernel_matches_integral_oracle():
+    for tau in KERNEL_ORDERS:
+        for z in (0.05, 0.8, 3.1, 17.0, 60.0):
+            ladder = bessel.k_ladder(tau, z, 3)
+            for j, k in enumerate(ladder):
+                ref = bessel.bessel_k_integral(tau + j, z)
+                assert math.isclose(k, ref, rel_tol=1e-9), (tau, j, z)
+
+
+def test_kernel_matches_scipy_kv():
+    w = np.geomspace(1e-3, 700.0, 4001)
+    for tau in KERNEL_ORDERS + (0.3, -0.3):
+        ladder = bessel.k_ladder(tau, w, 3)
+        for j, k in enumerate(ladder):
+            ref = special.kv(tau + j, w)
+            live = ref > 1e-300
+            rel = np.abs(k[live] / ref[live] - 1.0)
+            assert rel.max() <= 1e-13, (tau, j, rel.max())
+
+
+def test_kernel_scalar_and_array_bit_identical():
+    w = np.random.default_rng(5).gamma(4.0, 1.0, 300)
+    for tau in KERNEL_ORDERS:
+        arrays = bessel.k_ladder(tau, w, 3)
+        for i, wi in enumerate(w.tolist()):
+            scalars = bessel.k_ladder(tau, wi, 3)
+            assert all(type(k) is float for k in scalars)
+            assert [k[i] for k in arrays] == list(scalars), (tau, wi)
+
+
+def test_vector_profile_certifies_its_order(monkeypatch):
+    monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
+    bessel.radial_profile_at(Fraction(1, 2), np.array([0.5, 2.0]))
+    assert bessel._FAST_PATH_OK == {0.5: True}
+    bessel.radial_profile_d1_at(0, np.array([0.5, 2.0]))
+    assert bessel._FAST_PATH_OK == {0.5: True, 1.0: True}
+
+
+def test_vector_profile_refuses_uncertified_order(monkeypatch):
+    monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
+    true_oracle = bessel.bessel_k_integral
+    monkeypatch.setattr(bessel, "bessel_k_integral",
+                        lambda tau, z: true_oracle(tau, z) * (1.0 + 1e-6))
+    with pytest.raises(QuadratureError):
+        bessel.radial_profile_at(0.0, np.array([0.5, 2.0]))
+    assert bessel._FAST_PATH_OK == {0.0: False}
+    with pytest.raises(QuadratureError):
+        bessel.bessel_k(0.0, 1.0)

@@ -1,7 +1,10 @@
 import csv
+import gc
 import io
 import json
 import math
+import sys
+import warnings
 
 from minorbit import cli
 from conftest import DATA_DIR
@@ -61,6 +64,21 @@ def test_bessel_order_evenness_in_k_column(capsys):
                             "--zmax", "3", "--steps", "6")
     col = lambda text: [r["K_tau"] for r in csv.DictReader(io.StringIO(text))]
     assert col(out_pos) == col(out_neg)
+
+
+def test_bessel_out_closes_file(capsys, tmp_path, monkeypatch):
+    unraisable = []
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    out_path = tmp_path / "phi.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        code, out, _ = run_cli(capsys, "bessel", "--tau", "0.5", "--zmin", "0.5",
+                               "--zmax", "3", "--steps", "6", "--out", str(out_path))
+        gc.collect()
+    assert code == 0 and out == ""
+    assert not unraisable, [u.exc_value for u in unraisable]
+    rows = list(csv.DictReader(io.StringIO(out_path.read_text())))
+    assert len(rows) == 6 and rows[-1]["z"] == "3"
 
 
 def test_bessel_usage_error(capsys):
@@ -149,3 +167,26 @@ def test_verify_json_report_deterministic(capsys, tmp_path):
         data.pop("timestamp")
         payloads.append(json.dumps(data, sort_keys=True))
     assert payloads[0] == payloads[1]
+
+
+def _assert_usage_error(capsys, *argv):
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_fourier_rank_out_of_range_is_usage_error(capsys):
+    _assert_usage_error(capsys, "fourier", "--model", "o2n2n", "--n", "9")
+
+
+def test_tensor_audit_rank_out_of_range_is_usage_error(capsys):
+    _assert_usage_error(capsys, "tensor", "audit", "--model", "o2n2n", "--n", "9", "--k", "2")
+
+
+def test_table_unknown_family_is_usage_error(capsys):
+    _assert_usage_error(capsys, "table", "--family", "bogus")
+
+
+def test_fourier_too_few_samples_is_usage_error(capsys):
+    _assert_usage_error(capsys, "fourier", "--model", "o2n2n", "--n", "2",
+                        "--samples", "100")
