@@ -231,12 +231,12 @@ def table_rows() -> list[dict]:
     ]
 
 
-def to_csv() -> str:
+def to_csv(rows: list[dict] | None = None) -> str:
+    """The given table rows as CSV, every row by default."""
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
-    for row in table_rows():
-        writer.writerow(row)
+    writer.writerows(table_rows() if rows is None else rows)
     return buf.getvalue()
 
 

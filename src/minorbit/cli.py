@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -26,15 +25,6 @@ EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 
 
-@dataclass
-class SuiteConfig:
-    family: Family
-    n: int
-    seed: int = 0
-    samples: int = 10 ** 6
-    json_path: str | None = None
-
-
 def _resolve_model(args) -> tuple[Family, int] | str:
     """Map CLI model flags to a concrete family and rank, or a diagnostic."""
     name = args.model.lower()
@@ -45,10 +35,12 @@ def _resolve_model(args) -> tuple[Family, int] | str:
         if not ok:
             return diag
         if args.p % 2 == 0:
-            return_family, n = Family.O2N2N, args.p // 2
+            n = args.p // 2
             if n < 2:
                 return f"O({args.p},{args.q}): rank below 2, no model"
-            return return_family, n
+            if args.n is not None and args.n != n:
+                return f"--n {args.n} contradicts O({args.p},{args.q}), whose rank is p/2 = {n}"
+            return Family.O2N2N, n
         return f"O({args.p},{args.p}) admissible (rank-2 family), but no matrix model is built"
     aliases = {
         "o2n2n": Family.O2N2N,
@@ -112,8 +104,7 @@ def cmd_table(args) -> int:
             return EXIT_USAGE
         rows = [r for r in rows if r["family"] == display]
     if args.format == "csv":
-        out = catalog.to_csv() if not args.family else _filtered_csv(rows)
-        sys.stdout.write(out)
+        sys.stdout.write(catalog.to_csv(rows))
     elif args.format == "json":
         sys.stdout.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
     else:
@@ -126,16 +117,6 @@ def cmd_table(args) -> int:
     return EXIT_PASS
 
 
-def _filtered_csv(rows) -> str:
-    import io
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=catalog.CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for r in rows:
-        writer.writerow(r)
-    return buf.getvalue()
-
-
 # ------------------------------------------------------------------ verify
 
 _SUITES = ("structural", "constants", "modular", "crown", "orbit", "spherical", "all")
@@ -146,17 +127,15 @@ def cmd_verify(args) -> int:
     if isinstance(model, str):
         print(model, file=sys.stderr)
         return EXIT_USAGE
-    family, n = model.family, model.n
-    cfg = SuiteConfig(family, n, seed=args.seed, samples=args.samples,
-                      json_path=args.json)
+    seed, samples = args.seed, args.samples
     reports: list[VerificationReport] = []
     suite = args.suite
     if suite in ("structural", "all"):
-        reports.append(liealg.structural_suite(model, rand_seed=cfg.seed))
+        reports.append(liealg.structural_suite(model, rand_seed=seed))
     constants = None
     if suite in ("constants", "all"):
         constants = (sphver.verify_k1(model),
-                     sphver.verify_kprime(model, samples=100, seed=cfg.seed),
+                     sphver.verify_kprime(model, samples=100, seed=seed),
                      sphver.verify_kdoubleprime(model))
         reports.extend(constants)
     if suite in ("modular", "all"):
@@ -164,17 +143,16 @@ def cmd_verify(args) -> int:
     if suite in ("crown", "all"):
         reports.append(sphver.assemble_crown(model, constants=constants))
     if suite in ("orbit", "all"):
-        reports.append(orbit.scaling_check(model, samples=cfg.samples, seed=cfg.seed))
-        reports.append(orbit.equivariance_check(model, l_samples=3, seed=cfg.seed,
-                                                samples=cfg.samples))
+        reports.append(orbit.scaling_check(model, samples=samples, seed=seed))
+        reports.append(orbit.equivariance_check(model, l_samples=3, seed=seed,
+                                                samples=samples))
     if suite in ("spherical", "all"):
-        reports.append(sphver.verify_spherical_direct(model, samples=cfg.samples,
-                                                      seed=cfg.seed))
+        reports.append(sphver.verify_spherical_direct(model, samples=samples, seed=seed))
         reports.append(sphver.m_invariance_check(
-            model, samples=min(cfg.samples, 4 * 10 ** 5), seed=cfg.seed))
-    config = {"model": family.value, "n": n, "seed": cfg.seed,
-              "samples": cfg.samples, "suite": suite}
-    return _emit_reports(reports, cfg.json_path, "verify", config)
+            model, samples=min(samples, 4 * 10 ** 5), seed=seed))
+    config = {"model": model.family.value, "n": model.n, "seed": seed,
+              "samples": samples, "suite": suite}
+    return _emit_reports(reports, args.json, "verify", config)
 
 
 # ------------------------------------------------------------------ bessel
@@ -224,7 +202,10 @@ def cmd_fourier(args) -> int:
         print(f"--samples must be at least {orbit.MIN_FOURIER_SAMPLES}, got {args.samples}",
               file=sys.stderr)
         return EXIT_USAGE
-    rays = orbit.float_backend(model).ray_blocks()
+    if args.steps < 1:
+        print(f"--steps must be at least 1, got {args.steps}", file=sys.stderr)
+        return EXIT_USAGE
+    rays = orbit.FloatBackend(model).ray_blocks()
     if args.ray not in rays:
         print(f"unknown ray {args.ray!r} (choose from {sorted(rays)})", file=sys.stderr)
         return EXIT_USAGE
@@ -268,8 +249,15 @@ def cmd_tensor(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as the one line `minorbit <cmd>: error: ...`."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="minorbit",
         description="verification workbench for graded models, minimal orbits "
                     "and Bessel spherical vectors")

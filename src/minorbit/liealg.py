@@ -1,6 +1,7 @@
 """Exact-arithmetic graded matrix models g = nbar + l + n.
 
-Two explicit families are materialized:
+Each explicit family is one `ModelSpec` in `SPECS`, which holds its block
+layout and its formulas on nbar blocks:
 
 * split orthogonal model: 4n x 4n matrices preserving the split symmetric
   form, with l the diagonal GL_2n block, n the lower-left skew block and
@@ -9,7 +10,8 @@ Two explicit families are materialized:
   n the upper-right block and nbar the lower-left block.
 
 All structure constants, pairings and kernels are computed over Fraction,
-so every identity asserted here has residual exactly 0.
+so every identity asserted here has residual exactly 0.  The float
+formulas of the specs drive the Monte Carlo layer in `orbit`.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -26,8 +29,6 @@ from . import ratlin
 from .catalog import Family, get_class
 from .ratlin import ONE, ZERO
 from .reports import ModelInvariantError, SpanError, VerificationReport
-
-MODEL_FAMILIES = (Family.O2N2N, Family.GL2N_R)
 
 # rational palette for random group elements; keeps orbit points exact
 _DIAG_PALETTE = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2))
@@ -46,22 +47,22 @@ class GradedModel:
     """A graded Lie algebra model with exact rational basis and form."""
 
     def __init__(self, family: Family, n: int):
-        if family not in MODEL_FAMILIES:
+        if family not in SPECS:
             raise ValueError(f"no matrix model for family {family}")
         if not 2 <= n <= 6:
             raise ValueError(f"rank n={n} outside supported range [2, 6]")
         self.family = family
+        self.spec = SPECS[family]
         self.n = n
         row = get_class(family)
         mult = row.multiplicities()
         self.d = mult.d
         self.e = mult.e
 
-        if family is Family.O2N2N:
-            self._build_orthogonal()
-        else:
-            self._build_general_linear()
-
+        self.block_size = self.spec.block_per_rank * n
+        self.dim_ambient = 2 * self.block_size
+        self.basis, self.grades = self.spec.basis(self.block_size)
+        self.nu_covector = np.array([self.nu_from_traces(b) for b in self.basis], dtype=object)
         self.dim = len(self.basis)
         self._sparse = [_to_sparse(b) for b in self.basis]
         self._leads = self._build_lead_map()
@@ -71,88 +72,41 @@ class GradedModel:
         self._table = None
         self._form_scale = None
 
-    # ---------------------------------------------------------------- build
-
-    def _build_orthogonal(self):
-        n = self.n
-        m = 2 * n
-        self.dim_ambient = 2 * m
-        basis, grades = [], []
-        self.nbar_pairs = [(r, c) for r in range(m) for c in range(r + 1, m)]
-        for r, c in self.nbar_pairs:
-            mat = ratlin.rzeros((2 * m, 2 * m))
-            mat[r, m + c] = ONE
-            mat[c, m + r] = -ONE
-            basis.append(mat)
-            grades.append(-1)
-        self.l_pairs = [(i, j) for i in range(m) for j in range(m)]
-        for i, j in self.l_pairs:
-            mat = ratlin.rzeros((2 * m, 2 * m))
-            mat[i, j] += ONE
-            mat[m + j, m + i] -= ONE
-            basis.append(mat)
-            grades.append(0)
-        for r, c in self.nbar_pairs:
-            mat = ratlin.rzeros((2 * m, 2 * m))
-            mat[m + r, c] = ONE
-            mat[m + c, r] = -ONE
-            basis.append(mat)
-            grades.append(1)
-        self.basis = basis
-        self.grades = grades
-        self._block = m
-        # nu = (1/2) tr of the lower-right GL_2n block, i.e. -(1/2) tr of the
-        # upper-left block; this is the unique character with nu(h_j) = 1
-        nuv = ratlin.rzeros(len(basis))
-        off = len(self.nbar_pairs)
-        for idx, (i, j) in enumerate(self.l_pairs):
-            if i == j:
-                nuv[off + idx] = Fraction(-1, 2)
-        self.nu_covector = nuv
-
-    def _build_general_linear(self):
-        n = self.n
-        self.dim_ambient = 2 * n
-        basis, grades = [], []
-        self.nbar_pairs = [(i, j) for i in range(n) for j in range(n)]
-        for i, j in self.nbar_pairs:
-            mat = ratlin.rzeros((2 * n, 2 * n))
-            mat[n + i, j] = ONE
-            basis.append(mat)
-            grades.append(-1)
-        self.l_pairs = [("A", i, j) for i in range(n) for j in range(n)]
-        self.l_pairs += [("D", i, j) for i in range(n) for j in range(n)]
-        for tag, i, j in self.l_pairs:
-            mat = ratlin.rzeros((2 * n, 2 * n))
-            if tag == "A":
-                mat[i, j] = ONE
-            else:
-                mat[n + i, n + j] = ONE
-            basis.append(mat)
-            grades.append(0)
-        for i, j in self.nbar_pairs:
-            mat = ratlin.rzeros((2 * n, 2 * n))
-            mat[i, n + j] = ONE
-            basis.append(mat)
-            grades.append(1)
-        self.basis = basis
-        self.grades = grades
-        self._block = n
-        # nu = (tr A - tr D)/2 on l = gl_n + gl_n; this is the extension of
-        # the torus data pinned by the rank-one measure pushforward
-        nuv = ratlin.rzeros(len(basis))
-        off = len(self.nbar_pairs)
-        for idx, (tag, i, j) in enumerate(self.l_pairs):
-            if i == j:
-                nuv[off + idx] = Fraction(1, 2) if tag == "A" else Fraction(-1, 2)
-        self.nu_covector = nuv
-
     def _build_lead_map(self):
         leads = {}
         for k, sp in enumerate(self._sparse):
             pos, val = sp[0]
             leads[pos] = (k, ONE / val)
         return leads
+
+    # -------------------------------------------------------------- layout
+
+    def _off_diagonal(self, grade: int) -> tuple[slice, slice]:
+        head, tail = slice(None, self.block_size), slice(self.block_size, None)
+        upper = (grade == -1) == self.spec.nbar_upper
+        return (head, tail) if upper else (tail, head)
+
+    def block(self, mat: np.ndarray, grade: int) -> np.ndarray:
+        """The off-diagonal block of grade -1 (nbar) or +1 (n) of mat, or of
+        each matrix of a stack."""
+        rows, cols = self._off_diagonal(grade)
+        return mat[..., rows, cols]
+
+    def embed(self, block: np.ndarray, grade: int) -> np.ndarray:
+        """The ambient matrix, or stack, holding block in the place of grade
+        -1 (nbar) or +1 (n); Fraction blocks give Fraction matrices."""
+        shape = block.shape[:-2] + (self.dim_ambient, self.dim_ambient)
+        out = ratlin.rzeros(shape) if block.dtype == object else np.zeros(shape)
+        rows, cols = self._off_diagonal(grade)
+        out[..., rows, cols] = block
+        return out
+
+    def nu_from_traces(self, mat: np.ndarray):
+        """nu of an l element as weighted traces of its diagonal blocks;
+        Fraction for Fraction matrices, float for float ones."""
+        b = self.block_size
+        top, bottom = self.spec.nu_weights
+        return top * np.trace(mat[:b, :b]) + bottom * np.trace(mat[b:, b:])
 
     # ------------------------------------------------------------- indexing
 
@@ -233,13 +187,6 @@ class GradedModel:
                     out[pos] += c * val
         return out
 
-    def grade_of(self, x: np.ndarray) -> int:
-        coords = self.expand(x)
-        seen = {self.grades[k] for k in range(self.dim) if coords[k] != 0}
-        if len(seen) > 1:
-            raise ValueError(f"element is not homogeneous: grades {sorted(seen)}")
-        return seen.pop() if seen else 0
-
     # -------------------------------------------------------------- triples
 
     @property
@@ -255,17 +202,10 @@ class GradedModel:
         return self._triples
 
     def _y_matrix(self, j: int) -> np.ndarray:
-        # orthogonal family: block B_j = [[0, -1], [1, 0]] embedded upper-right
-        mat = self.zero()
-        m = self._block
-        if self.family is Family.O2N2N:
-            r, c = 2 * (j - 1), 2 * (j - 1) + 1
-            mat[r, m + c] = -ONE
-            mat[c, m + r] = ONE
-        else:
-            i = j - 1
-            mat[m + i, i] = ONE
-        return mat
+        block = ratlin.rzeros((self.block_size, self.block_size))
+        for r, c, val in self.spec.y_entries(j):
+            block[r, c] = Fraction(val)
+        return self.embed(block, -1)
 
     @property
     def grading_element(self) -> np.ndarray:
@@ -273,13 +213,6 @@ class GradedModel:
         for t in self.triples:
             h = h + t.h
         return h
-
-    @property
-    def nu_on_a(self) -> tuple[Fraction, ...]:
-        """nu restricted to the split torus, as values on the h_j basis."""
-        return tuple(sum((self.nu_covector[k] * self.expand(t.h)[k]
-                          for k in range(self.dim)), ZERO)
-                     for t in self.triples)
 
     # ------------------------------------------------------------ theta/perm
 
@@ -340,39 +273,7 @@ class GradedModel:
         Returns a callable mapping an nbar block matrix to its transform.
         Products of elementary and diagonal factors keep everything exact.
         """
-        m = self._block
-        if self.family is Family.O2N2N:
-            a = _random_gl(rand, m)
-            at = a.T
-            return lambda block: a.dot(block).dot(at)
-        p = _random_gl(rand, m)
-        pinv = _invert_exact(p)
-        q = _random_gl(rand, m)
-        return lambda block: q.dot(block).dot(pinv)
-
-    def nbar_block(self, y: np.ndarray) -> np.ndarray:
-        m = self._block
-        if self.family is Family.O2N2N:
-            return y[:m, m:]
-        return y[m:, :m]
-
-    def nbar_from_block(self, block: np.ndarray) -> np.ndarray:
-        out = self.zero()
-        m = self._block
-        if self.family is Family.O2N2N:
-            out[:m, m:] = block
-        else:
-            out[m:, :m] = block
-        return out
-
-    def n_from_block(self, block: np.ndarray) -> np.ndarray:
-        out = self.zero()
-        m = self._block
-        if self.family is Family.O2N2N:
-            out[m:, :m] = block
-        else:
-            out[:m, m:] = block
-        return out
+        return self.spec.l_action(rand, self.block_size)
 
     def l_from_gl_block(self, a: np.ndarray) -> np.ndarray:
         """Embed a GL block as an element of l.
@@ -382,13 +283,8 @@ class GradedModel:
         linear model takes a pair (A, D) and this helper embeds (a, a).
         """
         out = self.zero()
-        m = self._block
-        if self.family is Family.O2N2N:
-            out[m:, m:] = a
-            out[:m, :m] = -a.T
-        else:
-            out[:m, :m] = a
-            out[m:, m:] = a
+        b = self.block_size
+        out[:b, :b], out[b:, b:] = self.spec.gl_diagonal(a)
         return out
 
 
@@ -462,6 +358,198 @@ def _invert_exact(a: np.ndarray) -> np.ndarray:
     if pivots[:m] != list(range(m)):
         raise ValueError("matrix not invertible")
     return red[:, m:]
+
+
+# ---------------------------------------------------------- family specs
+
+def _orthogonal_basis(m: int):
+    """Split so(2m, 2m): nbar upper-right skew, l = gl_m, n lower-left skew."""
+    basis, grades = [], []
+    nbar_pairs = [(r, c) for r in range(m) for c in range(r + 1, m)]
+    for r, c in nbar_pairs:
+        mat = ratlin.rzeros((2 * m, 2 * m))
+        mat[r, m + c] = ONE
+        mat[c, m + r] = -ONE
+        basis.append(mat)
+        grades.append(-1)
+    for i in range(m):
+        for j in range(m):
+            mat = ratlin.rzeros((2 * m, 2 * m))
+            mat[i, j] += ONE
+            mat[m + j, m + i] -= ONE
+            basis.append(mat)
+            grades.append(0)
+    for r, c in nbar_pairs:
+        mat = ratlin.rzeros((2 * m, 2 * m))
+        mat[m + r, c] = ONE
+        mat[m + c, r] = -ONE
+        basis.append(mat)
+        grades.append(1)
+    return basis, grades
+
+
+def _general_linear_basis(n: int):
+    """gl_2n: nbar lower-left, l = gl_n + gl_n (blocks A, D), n upper-right."""
+    basis, grades = [], []
+    nbar_pairs = [(i, j) for i in range(n) for j in range(n)]
+    for i, j in nbar_pairs:
+        mat = ratlin.rzeros((2 * n, 2 * n))
+        mat[n + i, j] = ONE
+        basis.append(mat)
+        grades.append(-1)
+    l_pairs = [("A", i, j) for i in range(n) for j in range(n)]
+    l_pairs += [("D", i, j) for i in range(n) for j in range(n)]
+    for tag, i, j in l_pairs:
+        mat = ratlin.rzeros((2 * n, 2 * n))
+        if tag == "A":
+            mat[i, j] = ONE
+        else:
+            mat[n + i, n + j] = ONE
+        basis.append(mat)
+        grades.append(0)
+    for i, j in nbar_pairs:
+        mat = ratlin.rzeros((2 * n, 2 * n))
+        mat[i, n + j] = ONE
+        basis.append(mat)
+        grades.append(1)
+    return basis, grades
+
+
+def _orthogonal_l_action(rand: random.Random, m: int):
+    a = _random_gl(rand, m)
+    at = a.T
+    return lambda block: a.dot(block).dot(at)
+
+
+def _general_linear_l_action(rand: random.Random, m: int):
+    p = _random_gl(rand, m)
+    pinv = _invert_exact(p)
+    q = _random_gl(rand, m)
+    return lambda block: q.dot(block).dot(pinv)
+
+
+def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise dot product sum_i a[n, i] b[n, i]."""
+    return np.einsum("ni,ni->n", a, b)
+
+
+def _normalize_rows(a: np.ndarray) -> np.ndarray:
+    a /= np.sqrt(rowdot(a, a))[:, None]
+    return a
+
+
+def _orthonormal_pairs(rng: np.random.Generator, count: int, m: int):
+    u = _normalize_rows(rng.standard_normal((count, m)))
+    v = rng.standard_normal((count, m))
+    v -= rowdot(v, u)[:, None] * u
+    return u, _normalize_rows(v)
+
+
+def _unit_pairs(rng: np.random.Generator, count: int, m: int):
+    u = _normalize_rows(rng.standard_normal((count, m)))
+    return u, _normalize_rows(rng.standard_normal((count, m)))
+
+
+def _skew_crown_pair(x_block, y1_block, u, v, w):
+    s = x_block @ y1_block + y1_block @ x_block
+    return 0.5 * (w ** 2) * (rowdot(u @ s, u) + rowdot(v @ s, v))
+
+
+def _rank_one_crown_pair(x_block, y1_block, u, v, w):
+    # y_1 has nbar block E_11, so only the first row and column of x enter
+    term_v = v[:, 0] * (v @ x_block[:, 0])
+    term_u = u[:, 0] * (u @ x_block[0, :])
+    return (w ** 2) * (term_v + term_u)
+
+
+def _log_uniform(rand: random.Random, m: int) -> np.ndarray:
+    return np.array([math.exp(rand.uniform(-0.4, 0.4)) for _ in range(m)])
+
+
+def _orthogonal_diag_l(rand: random.Random, m: int, d: int):
+    delta = _log_uniform(rand, m)
+    return (lambda u, v: (u * delta, v * delta)), float(np.prod(delta)) ** (-d)
+
+
+def _general_linear_diag_l(rand: random.Random, m: int, d: int):
+    p = _log_uniform(rand, m)
+    q = _log_uniform(rand, m)
+    return (lambda u, v: (u * q, v / p)), (float(np.prod(p)) / float(np.prod(q))) ** d
+
+
+def _skew_radius(a, b, w):
+    na = rowdot(a, a)
+    nb = rowdot(b, b)
+    ab = rowdot(a, b)
+    return w * np.sqrt(np.maximum(na * nb - ab * ab, 0.0))
+
+
+def _rank_one_radius(a, b, w):
+    return w * np.sqrt(rowdot(a, a)) * np.sqrt(rowdot(b, b))
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that one explicit family knows about its matrices.
+
+    Layout: the two diagonal blocks, of size block_per_rank * n, carry l;
+    nbar sits in the upper-right block when nbar_upper, else lower-left, and
+    n in the other off-diagonal block.
+
+    Float formulas: a point of the orbit is w * y'(u, v), where y' is the
+    nbar block unit_block(u, v) of the unit-direction rows u, v.  They were
+    derived from the trace form and are checked against the exact model in
+    the tests.
+    """
+
+    basis: Callable            # block size -> (basis, grades): nbar, l, n
+    block_per_rank: int
+    nbar_upper: bool
+    nu_weights: tuple          # nu = w0 tr(upper-left) + w1 tr(lower-right)
+    y_entries: Callable        # j -> ((row, col, value), ...) in y_j's nbar block
+    gl_diagonal: Callable      # a -> the diagonal blocks of l_from_gl_block(a)
+    l_action: Callable         # (rand, block size) -> exact L action on nbar blocks
+    sample_units: Callable     # (rng, count, block size) -> rows (u, v)
+    unit_block: Callable       # (u, v) -> stack of nbar blocks y'(u, v)
+    crown_pair: Callable       # (x block, y_1 block, u, v, w) -> <x, [[theta y, y_1], y]>
+    m_rotation_pair: Callable  # (r, r2) -> rotations acting on u and on v
+    random_diag_l: Callable    # (rand, block size, d) -> ((u, v) -> (a, b), character)
+    radius: Callable           # (a, b, w) -> |w y'(a, b)|
+
+
+SPECS = {
+    Family.O2N2N: ModelSpec(
+        basis=_orthogonal_basis, block_per_rank=2, nbar_upper=True,
+        # nu = (1/2) tr of the lower-right GL_2n block, i.e. -(1/2) tr of the
+        # upper-left block; this is the unique character with nu(h_j) = 1
+        nu_weights=(Fraction(-1, 2), ZERO),
+        # y_j has nbar block B_j = [[0, -1], [1, 0]] at rows/columns 2j-2, 2j-1
+        y_entries=lambda j: ((2 * j - 2, 2 * j - 1, -1), (2 * j - 1, 2 * j - 2, 1)),
+        gl_diagonal=lambda a: (-a.T, a),
+        l_action=_orthogonal_l_action,
+        sample_units=_orthonormal_pairs,
+        unit_block=lambda u, v: u[:, :, None] * v[:, None, :] - v[:, :, None] * u[:, None, :],
+        crown_pair=_skew_crown_pair,
+        m_rotation_pair=lambda r, r2: (r, r),
+        random_diag_l=_orthogonal_diag_l,
+        radius=_skew_radius),
+    Family.GL2N_R: ModelSpec(
+        basis=_general_linear_basis, block_per_rank=1, nbar_upper=False,
+        # nu = (tr A - tr D)/2 on l = gl_n + gl_n; this is the extension of
+        # the torus data pinned by the rank-one measure pushforward
+        nu_weights=(Fraction(1, 2), Fraction(-1, 2)),
+        y_entries=lambda j: ((j - 1, j - 1, 1),),
+        gl_diagonal=lambda a: (a, a),
+        l_action=_general_linear_l_action,
+        sample_units=_unit_pairs,
+        unit_block=lambda u, v: u[:, :, None] * v[:, None, :],
+        crown_pair=_rank_one_crown_pair,
+        # l = (P, Q) moves n-side blocks as B -> P B Q^T
+        m_rotation_pair=lambda r, r2: (r, r2),
+        random_diag_l=_general_linear_diag_l,
+        radius=_rank_one_radius),
+}
+MODEL_FAMILIES = tuple(SPECS)
 
 
 # ----------------------------------------------------------------- factory

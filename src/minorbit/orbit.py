@@ -22,7 +22,6 @@ import numpy as np
 from scipy import integrate
 
 from . import bessel, liealg
-from .catalog import Family
 from .reports import QuadratureError, VerificationReport
 
 
@@ -87,7 +86,7 @@ def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[
             y = y1
         else:
             act = m.random_l_action(rand)
-            y = m.nbar_from_block(act(m.nbar_block(y1)))
+            y = m.embed(act(m.block(y1, -1)), -1)
         rad_sq = -m.pair(y, m.theta(y))
         radius = math.sqrt(float(rad_sq))
         unit = np.array([[float(v) for v in row] for row in y]) / radius
@@ -98,50 +97,27 @@ def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[
 
 # ------------------------------------------------------------ float backend
 
-def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product sum_i a[n, i] b[n, i]."""
-    return np.einsum("ni,ni->n", a, b)
-
-
 class FloatBackend:
-    """Vectorized sampling and pairing formulas for one model family.
+    """Vectorized sampling and pairing formulas for one model.
 
-    Unit directions are stored as row pairs (U, V): the orthogonal model
-    takes orthonormal pairs with block u ^ v, the general linear model unit
-    pairs with block u v^T.  All pairings below were derived from the trace
-    form and validated against the exact model in the tests.
+    Unit directions are stored as row pairs (U, V) and points as
+    w * y'(U, V); the per-family formulas come from the model's spec.  The
+    fixed blocks are read off the exact sl2 triples.
     """
 
     def __init__(self, m: liealg.GradedModel):
         self.model = m
-        self.family = m.family
-        self.block = m._block
-        self.scale = float(m.form_scale)
+        self.spec = m.spec
+        self.block = m.block_size
         self.dn = m.d * m.n
-        if m.family is Family.O2N2N:
-            # y_1 has nbar block B1 = [[0,-1],[1,0]]; theta(y_1) carries the
-            # same block pattern on the n side
-            b1 = np.zeros((self.block, self.block))
-            b1[0, 1], b1[1, 0] = -1.0, 1.0
-            self.y1_block = b1
-            self.theta_y1_block = b1
-        else:
-            self.y1_block = np.zeros((self.block, self.block))
-            self.y1_block[0, 0] = 1.0
-            self.theta_y1_block = np.zeros((self.block, self.block))
-            self.theta_y1_block[0, 0] = -1.0
+        y1 = m.triples[0].y
+        self.y1_block = m.block(y1, -1).astype(float)
+        self.theta_y1_block = m.block(m.theta(y1), 1).astype(float)
 
     # -- sampling
 
     def sample_units(self, rng: np.random.Generator, count: int):
-        mdim = self.block
-        u = rng.standard_normal((count, mdim))
-        u /= np.sqrt(_rowdot(u, u))[:, None]
-        v = rng.standard_normal((count, mdim))
-        if self.family is Family.O2N2N:
-            v -= _rowdot(v, u)[:, None] * u
-        v /= np.sqrt(_rowdot(v, v))[:, None]
-        return u, v
+        return self.spec.sample_units(rng, count, self.block)
 
     def sample_radii(self, rng: np.random.Generator, count: int):
         w = rng.gamma(shape=self.dn, scale=1.0, size=count)
@@ -153,45 +129,27 @@ class FloatBackend:
 
     def pair_x(self, x_block, u, v, w):
         """<x, w * y'(u, v)> for x given by its n-side block."""
-        return w * _rowdot(v @ x_block, u)
+        return w * liealg.rowdot(v @ x_block, u)
 
     def pair_theta_y1(self, u, v, w):
         return self.pair_x(self.theta_y1_block, u, v, w)
 
     def crown_pair(self, x_block, u, v, w):
         """<x, [[theta y, y_1], y]> at y = w * y'(u, v), bilinear in y."""
-        if self.family is Family.O2N2N:
-            s = x_block @ self.y1_block + self.y1_block @ x_block
-            return 0.5 * (w ** 2) * (_rowdot(u @ s, u) + _rowdot(v @ s, v))
-        b = x_block
-        term_v = v[:, 0] * (v @ b[:, 0])
-        term_u = u[:, 0] * (u @ b[0, :])
-        return (w ** 2) * (term_v + term_u)
+        return self.spec.crown_pair(x_block, self.y1_block, u, v, w)
 
     # -- materialization
 
     def blocks(self, u, v, w):
-        if self.family is Family.O2N2N:
-            return w[:, None, None] * (u[:, :, None] * v[:, None, :]
-                                       - v[:, :, None] * u[:, None, :])
-        return w[:, None, None] * (u[:, :, None] * v[:, None, :])
+        return w[:, None, None] * self.spec.unit_block(u, v)
 
     def matrices(self, u, v, w):
-        blocks = self.blocks(u, v, w)
-        count = blocks.shape[0]
-        amb = self.model.dim_ambient
-        out = np.zeros((count, amb, amb))
-        mdim = self.block
-        if self.family is Family.O2N2N:
-            out[:, :mdim, mdim:] = blocks
-        else:
-            out[:, mdim:, :mdim] = blocks
-        return out
+        return self.model.embed(self.blocks(u, v, w), -1)
 
     # -- group actions
 
     def _m_rotations(self):
-        """A fixed pair of rotations generating a piece of M = K cap L."""
+        """A fixed M = K cap L element, as the rotations of u and of v."""
         mdim = self.block
         c, s = 0.6, 0.8
         i, j = (1, 2) if mdim >= 3 else (0, 1)
@@ -199,68 +157,32 @@ class FloatBackend:
         r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
         r2 = np.eye(mdim)
         r2[0, 0], r2[0, 1], r2[1, 0], r2[1, 1] = c, -s, s, c
-        return r, r2
+        return self.spec.m_rotation_pair(r, r2)
 
     def m_rotation_units(self):
         """The fixed M element acting on unit-direction pairs."""
-        r, r2 = self._m_rotations()
-        if self.family is Family.O2N2N:
-            return lambda u, v: (u @ r.T, v @ r.T)
-        return lambda u, v: (u @ r.T, v @ r2.T)
+        ru, rv = self._m_rotations()
+        return lambda u, v: (u @ ru.T, v @ rv.T)
 
     def m_rotation_x(self):
         """The same M element acting on n-side blocks."""
-        r, r2 = self._m_rotations()
-        if self.family is Family.O2N2N:
-            return lambda cblk: r @ cblk @ r.T
-        # n-side block transforms like B -> P B Q^T for l = (P, Q)
-        return lambda cblk: r2 @ cblk @ r.T
+        ru, rv = self._m_rotations()
+        return lambda cblk: rv @ cblk @ ru.T
 
     def random_diag_l(self, rand: random.Random):
-        mdim = self.block
-        if self.family is Family.O2N2N:
-            delta = np.array([math.exp(rand.uniform(-0.4, 0.4)) for _ in range(mdim)])
-            factor = float(np.prod(delta)) ** (-self.model.d)
-            return ("o", delta), factor
-        p = np.array([math.exp(rand.uniform(-0.4, 0.4)) for _ in range(mdim)])
-        q = np.array([math.exp(rand.uniform(-0.4, 0.4)) for _ in range(mdim)])
-        factor = (float(np.prod(p)) / float(np.prod(q))) ** self.model.d
-        return ("gl", p, q), factor
+        """A random diagonal l, as its action on unit rows, and its character."""
+        return self.spec.random_diag_l(rand, self.block, self.model.d)
 
     def radii_after_diag(self, action, u, v, w):
-        if action[0] == "o":
-            delta = action[1]
-            a = u * delta
-            b = v * delta
-            na = _rowdot(a, a)
-            nb = _rowdot(b, b)
-            ab = _rowdot(a, b)
-            return w * np.sqrt(np.maximum(na * nb - ab * ab, 0.0))
-        _, p, q = action
-        a = u * q
-        b = v / p
-        return w * np.sqrt(_rowdot(a, a)) * np.sqrt(_rowdot(b, b))
+        a, b = action(u, v)
+        return self.spec.radius(a, b, w)
 
     # -- default grid rays
 
     def ray_blocks(self):
         """Three unit rays in n: the x_1 direction, x_2, and a mixture."""
-        mdim = self.block
-        if self.family is Family.O2N2N:
-            b1 = -self.theta_y1_block  # x_1 = -theta(y_1)
-            b2 = np.zeros((mdim, mdim))
-            b2[2, 3], b2[3, 2] = -1.0, 1.0
-            b2 = -b2
-            return {"e1": b1, "e2": b2, "mix": (b1 + b2) / math.sqrt(2.0)}
-        b1 = np.zeros((mdim, mdim))
-        b1[0, 0] = 1.0
-        b2 = np.zeros((mdim, mdim))
-        b2[1, 1] = 1.0
+        b1, b2 = (self.model.block(t.x, 1).astype(float) for t in self.model.triples[:2])
         return {"e1": b1, "e2": b2, "mix": (b1 + b2) / math.sqrt(2.0)}
-
-
-def float_backend(m: liealg.GradedModel) -> FloatBackend:
-    return FloatBackend(m)
 
 
 def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
@@ -328,23 +250,12 @@ class FourierEstimate:
 
 def _resolve_x_block(m: liealg.GradedModel, x) -> np.ndarray:
     x = np.asarray(x)
-    mdim = m._block
-    if x.shape == (mdim, mdim):
-        pass
-    elif x.shape == (m.dim_ambient, m.dim_ambient):
-        x = _n_side_block(m, x)
-    else:
+    mdim = m.block_size
+    if x.shape == (m.dim_ambient, m.dim_ambient):
+        x = m.block(x, 1)
+    elif x.shape != (mdim, mdim):
         raise ValueError(f"cannot interpret x of shape {x.shape}")
-    if x.dtype == object:
-        return np.array([[float(v) for v in row] for row in x])
     return x.astype(float)
-
-
-def _n_side_block(m: liealg.GradedModel, x):
-    mdim = m._block
-    if m.family is Family.O2N2N:
-        return x[mdim:, :mdim]
-    return x[:mdim, mdim:]
 
 
 def fourier_phi(m: liealg.GradedModel, x, samples: int = 10 ** 5,

@@ -15,16 +15,6 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
-def rmat(rows) -> np.ndarray:
-    """Build an object-dtype matrix of Fractions from nested iterables."""
-    data = [[Fraction(x) for x in row] for row in rows]
-    out = np.empty((len(data), len(data[0]) if data else 0), dtype=object)
-    for i, row in enumerate(data):
-        for j, x in enumerate(row):
-            out[i, j] = x
-    return out
-
-
 def rzeros(shape) -> np.ndarray:
     out = np.empty(shape, dtype=object)
     out[...] = ZERO
@@ -36,10 +26,6 @@ def reye(n: int) -> np.ndarray:
     for i in range(n):
         out[i, i] = ONE
     return out
-
-
-def rdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return a.dot(b)
 
 
 def rtrace(a: np.ndarray) -> Fraction:

@@ -79,10 +79,6 @@ class VerificationReport:
         """A check failed outright (as opposed to being undecidable)."""
         return any(not c.passed and not c.inconclusive for c in self.checks)
 
-    @property
-    def n_failed(self) -> int:
-        return sum(not c.passed and not c.inconclusive for c in self.checks)
-
     def as_dict(self) -> dict:
         return {
             "suite": self.suite,

@@ -22,7 +22,6 @@ from typing import Callable
 import numpy as np
 
 from . import bessel, liealg, orbit, ratlin
-from .catalog import Family
 from .reports import VerificationReport
 
 ZERO = Fraction(0)
@@ -166,13 +165,6 @@ def assemble_crown(m: liealg.GradedModel | None = None, d: int | None = None,
 
 # ------------------------------------------------------------ pi_chi action
 
-def _nu_float(m: liealg.GradedModel, mat: np.ndarray) -> float:
-    blk = m._block
-    if m.family is Family.O2N2N:
-        return -0.5 * float(np.trace(mat[:blk, :blk]))
-    return 0.5 * (float(np.trace(mat[:blk, :blk])) - float(np.trace(mat[blk:, blk:])))
-
-
 @dataclass
 class ActionOperator:
     """One generator of the induced action on functions of n.
@@ -191,38 +183,19 @@ class ActionOperator:
     def apply(self, f: Callable[[np.ndarray], complex], x: np.ndarray,
               step: float = 1e-6) -> complex:
         m = self.model
-        x_amb = _ambient_from_block(m, x)
+        x_amb = m.embed(x, 1)
         if self.kind == "translation":
-            field = self.element
-            return _directional(f, x, _n_block_float(m, field), step)
+            return _directional(f, x, m.block(self.element, 1), step)
         if self.kind == "linear":
-            chi = -self.chi_weight * _nu_float(m, self.element)
+            chi = -self.chi_weight * m.nu_from_traces(self.element)
             field = self.element @ x_amb - x_amb @ self.element
-            return chi * f(x) - _directional(f, x, _n_block_float(m, field), step)
+            return chi * f(x) - _directional(f, x, m.block(field, 1), step)
         if self.kind == "quadratic":
             h = x_amb @ self.element - self.element @ x_amb
-            chi = -self.chi_weight * _nu_float(m, h)
+            chi = -self.chi_weight * m.nu_from_traces(h)
             field = 0.5 * (h @ x_amb - x_amb @ h)
-            return chi * f(x) - _directional(f, x, _n_block_float(m, field), step)
+            return chi * f(x) - _directional(f, x, m.block(field, 1), step)
         raise ValueError(f"unknown kind {self.kind}")
-
-
-def _ambient_from_block(m: liealg.GradedModel, block: np.ndarray) -> np.ndarray:
-    amb = m.dim_ambient
-    blk = m._block
-    out = np.zeros((amb, amb))
-    if m.family is Family.O2N2N:
-        out[blk:, :blk] = block
-    else:
-        out[:blk, blk:] = block
-    return out
-
-
-def _n_block_float(m: liealg.GradedModel, mat: np.ndarray) -> np.ndarray:
-    blk = m._block
-    if m.family is Family.O2N2N:
-        return mat[blk:, :blk]
-    return mat[:blk, blk:]
 
 
 def _directional(f, x, direction, step):
@@ -233,7 +206,7 @@ def _directional(f, x, direction, step):
 
 def default_grid(m: liealg.GradedModel) -> list[tuple[str, np.ndarray]]:
     """Zero plus nine radii on each of three rays in n."""
-    be = orbit.float_backend(m)
+    be = orbit.FloatBackend(m)
     rays = be.ray_blocks()
     grid: list[tuple[str, np.ndarray]] = [("origin", 0.0 * rays["e1"])]
     for name, block in rays.items():
@@ -258,7 +231,7 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
         "tau_shift": tau_shift, "samples": samples, "seed": seed})
     if grid is None:
         grid = default_grid(m)
-    be = orbit.float_backend(m)
+    be = orbit.FloatBackend(m)
     pairs = samples // 2
     streams = np.random.SeedSequence(seed).spawn(len(grid))
     zmax = 0.0
@@ -296,7 +269,7 @@ def m_invariance_check(m: liealg.GradedModel, samples: int = 4 * 10 ** 5,
     """Transform values agree at x and at a fixed M-rotation of x."""
     report = VerificationReport("m_invariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
-    be = orbit.float_backend(m)
+    be = orbit.FloatBackend(m)
     rot = be.m_rotation_x()
     for name, base in be.ray_blocks().items():
         x = 1.5 * base

@@ -6,6 +6,8 @@ import math
 import sys
 import warnings
 
+import pytest
+
 from minorbit import cli
 from conftest import DATA_DIR
 
@@ -190,3 +192,21 @@ def test_table_unknown_family_is_usage_error(capsys):
 def test_fourier_too_few_samples_is_usage_error(capsys):
     _assert_usage_error(capsys, "fourier", "--model", "o2n2n", "--n", "2",
                         "--samples", "100")
+
+
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_fourier_steps_below_one_is_usage_error(capsys, steps):
+    _assert_usage_error(capsys, "fourier", "--model", "o2n2n", "--n", "2",
+                        "--steps", steps, "--samples", "10000")
+
+
+def test_opq_rank_contradicting_n_is_usage_error(capsys):
+    _assert_usage_error(capsys, "fourier", "--model", "opq", "--p", "4", "--q", "4",
+                        "--n", "3", "--steps", "1", "--samples", "10000")
+
+
+def test_argparse_error_is_one_line(capsys):
+    code, _, err = run_cli(capsys, "verify", "all", "--n", "2")
+    assert code == cli.EXIT_USAGE
+    assert err.splitlines() == [
+        "minorbit verify: error: the following arguments are required: --model"]

@@ -34,7 +34,7 @@ def test_build_model_rejects_bad_input():
 
 def test_y1_block_matches_reference_matrix(o2):
     y1 = o2.triples[0].y
-    block = o2.nbar_block(y1)
+    block = o2.block(y1, -1)
     expect = ratlin.rzeros((4, 4))
     expect[0, 1] = Fraction(-1)
     expect[1, 0] = Fraction(1)

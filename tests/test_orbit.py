@@ -58,7 +58,7 @@ def test_base_sampler_mean_pairing(o2):
 def test_base_sampler_m_invariance_two_sample(o2, gl2):
     # the distribution of a fixed statistic is unchanged by a fixed rotation
     for m in (o2, gl2):
-        be = orbit.float_backend(m)
+        be = orbit.FloatBackend(m)
         rng = np.random.default_rng(17)
         u, v = be.sample_units(rng, 4000)
         w = np.ones(4000)
@@ -71,7 +71,7 @@ def test_base_sampler_m_invariance_two_sample(o2, gl2):
 
 def test_backend_pairings_match_exact_model(all_models):
     for m in all_models:
-        be = orbit.float_backend(m)
+        be = orbit.FloatBackend(m)
         rng = np.random.default_rng(7)
         u, v = be.sample_units(rng, 5)
         w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
@@ -80,13 +80,7 @@ def test_backend_pairings_match_exact_model(all_models):
         y1 = _tofloat(m.triples[0].y)
         th_y1 = _tofloat(m.theta(m.triples[0].y))
         xb = be.ray_blocks()["mix"]
-        amb = m.dim_ambient
-        blk = be.block
-        x_full = np.zeros((amb, amb))
-        if m.family.value == "o2n2n":
-            x_full[blk:, :blk] = xb
-        else:
-            x_full[:blk, blk:] = xb
+        x_full = m.embed(xb, 1)
         for i in range(5):
             y = mats[i]
             assert math.isclose(scale * np.trace(x_full @ y),
@@ -134,7 +128,7 @@ def test_equivariance(o2, gl2):
 
 
 def test_fourier_at_origin_positive(o2):
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     est = orbit.fourier_phi(o2, 0.0 * be.ray_blocks()["e1"], samples=10 ** 5, seed=2)
     assert est.value.real > 0
     assert est.value.imag == 0.0
@@ -142,7 +136,7 @@ def test_fourier_at_origin_positive(o2):
 
 
 def test_fourier_determinism(o2):
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     x = be.ray_blocks()["e1"]
     a = orbit.fourier_phi(o2, x, samples=10 ** 5, seed=12)
     b = orbit.fourier_phi(o2, x, samples=10 ** 5, seed=12)
@@ -150,7 +144,7 @@ def test_fourier_determinism(o2):
 
 
 def test_fourier_m_invariance(o2):
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     rot = be.m_rotation_x()
     x = 2.0 * be.ray_blocks()["mix"]
     a = orbit.fourier_phi(o2, x, samples=3 * 10 ** 5, seed=5)
@@ -159,7 +153,7 @@ def test_fourier_m_invariance(o2):
 
 
 def test_fourier_decay_trend(o2):
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     ray = be.ray_blocks()["e1"]
     vals = [abs(orbit.fourier_phi(o2, t * ray, samples=2 * 10 ** 5, seed=8).value)
             for t in (1.0, 2.5, 5.0, 10.0)]
@@ -173,7 +167,7 @@ def test_fourier_accepts_exact_n_elements(o2):
 
 
 def test_fourier_requires_enough_samples(o2):
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     with pytest.raises(ValueError):
         orbit.fourier_phi(o2, be.ray_blocks()["e1"], samples=100, seed=0)
 

@@ -47,9 +47,9 @@ def _block_entry(i, j):
 
 
 def test_action_translation(o2):
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     x0 = be.ray_blocks()["e1"]
-    op = sphver.ActionOperator(o2, "translation", sphver._ambient_from_block(o2, x0), 2)
+    op = sphver.ActionOperator(o2, "translation", o2.embed(x0, 1), 2)
     f = _block_entry(1, 0)
     x = 0.3 * be.ray_blocks()["mix"]
     val = op.apply(f, x)
@@ -60,7 +60,7 @@ def test_action_linear_on_constant(o2):
     h1 = np.array([[float(v) for v in row] for row in o2.triples[0].h])
     op = sphver.ActionOperator(o2, "linear", h1, o2.d)
     f = lambda x: 1.0
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     x = 0.7 * be.ray_blocks()["e2"]
     # chi(h_0) = -(j d) nu(h_0) = -d for h_1
     assert math.isclose(op.apply(f, x), -float(o2.d), rel_tol=1e-10)
@@ -70,11 +70,11 @@ def test_action_quadratic_character_factor(gl2):
     y1 = np.array([[float(v) for v in row] for row in gl2.triples[0].y])
     op = sphver.ActionOperator(gl2, "quadratic", y1, gl2.d)
     f = lambda x: 1.0
-    be = orbit.float_backend(gl2)
+    be = orbit.FloatBackend(gl2)
     x = 1.2 * be.ray_blocks()["e1"]
-    x_amb = sphver._ambient_from_block(gl2, x)
+    x_amb = gl2.embed(x, 1)
     h = x_amb @ y1 - y1 @ x_amb
-    expected = -gl2.d * sphver._nu_float(gl2, h)
+    expected = -gl2.d * gl2.nu_from_traces(h)
     assert math.isclose(op.apply(f, x), expected, rel_tol=1e-10)
 
 
@@ -89,7 +89,7 @@ def test_action_commutation_x_y_gives_h(o2):
     def f(x):
         return x[1, 0] ** 2 + 0.5 * x[3, 2] - 0.25 * x[1, 0] * x[3, 2]
 
-    be = orbit.float_backend(o2)
+    be = orbit.FloatBackend(o2)
     x = 0.4 * be.ray_blocks()["e1"] + 0.9 * be.ray_blocks()["e2"]
     step = 1e-5
     xy = op_x.apply(lambda p: op_y.apply(f, p, step), x, step)
@@ -99,7 +99,7 @@ def test_action_commutation_x_y_gives_h(o2):
 
 
 def _short_grid(m, tmax=2.0):
-    be = orbit.float_backend(m)
+    be = orbit.FloatBackend(m)
     rays = be.ray_blocks()
     grid = [("origin", 0.0 * rays["e1"])]
     for name, block in rays.items():
