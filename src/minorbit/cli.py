@@ -128,6 +128,13 @@ def cmd_verify(args) -> int:
         print(model, file=sys.stderr)
         return EXIT_USAGE
     seed, samples = args.seed, args.samples
+    # the orbit suites draw `samples` radii; spherical also runs fourier_phi
+    least = {"orbit": 1, "spherical": orbit.MIN_FOURIER_SAMPLES,
+             "all": orbit.MIN_FOURIER_SAMPLES}.get(args.suite)
+    if least is not None and samples < least:
+        print(f"--samples must be at least {least} for verify {args.suite}, "
+              f"got {samples}", file=sys.stderr)
+        return EXIT_USAGE
     reports: list[VerificationReport] = []
     suite = args.suite
     if suite in ("structural", "all"):

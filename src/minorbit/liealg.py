@@ -9,9 +9,11 @@ layout and its formulas on nbar blocks:
 * split general linear model: gl_2n with l the two diagonal n x n blocks,
   n the upper-right block and nbar the lower-left block.
 
-All structure constants, pairings and kernels are computed over Fraction,
-so every identity asserted here has residual exactly 0.  The float
-formulas of the specs drive the Monte Carlo layer in `orbit`.
+Basis matrices have entries 0 or +-1, so structure constants, brackets and
+trace products are computed on Python integers (the form is an integer
+trace times form_scale), and every identity asserted here has residual
+exactly 0.  The float formulas of the specs drive the Monte Carlo layer in
+`orbit`.
 """
 
 from __future__ import annotations
@@ -21,13 +23,14 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
 
 from . import ratlin
 from .catalog import Family, get_class
-from .ratlin import ONE, ZERO
+from .ratlin import ZERO
 from .reports import ModelInvariantError, SpanError, VerificationReport
 
 # rational palette for random group elements; keeps orbit points exact
@@ -44,7 +47,12 @@ class SL2Triple:
 
 
 class GradedModel:
-    """A graded Lie algebra model with exact rational basis and form."""
+    """A graded Lie algebra model with integer basis and exact form.
+
+    Basis matrices have entries 0 or +-1, so brackets, structure constants
+    and trace products are integers; the form is form_scale times the
+    integer trace.  The tables below are built on first use.
+    """
 
     def __init__(self, family: Family, n: int):
         if family not in SPECS:
@@ -64,19 +72,19 @@ class GradedModel:
         self.basis, self.grades = self.spec.basis(self.block_size)
         self.nu_covector = np.array([self.nu_from_traces(b) for b in self.basis], dtype=object)
         self.dim = len(self.basis)
+        self.nbar_indices = [i for i, g in enumerate(self.grades) if g == -1]
+        self.l_indices = [i for i, g in enumerate(self.grades) if g == 0]
+        self.n_indices = [i for i, g in enumerate(self.grades) if g == 1]
         self._sparse = [_to_sparse(b) for b in self.basis]
         self._leads = self._build_lead_map()
-        self._triples = None
-        self._theta_perm = None
-        self._gram = None
-        self._table = None
-        self._form_scale = None
 
     def _build_lead_map(self):
         leads = {}
         for k, sp in enumerate(self._sparse):
             pos, val = sp[0]
-            leads[pos] = (k, ONE / val)
+            if val not in (1, -1):
+                raise ModelInvariantError("basis lead entry is not +-1")
+            leads[pos] = (k, val)   # val is its own inverse
         return leads
 
     # -------------------------------------------------------------- layout
@@ -94,7 +102,7 @@ class GradedModel:
 
     def embed(self, block: np.ndarray, grade: int) -> np.ndarray:
         """The ambient matrix, or stack, holding block in the place of grade
-        -1 (nbar) or +1 (n); Fraction blocks give Fraction matrices."""
+        -1 (nbar) or +1 (n); exact blocks give exact matrices."""
         shape = block.shape[:-2] + (self.dim_ambient, self.dim_ambient)
         out = ratlin.rzeros(shape) if block.dtype == object else np.zeros(shape)
         rows, cols = self._off_diagonal(grade)
@@ -103,24 +111,12 @@ class GradedModel:
 
     def nu_from_traces(self, mat: np.ndarray):
         """nu of an l element as weighted traces of its diagonal blocks;
-        Fraction for Fraction matrices, float for float ones."""
+        Fraction for exact matrices, float for float ones."""
         b = self.block_size
         top, bottom = self.spec.nu_weights
         return top * np.trace(mat[:b, :b]) + bottom * np.trace(mat[b:, b:])
 
     # ------------------------------------------------------------- indexing
-
-    @property
-    def nbar_indices(self) -> list[int]:
-        return [i for i, g in enumerate(self.grades) if g == -1]
-
-    @property
-    def l_indices(self) -> list[int]:
-        return [i for i, g in enumerate(self.grades) if g == 0]
-
-    @property
-    def n_indices(self) -> list[int]:
-        return [i for i, g in enumerate(self.grades) if g == 1]
 
     @property
     def dim_nbar(self) -> int:
@@ -136,41 +132,41 @@ class GradedModel:
         return ratlin.rzeros((self.dim_ambient, self.dim_ambient))
 
     def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return x.dot(y) - y.dot(x)
+        return ratlin.commutator(x, y)
 
     def theta(self, x: np.ndarray) -> np.ndarray:
         return -x.T
 
-    @property
+    @cached_property
     def form_scale(self) -> Fraction:
-        if self._form_scale is None:
-            t = self.triples[0]
-            tr = ratlin.rtrace(t.x.dot(t.y))
-            if tr == 0:
-                raise ModelInvariantError("degenerate normalization trace")
-            self._form_scale = ONE / tr
-        return self._form_scale
+        t = self.triples[0]
+        tr = ratlin.trace_product(t.x, t.y)
+        if tr == 0:
+            raise ModelInvariantError("degenerate normalization trace")
+        return Fraction(1, tr)
 
     def pair(self, x: np.ndarray, y: np.ndarray) -> Fraction:
-        return self.form_scale * ratlin.rtrace(x.dot(y))
+        return self.form_scale * ratlin.trace_product(x, y)
 
-    def expand(self, x: np.ndarray) -> np.ndarray:
-        """Coordinates of x in the model basis; SpanError when outside."""
-        coords = ratlin.rzeros(self.dim)
-        rest = {}
-        for (r, c), v in _to_sparse(x, keep_zero=False):
-            rest[(r, c)] = v
-        for pos, v in list(rest.items()):
-            if pos in self._leads:
-                k, inv = self._leads[pos]
-                coords[k] = v * inv
+    def coords(self, x: np.ndarray) -> dict:
+        """Sparse coordinates {k: c} of x in the model basis; SpanError when
+        x is outside the span."""
+        rows, cols = np.nonzero(x)
+        return self._coords_of(dict(zip(zip(rows.tolist(), cols.tolist()),
+                                        x[rows, cols].tolist())))
+
+    def _coords_of(self, entries: dict) -> dict:
+        """Sparse coordinates of the matrix with nonzero entries {(r, c): v}."""
+        coords = {}
+        for pos, v in entries.items():
+            lead = self._leads.get(pos)
+            if lead is not None:
+                coords[lead[0]] = v * lead[1]
         # subtract the reconstruction and demand an exactly zero remainder
-        for k in range(self.dim):
-            ck = coords[k]
-            if ck == 0:
-                continue
+        rest = dict(entries)
+        for k, ck in coords.items():
             for pos, val in self._sparse[k]:
-                newv = rest.get(pos, ZERO) - ck * val
+                newv = rest.get(pos, 0) - ck * val
                 if newv == 0:
                     rest.pop(pos, None)
                 else:
@@ -179,32 +175,22 @@ class GradedModel:
             raise SpanError(f"element outside model span (remainder at {sorted(rest)[:4]})")
         return coords
 
-    def from_coords(self, coords) -> np.ndarray:
-        out = self.zero()
-        for k, c in enumerate(coords):
-            if c != 0:
-                for pos, val in self._sparse[k]:
-                    out[pos] += c * val
-        return out
-
     # -------------------------------------------------------------- triples
 
-    @property
+    @cached_property
     def triples(self) -> list[SL2Triple]:
-        if self._triples is None:
-            out = []
-            for j in range(1, self.n + 1):
-                y = self._y_matrix(j)
-                x = -self.theta(y)
-                h = self.bracket(x, y)
-                out.append(SL2Triple(j, x, y, h))
-            self._triples = out
-        return self._triples
+        out = []
+        for j in range(1, self.n + 1):
+            y = self._y_matrix(j)
+            x = -self.theta(y)
+            h = self.bracket(x, y)
+            out.append(SL2Triple(j, x, y, h))
+        return out
 
     def _y_matrix(self, j: int) -> np.ndarray:
         block = ratlin.rzeros((self.block_size, self.block_size))
         for r, c, val in self.spec.y_entries(j):
-            block[r, c] = Fraction(val)
+            block[r, c] = val
         return self.embed(block, -1)
 
     @property
@@ -216,54 +202,87 @@ class GradedModel:
 
     # ------------------------------------------------------------ theta/perm
 
-    @property
-    def theta_perm(self) -> list[tuple[int, Fraction]]:
+    @cached_property
+    def theta_perm(self) -> list[tuple[int, int]]:
         """theta basis-to-basis: theta(e_k) = sign * e_target."""
-        if self._theta_perm is None:
-            perm = []
-            for k in range(self.dim):
-                coords = self.expand(self.theta(self.basis[k]))
-                nz = [(i, c) for i, c in enumerate(coords) if c != 0]
-                if len(nz) != 1 or abs(nz[0][1]) != 1:
-                    raise ModelInvariantError("theta is not signed-permutation on this basis")
-                perm.append((nz[0][0], nz[0][1]))
-            self._theta_perm = perm
-        return self._theta_perm
+        perm = []
+        for k in range(self.dim):
+            nz = list(self.coords(self.theta(self.basis[k])).items())
+            if len(nz) != 1 or abs(nz[0][1]) != 1:
+                raise ModelInvariantError("theta is not signed-permutation on this basis")
+            perm.append(nz[0])
+        return perm
 
     # ----------------------------------------------------------- form tables
 
-    @property
-    def gram(self) -> np.ndarray:
-        if self._gram is None:
-            g = ratlin.rzeros((self.dim, self.dim))
-            scale = self.form_scale
-            for i in range(self.dim):
-                for j in range(i, self.dim):
-                    v = scale * _sparse_trace_product(self._sparse[i], self._sparse[j])
-                    g[i, j] = v
-                    g[j, i] = v
-            self._gram = g
-        return self._gram
+    @cached_property
+    def trace_gram(self) -> np.ndarray:
+        """Integer Gram matrix tr(e_i e_j); the form is form_scale times it."""
+        at: dict = {}
+        for j, sp in enumerate(self._sparse):
+            for pos, w in sp:
+                at.setdefault(pos, []).append((j, w))
+        g = ratlin.rzeros((self.dim, self.dim))
+        for i, sp in enumerate(self._sparse):
+            for (r, c), v in sp:
+                for j, w in at.get((c, r), ()):
+                    g[i, j] += v * w
+        return g
 
-    @property
+    @cached_property
+    def l_gram(self) -> np.ndarray:
+        """Integer Gram matrix of the trace form on the l-basis; the form
+        is form_scale times it."""
+        idx = self.l_indices
+        return self.trace_gram[np.ix_(idx, idx)]
+
+    @cached_property
+    def l_gram_b(self) -> np.ndarray:
+        """Integer Gram matrix on the l-basis of -tr(u theta v); the
+        definite product B is form_scale times it."""
+        idx = self.l_indices
+        out = ratlin.rzeros((len(idx), len(idx)))
+        for b, j in enumerate(idx):
+            tj, sj = self.theta_perm[j]
+            out[:, b] = -sj * self.trace_gram[idx, tj]
+        return out
+
+    @cached_property
+    def l_basis_flat(self) -> np.ndarray:
+        """The l basis matrices as the flattened rows of one integer matrix."""
+        return np.array([self.basis[k].ravel() for k in self.l_indices], dtype=object)
+
+    @cached_property
     def table(self) -> dict:
-        """Structure constants: (i, j) with i < j maps to {m: coeff}."""
-        if self._table is None:
-            tab = {}
-            for i in range(self.dim):
-                for j in range(i + 1, self.dim):
-                    br = _sparse_bracket(self._sparse[i], self._sparse[j])
-                    coords = self.expand(_from_sparse(br, self.dim_ambient))
-                    tab[(i, j)] = {k: c for k, c in enumerate(coords) if c != 0}
-            self._table = tab
-        return self._table
+        """Structure constants: (i, j) with i < j maps to {k: coeff}."""
+        return {(i, j): self._coords_of(_sparse_bracket(self._sparse[i], self._sparse[j]))
+                for i in range(self.dim) for j in range(i + 1, self.dim)}
+
+    @cached_property
+    def ad(self) -> list[dict]:
+        """Sparse integer ad(e_i) as {j: {k: c}} over its nonzero columns,
+        [e_i, e_j] = sum_k c e_k."""
+        ad: list[dict] = [{} for _ in range(self.dim)]
+        for (i, j), entry in self.table.items():
+            if entry:
+                ad[i][j] = entry
+                ad[j][i] = {k: -c for k, c in entry.items()}
+        return ad
 
     def table_entry(self, i: int, j: int) -> dict:
-        if i == j:
-            return {}
-        if i < j:
-            return self.table[(i, j)]
-        return {k: -c for k, c in self.table[(j, i)].items()}
+        return self.ad[i].get(j, {})
+
+    def bracket_coords(self, x: dict, y: dict) -> dict:
+        """Sparse coordinates of [x, y] for sparse coordinates x and y."""
+        out: dict = {}
+        ad = self.ad
+        for i, a in x.items():
+            ad_i = ad[i]
+            for j, b in y.items():
+                col = ad_i.get(j)
+                if col:
+                    _acc_coeff(out, col, a * b)
+        return out
 
     # -------------------------------------------------------------- actions
 
@@ -290,22 +309,12 @@ class GradedModel:
 
 # ------------------------------------------------------------------ sparse
 
-def _to_sparse(mat: np.ndarray, keep_zero: bool = False):
-    out = []
-    rows, cols = mat.shape
-    for r in range(rows):
-        for c in range(cols):
-            v = mat[r, c]
-            if v != 0 or keep_zero:
-                out.append(((r, c), v))
-    return out
+_EMPTY: dict = {}   # read-only stand-in for a missing sparse column
 
 
-def _from_sparse(sp: dict, amb: int) -> np.ndarray:
-    out = ratlin.rzeros((amb, amb))
-    for (r, c), v in sp.items():
-        out[r, c] = v
-    return out
+def _to_sparse(mat: np.ndarray):
+    rows, cols = np.nonzero(mat)
+    return list(zip(zip(rows.tolist(), cols.tolist()), mat[rows, cols].tolist()))
 
 
 def _sparse_bracket(a, b) -> dict:
@@ -314,21 +323,11 @@ def _sparse_bracket(a, b) -> dict:
         for (r2, c2), v2 in b:
             if c1 == r2:
                 key = (r1, c2)
-                out[key] = out.get(key, ZERO) + v1 * v2
+                out[key] = out.get(key, 0) + v1 * v2
             if c2 == r1:
                 key = (r2, c1)
-                out[key] = out.get(key, ZERO) - v2 * v1
+                out[key] = out.get(key, 0) - v2 * v1
     return {k: v for k, v in out.items() if v != 0}
-
-
-def _sparse_trace_product(a, b) -> Fraction:
-    bmap = {pos: v for pos, v in b}
-    total = ZERO
-    for (r, c), v in a:
-        w = bmap.get((c, r))
-        if w is not None:
-            total += v * w
-    return total
 
 
 def _random_gl(rand: random.Random, m: int) -> np.ndarray:
@@ -345,13 +344,13 @@ def _random_gl(rand: random.Random, m: int) -> np.ndarray:
             if i == j:
                 j = (j + 1) % m
             f[i, j] = rand.choice(_OFFDIAG_PALETTE)
-        a = a.dot(f)
+        a = ratlin.matmul(a, f)
     return a
 
 
 def _invert_exact(a: np.ndarray) -> np.ndarray:
     m = a.shape[0]
-    aug = ratlin.rzeros((m, 2 * m))
+    aug = np.empty((m, 2 * m), dtype=object)
     aug[:, :m] = a
     aug[:, m:] = ratlin.reye(m)
     red, pivots = ratlin.rref(aug)
@@ -368,21 +367,21 @@ def _orthogonal_basis(m: int):
     nbar_pairs = [(r, c) for r in range(m) for c in range(r + 1, m)]
     for r, c in nbar_pairs:
         mat = ratlin.rzeros((2 * m, 2 * m))
-        mat[r, m + c] = ONE
-        mat[c, m + r] = -ONE
+        mat[r, m + c] = 1
+        mat[c, m + r] = -1
         basis.append(mat)
         grades.append(-1)
     for i in range(m):
         for j in range(m):
             mat = ratlin.rzeros((2 * m, 2 * m))
-            mat[i, j] += ONE
-            mat[m + j, m + i] -= ONE
+            mat[i, j] += 1
+            mat[m + j, m + i] -= 1
             basis.append(mat)
             grades.append(0)
     for r, c in nbar_pairs:
         mat = ratlin.rzeros((2 * m, 2 * m))
-        mat[m + r, c] = ONE
-        mat[m + c, r] = -ONE
+        mat[m + r, c] = 1
+        mat[m + c, r] = -1
         basis.append(mat)
         grades.append(1)
     return basis, grades
@@ -394,7 +393,7 @@ def _general_linear_basis(n: int):
     nbar_pairs = [(i, j) for i in range(n) for j in range(n)]
     for i, j in nbar_pairs:
         mat = ratlin.rzeros((2 * n, 2 * n))
-        mat[n + i, j] = ONE
+        mat[n + i, j] = 1
         basis.append(mat)
         grades.append(-1)
     l_pairs = [("A", i, j) for i in range(n) for j in range(n)]
@@ -402,14 +401,14 @@ def _general_linear_basis(n: int):
     for tag, i, j in l_pairs:
         mat = ratlin.rzeros((2 * n, 2 * n))
         if tag == "A":
-            mat[i, j] = ONE
+            mat[i, j] = 1
         else:
-            mat[n + i, n + j] = ONE
+            mat[n + i, n + j] = 1
         basis.append(mat)
         grades.append(0)
     for i, j in nbar_pairs:
         mat = ratlin.rzeros((2 * n, 2 * n))
-        mat[i, n + j] = ONE
+        mat[i, n + j] = 1
         basis.append(mat)
         grades.append(1)
     return basis, grades
@@ -418,14 +417,14 @@ def _general_linear_basis(n: int):
 def _orthogonal_l_action(rand: random.Random, m: int):
     a = _random_gl(rand, m)
     at = a.T
-    return lambda block: a.dot(block).dot(at)
+    return lambda block: ratlin.matmul(ratlin.matmul(a, block), at)
 
 
 def _general_linear_l_action(rand: random.Random, m: int):
     p = _random_gl(rand, m)
     pinv = _invert_exact(p)
     q = _random_gl(rand, m)
-    return lambda block: q.dot(block).dot(pinv)
+    return lambda block: ratlin.matmul(ratlin.matmul(q, block), pinv)
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -563,13 +562,13 @@ def build_model(family: Family | str, n: int) -> GradedModel:
 
 def bracket(m: GradedModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     out = m.bracket(x, y)
-    m.expand(out)  # raises SpanError when the result leaves the span
+    m.coords(out)  # raises SpanError when the result leaves the span
     return out
 
 
 def theta(m: GradedModel, x: np.ndarray) -> np.ndarray:
     out = m.theta(x)
-    m.expand(out)
+    m.coords(out)
     return out
 
 
@@ -578,8 +577,7 @@ def pair(m: GradedModel, x: np.ndarray, y: np.ndarray) -> Fraction:
 
 
 def norm_nbar_sq(m: GradedModel, y: np.ndarray) -> Fraction:
-    coords = m.expand(y)
-    if any(coords[k] != 0 for k in range(m.dim) if m.grades[k] != -1):
+    if any(m.grades[k] != -1 for k in m.coords(y)):
         raise ValueError("element is not in nbar")
     radicand = -m.pair(y, m.theta(y))
     if radicand < 0:
@@ -592,70 +590,69 @@ def norm_nbar(m: GradedModel, y: np.ndarray) -> float:
 
 
 def nu(m: GradedModel, l_elt: np.ndarray) -> Fraction:
-    coords = m.expand(l_elt)
-    if any(coords[k] != 0 for k in range(m.dim) if m.grades[k] != 0):
+    coords = m.coords(l_elt)
+    if any(m.grades[k] != 0 for k in coords):
         raise ValueError("element is not in l")
-    return sum((m.nu_covector[k] * coords[k] for k in range(m.dim)), ZERO)
+    return sum((m.nu_covector[k] * c for k, c in coords.items()), ZERO)
 
 
 def theta_eigenbasis_of_l(m: GradedModel):
     """theta-eigenbasis of l, orthogonal for B(u, v) = <u, -theta v>.
 
-    Returns (vectors, norms); aborts when the induced Gram is not diagonal.
+    Returns (vectors, norms): each vector as sparse coordinates {k: c} and
+    its B(v, v); aborts when the induced Gram is not diagonal.
     """
-    l_idx = m.l_indices
     perm = m.theta_perm
     vectors = []
     done = set()
-    for a in l_idx:
+    for a in m.l_indices:
         if a in done:
             continue
         target, sign = perm[a]
         if target == a:
-            vectors.append(m.basis[a])
+            vectors.append({a: 1})
             done.add(a)
         else:
-            ea, et = m.basis[a], m.basis[target]
-            vectors.append(ea + sign * et)
-            vectors.append(ea - sign * et)
+            vectors.append({a: 1, target: sign})
+            vectors.append({a: 1, target: -sign})
             done.update((a, target))
-    norms = []
-    mats = vectors
-    for i, v in enumerate(mats):
-        for j in range(i + 1, len(mats)):
-            cross = m.pair(v, -m.theta(mats[j]))
-            if cross != 0:
+    gram = m.trace_gram
+
+    def b_int(u, v):   # -tr(u theta v) on sparse coordinates
+        return -sum(cu * cv * perm[k][1] * gram[i, perm[k][0]]
+                    for i, cu in u.items() for k, cv in v.items())
+
+    for i, v in enumerate(vectors):
+        for w in vectors[i + 1:]:
+            if b_int(v, w) != 0:
                 raise ModelInvariantError("theta-eigenbasis of l is not B-orthogonal")
-        b = m.pair(v, -m.theta(v))
+    norms = []
+    for v in vectors:
+        b = m.form_scale * b_int(v, v)
         if b <= 0:
             raise ModelInvariantError("degenerate B-pairing on l")
         norms.append(b)
-    return mats, norms
+    return vectors, norms
 
 
 def casimir_omega_scalar(m: GradedModel) -> Fraction:
     """Scalar by which Omega = sum ad(theta l_j)^2 acts on n.
 
-    The l_j run over a theta-eigenbasis dualized by B; non-scalar action
-    raises, since that signals a broken model or dual basis.
+    The l_j run over a theta-eigenbasis dualized by B, so Omega is
+    sum ad(v)^2 / B(v, v), evaluated on the ad tables with integer weights
+    over one common denominator; non-scalar action raises, since that
+    signals a broken model or dual basis.
     """
     vectors, norms = theta_eigenbasis_of_l(m)
+    weights, den = ratlin.clear_denominators([1 / b for b in norms])
     scalar = None
     for k in m.n_indices:
-        x = m.basis[k]
-        acc = m.zero()
-        for v, b in zip(vectors, norms):
-            acc = acc + m.bracket(v, m.bracket(v, x)) * (ONE / b)
-        coords = m.expand(acc)
-        base = m.expand(x)
-        ratio = None
-        for i in range(m.dim):
-            if base[i] != 0:
-                ratio = coords[i] / base[i]
-                break
-        recon = m.from_coords([ratio * c for c in base])
-        if not ratlin.is_zero_matrix(acc - recon):
+        acc: dict = {}
+        for v, w in zip(vectors, weights):
+            _acc_coeff(acc, m.bracket_coords(v, m.bracket_coords(v, {k: 1})), w)
+        if acc.keys() - {k}:
             raise ModelInvariantError("Casimir-type operator is not scalar on n")
+        ratio = Fraction(acc.get(k, 0), den)
         if scalar is None:
             scalar = ratio
         elif scalar != ratio:
@@ -674,33 +671,38 @@ class LSubspace:
     def dim(self) -> int:
         return len(self.coords)
 
+    @cached_property
+    def echelon(self) -> ratlin.Echelon:
+        """Fraction-free reduced echelon form of coords, built once."""
+        return ratlin.Echelon.of(self.coords)
+
     def matrices(self) -> list[np.ndarray]:
-        l_idx = self.model.l_indices
-        out = []
-        for v in self.coords:
-            mat = self.model.zero()
-            for pos, k in enumerate(l_idx):
-                if v[pos] != 0:
-                    mat = mat + self.model.basis[k] * v[pos]
-            out.append(mat)
-        return out
+        if not self.coords:
+            return []
+        m = self.model
+        flat = ratlin.matmul(np.array(self.coords, dtype=object), m.l_basis_flat)
+        return list(flat.reshape(self.dim, m.dim_ambient, m.dim_ambient))
 
     def contains(self, l_elt: np.ndarray) -> bool:
-        full = self.model.expand(l_elt)
-        vec = np.array([full[k] for k in self.model.l_indices], dtype=object)
-        return ratlin.in_span(self.coords, vec)
+        """The l-part of l_elt lies in the subspace."""
+        coords = self.model.coords(l_elt)
+        return self.echelon.contains([coords.get(k, 0) for k in self.model.l_indices])
+
+
+def l_bracket_map(m: GradedModel, y: np.ndarray) -> np.ndarray:
+    """Integer matrix of h -> [h, y] on l: column a holds the coordinates
+    of [e, y] for the a-th basis element e of l."""
+    yc = m.coords(y)
+    out = ratlin.rzeros((m.dim, m.dim_l))
+    for col, a in enumerate(m.l_indices):
+        for k, c in m.bracket_coords({a: 1}, yc).items():
+            out[k, col] = c
+    return out
 
 
 def stabilizer_algebra(m: GradedModel, y: np.ndarray) -> LSubspace:
     """Exact kernel {h in l : [h, y] = 0}."""
-    l_idx = m.l_indices
-    rows = []
-    for k in l_idx:
-        br = m.bracket(m.basis[k], y)
-        rows.append(m.expand(br))
-    mat = np.array(rows, dtype=object).T  # equations indexed by basis coords
-    kernel = ratlin.nullspace(mat)
-    return LSubspace(m, kernel)
+    return LSubspace(m, ratlin.nullspace(l_bracket_map(m, y)))
 
 
 def modular_character_check(m: GradedModel) -> VerificationReport:
@@ -708,14 +710,17 @@ def modular_character_check(m: GradedModel) -> VerificationReport:
 
     a ∩ s_1 = Ker eps_1 is spanned by h_2, ..., h_n; each h_j normalizes s_1,
     so the restricted trace is well defined and must match 2d nu exactly.
+    The trace is read off in the echelon basis of s_1, whose rows are det
+    times rref rows: the coefficient of row r in ad(h) row r is the entry
+    at its pivot column, over det.
     """
     report = VerificationReport("modular_character", meta={
         "family": m.family.value, "n": m.n, "d": m.d,
     })
     y1 = m.triples[0].y
     s1 = stabilizer_algebra(m, y1)
-    s1_mats = s1.matrices()
-    coord_mat = np.array(s1.coords, dtype=object).T if s1.coords else None
+    ech = s1.echelon
+    l_idx = m.l_indices
     report.meta["dim_s1"] = s1.dim
     report.meta["dim_a_cap_s1"] = m.n - 1
     for t in m.triples[1:]:
@@ -723,25 +728,19 @@ def modular_character_check(m: GradedModel) -> VerificationReport:
         if not s1.contains(a):
             report.add(f"h_{t.j} in s1", False, detail="expected h_j in stabilizer")
             continue
-        # representing matrix of ad(a) on s1, column by column
-        rep = []
-        ok = True
-        for smat in s1_mats:
-            img = m.bracket(a, smat)
-            full = m.expand(img)
-            vec = np.array([full[k] for k in m.l_indices], dtype=object)
-            try:
-                rep.append(ratlin.solve_exact(coord_mat, vec))
-            except ValueError:
+        ac = m.coords(a)
+        trace = 0
+        for row, pc in zip(ech.rows, ech.pivots):
+            img = m.bracket_coords(ac, {l_idx[i]: v for i, v in enumerate(row) if v})
+            vec = [img.get(k, 0) for k in l_idx]
+            if not ech.contains(vec):
                 report.add(f"ad(h_{t.j}) preserves s1", False)
-                ok = False
                 break
-        if not ok:
-            continue
-        trace = sum((rep[i][i] for i in range(len(rep))), ZERO)
-        expected = 2 * m.d * nu(m, a)
-        residual = trace - expected
-        report.add(f"tr ad_s1(h_{t.j}) = 2d*nu", residual == 0, residual=residual)
+            trace += vec[pc]
+        else:
+            expected = 2 * m.d * nu(m, a)
+            residual = Fraction(trace, ech.det) - expected
+            report.add(f"tr ad_s1(h_{t.j}) = 2d*nu", residual == 0, residual=residual)
     return report
 
 
@@ -749,7 +748,12 @@ def modular_character_check(m: GradedModel) -> VerificationReport:
 
 def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     """Exact structural checks: closure, grading, Jacobi, theta, invariance,
-    sl2 relations, grading element, normalization, positivity, character."""
+    sl2 relations, grading element, normalization, positivity, character.
+
+    Jacobi and invariance run on the sparse integer ad tables, as
+    ad[e_i, e_j] = [ad e_i, ad e_j] and ad(e_z)^T G + G ad(e_z) = 0 with G
+    the integer trace Gram.
+    """
     report = VerificationReport("structural", meta={
         "family": m.family.value, "n": m.n,
         "dim": m.dim, "dim_nbar": m.dim_nbar, "dim_l": m.dim_l,
@@ -769,20 +773,7 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
                 bad += 1
     report.add("grading additivity", bad == 0, residual=bad)
 
-    # Jacobi in coefficient space, all basis triples via all pairs
-    bad = 0
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            cij = tab[(i, j)]
-            for k in range(dim):
-                lhs = _coeff_bracket_with_basis(m, k, cij)
-                rhs: dict = {}
-                cki = m.table_entry(k, i)
-                _acc_coeff(rhs, _coeff_bracket_of_combo_basis(m, cki, j), ONE)
-                ckj = m.table_entry(k, j)
-                _acc_coeff(rhs, _coeff_bracket_with_basis(m, i, ckj), ONE)
-                if not _coeff_equal(lhs, rhs):
-                    bad += 1
+    bad = _jacobi_defects(m)
     report.add("jacobi identity (all basis triples)", bad == 0, residual=bad,
                detail=f"{dim * dim * (dim - 1) // 2} triples")
 
@@ -812,11 +803,11 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
         ti, si = perm[i]
         tj, sj = perm[j]
         rhs = {k: si * sj * c for k, c in m.table_entry(ti, tj).items()}
-        if not _coeff_equal(lhs, rhs):
+        if lhs != rhs:
             bad += 1
     report.add("theta is an automorphism (all pairs)", bad == 0, residual=bad)
 
-    gram = m.gram
+    gram = m.trace_gram
     bad = 0
     for i in range(dim):
         for j in range(dim):
@@ -825,17 +816,7 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
                 bad += 1
     report.add("theta preserves form", bad == 0, residual=bad)
 
-    # invariance <[z,x],y> + <x,[z,y]> = 0 over all basis triples
-    bad = 0
-    for z in range(dim):
-        for i in range(dim):
-            czi = m.table_entry(z, i)
-            for j in range(dim):
-                val = sum((c * gram[k, j] for k, c in czi.items()), ZERO)
-                czj = m.table_entry(z, j)
-                val += sum((c * gram[i, k] for k, c in czj.items()), ZERO)
-                if val != 0:
-                    bad += 1
+    bad = _invariance_defects(m)
     report.add("form invariance (all basis triples)", bad == 0, residual=bad)
 
     nbar, nn, ll = m.nbar_indices, m.n_indices, m.l_indices
@@ -847,9 +828,9 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
                     bad += 1
     report.add("grading orthogonality of form", bad == 0, residual=bad)
 
-    sub = np.array([[gram[i, j] for j in nbar] for i in nn], dtype=object)
-    report.add("n x nbar pairing nondegenerate", ratlin.rank(sub) == len(nn),
-               residual=len(nn) - ratlin.rank(sub))
+    sub_rank = ratlin.rank(gram[np.ix_(nn, nbar)])
+    report.add("n x nbar pairing nondegenerate", sub_rank == len(nn),
+               residual=len(nn) - sub_rank)
 
     bad = []
     for t in m.triples:
@@ -886,12 +867,13 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     r2 = m.pair(t1.y, m.theta(t1.y)) + 1
     report.add("<y1, theta y1> = -1", r2 == 0, residual=r2)
 
+    # -<e_i, theta e_j> = delta_ij, compared over the form's denominator
+    p, q = m.form_scale.numerator, m.form_scale.denominator
     bad = 0
     for i in nbar:
         for j in nbar:
-            want = ONE if i == j else ZERO
             tj, sj = perm[j]
-            if -sj * gram[i, tj] != want:
+            if -sj * gram[i, tj] * p != (q if i == j else 0):
                 bad += 1
     report.add("inner product on nbar is the standard one", bad == 0, residual=bad)
 
@@ -909,32 +891,52 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     return report
 
 
-def _coeff_bracket_with_basis(m: GradedModel, i: int, combo: dict) -> dict:
-    out: dict = {}
-    for j, c in combo.items():
-        _acc_coeff(out, m.table_entry(i, j), c)
-    return out
+def _jacobi_defects(m: GradedModel) -> int:
+    """Triples (i < j, l) with [[e_i, e_j], e_l] != [ad e_i, ad e_j] e_l."""
+    ad = m.ad
+    bad = 0
+    for (i, j), cij in m.table.items():
+        ad_i, ad_j = ad[i], ad[j]
+        cols = ad_i.keys() | ad_j.keys()
+        for k in cij:
+            cols |= ad[k].keys()
+        for col in cols:
+            diff: dict = {}
+            for k, c in cij.items():
+                _acc_coeff(diff, ad[k].get(col, _EMPTY), c)
+            for k, c in ad_j.get(col, _EMPTY).items():
+                _acc_coeff(diff, ad_i.get(k, _EMPTY), -c)
+            for k, c in ad_i.get(col, _EMPTY).items():
+                _acc_coeff(diff, ad_j.get(k, _EMPTY), c)
+            if diff:
+                bad += 1
+    return bad
 
 
-def _coeff_bracket_of_combo_basis(m: GradedModel, combo: dict, j: int) -> dict:
-    out: dict = {}
-    for i, c in combo.items():
-        _acc_coeff(out, m.table_entry(i, j), c)
-    return out
+def _invariance_defects(m: GradedModel) -> int:
+    """Nonzero entries of ad(e_z)^T G + G ad(e_z) over all z, with G the
+    integer trace Gram: triples with <[z, x], y> + <x, [z, y]> != 0."""
+    gram = m.trace_gram
+    rows = [{j: g for j, g in enumerate(gram[k]) if g} for k in range(m.dim)]
+    bad = 0
+    for ad_z in m.ad:
+        acc: dict = {}
+        for i, col in ad_z.items():
+            for k, c in col.items():
+                for j, g in rows[k].items():
+                    acc[i, j] = acc.get((i, j), 0) + c * g   # (ad_z^T G)[i, j]
+                    acc[j, i] = acc.get((j, i), 0) + g * c   # (G ad_z)[j, i]
+        bad += sum(1 for v in acc.values() if v)
+    return bad
 
 
-def _acc_coeff(acc: dict, entry: dict, scale: Fraction):
+def _acc_coeff(acc: dict, entry: dict, scale):
     for k, c in entry.items():
-        v = acc.get(k, ZERO) + scale * c
+        v = acc.get(k, 0) + scale * c
         if v == 0:
             acc.pop(k, None)
         else:
             acc[k] = v
-
-
-def _coeff_equal(a: dict, b: dict) -> bool:
-    keys = set(a) | set(b)
-    return all(a.get(k, ZERO) == b.get(k, ZERO) for k in keys)
 
 
 # ----------------------------------------------------------------- dumping
@@ -948,8 +950,7 @@ def model_dump(m: GradedModel) -> dict:
                 for r in range(m.dim_ambient)]
 
     def coords_map(mat: np.ndarray) -> dict:
-        coords = m.expand(mat)
-        return {str(k): frac_str(c) for k, c in enumerate(coords) if c != 0}
+        return {str(k): frac_str(c) for k, c in sorted(m.coords(mat).items())}
 
     return {
         "family": m.family.value,

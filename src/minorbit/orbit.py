@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate
 
-from . import bessel, liealg
+from . import bessel, liealg, ratlin
 from .reports import QuadratureError, VerificationReport
 
 
@@ -38,13 +38,20 @@ class OrbitPoint:
     radius_sq: Fraction | float
 
     def membership_residual(self, m: liealg.GradedModel):
-        """[[y, theta y], y] - 2 <y, theta y> y; exactly zero on O_1."""
+        """[[y, theta y], y] - 2 <y, theta y> y; exactly zero on O_1.
+
+        Exact points are written y = Y / den with Y integer, and the
+        residual is formed on Y over the common denominator
+        den^3 * denominator(form_scale), then divided once.
+        """
         y = self.y
         if self.exact:
-            th = m.theta(y)
-            lhs = m.bracket(m.bracket(y, th), y)
-            rhs = 2 * m.pair(y, th) * y
-            return lhs - rhs
+            yi, den, _ = ratlin.integer_matrix(y)
+            th = m.theta(yi)
+            p, q = m.form_scale.numerator, m.form_scale.denominator
+            lhs = q * m.bracket(m.bracket(yi, th), yi)
+            rhs = 2 * p * ratlin.trace_product(yi, th) * yi
+            return ratlin.divide(lhs - rhs, q * den ** 3)
         th = -y.T
         lhs = _fbracket(_fbracket(y, th), y)
         rhs = 2.0 * _fpair(m, y, th) * y

@@ -17,7 +17,6 @@ recorded as metadata, not computed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -25,8 +24,6 @@ from . import liealg, ratlin
 from .catalog import DualPair, dual_pair, get_class
 from .liealg import GradedModel, LSubspace
 from .reports import VerificationReport
-
-ZERO = Fraction(0)
 
 
 @dataclass
@@ -41,6 +38,7 @@ class StabilizerDecomposition:
     g_k: LSubspace
     h_k: LSubspace
     l_k: LSubspace
+    xi_map: np.ndarray      # integer matrix of h -> [h, xi] on l
 
     @property
     def s_k_dim(self) -> int:
@@ -74,59 +72,29 @@ class StabilizerDecomposition:
         }
 
 
-def _l_gram(m: GradedModel, theta_twist: bool) -> np.ndarray:
-    """Gram matrix of the form (or the definite product) on the l-basis."""
-    idx = m.l_indices
-    g = m.gram
-    out = ratlin.rzeros((len(idx), len(idx)))
-    perm = m.theta_perm
-    for a, i in enumerate(idx):
-        for b, j in enumerate(idx):
-            if theta_twist:
-                tj, sj = perm[j]
-                out[a, b] = -sj * g[i, tj]
-            else:
-                out[a, b] = g[i, j]
-    return out
-
-
-def _kernel_of_bracket_maps(m: GradedModel, targets: list[np.ndarray]) -> LSubspace:
-    """{h in l : [h, t] = 0 for every t in targets}, as an exact kernel."""
-    rows = []
-    for i in m.l_indices:
-        row = []
-        for t in targets:
-            row.extend(m.expand(m.bracket(m.basis[i], t)))
-        rows.append(row)
-    mat = np.array(rows, dtype=object).T
-    return LSubspace(m, ratlin.nullspace(mat))
+def _lift(m: GradedModel, kernel: list[np.ndarray], basis: np.ndarray) -> LSubspace:
+    """The subspace spanned by the combinations kernel of the rows of basis."""
+    if not kernel:
+        return LSubspace(m, [])
+    return LSubspace(m, list(ratlin.matmul(np.array(kernel, dtype=object), basis)))
 
 
 def _form_radical(m: GradedModel, sub: LSubspace) -> LSubspace:
-    gl = _l_gram(m, theta_twist=False)
     basis = np.array(sub.coords, dtype=object)
-    gram = basis.dot(gl).dot(basis.T)
-    kernel = ratlin.nullspace(gram)
-    lifted = [sum((vec[i] * basis[i] for i in range(len(vec))), ratlin.rzeros(basis.shape[1]))
-              for vec in kernel]
-    return LSubspace(m, lifted)
+    gram = ratlin.matmul(ratlin.matmul(basis, m.l_gram), basis.T)
+    return _lift(m, ratlin.nullspace(gram), basis)
 
 
 def _b_orthocomplement(m: GradedModel, sub: LSubspace, inside: LSubspace) -> LSubspace:
     """Orthocomplement of sub within inside for the definite product on l."""
-    bl = _l_gram(m, theta_twist=True)
-    inside_mat = np.array(inside.coords, dtype=object)
-    constraints = []
-    for uvec in sub.coords:
-        constraints.append(inside_mat.dot(bl.dot(uvec)))
-    if not constraints:
+    if not sub.coords:
         return inside
-    mat = np.array(constraints, dtype=object)
-    kernel = ratlin.nullspace(mat)
-    lifted = [sum((vec[i] * inside_mat[i] for i in range(len(vec))),
-                  ratlin.rzeros(inside_mat.shape[1]))
-              for vec in kernel]
-    return LSubspace(m, lifted)
+    inside_mat = np.array(inside.coords, dtype=object)
+    # row u holds B(u, w) over the basis vectors w of inside
+    constraints = ratlin.matmul(
+        ratlin.matmul(np.array(sub.coords, dtype=object), m.l_gram_b.T),
+        inside_mat.T)
+    return _lift(m, ratlin.nullspace(constraints), inside_mat)
 
 
 def _triple_support(m: GradedModel, k: int) -> set[int]:
@@ -134,10 +102,9 @@ def _triple_support(m: GradedModel, k: int) -> set[int]:
     support: set[int] = set()
     for t in m.triples[:k]:
         for mat in (t.x, t.y, t.h):
-            for r in range(m.dim_ambient):
-                for c in range(m.dim_ambient):
-                    if mat[r, c] != 0:
-                        support.update((r, c))
+            rows, cols = np.nonzero(mat)
+            support.update(rows.tolist())
+            support.update(cols.tolist())
     return support
 
 
@@ -148,17 +115,21 @@ def _support_split(m: GradedModel, sub: LSubspace, support: set[int]):
     certifies that the reductive part really is block-aligned with the
     rank-k frame.
     """
-    mats = sub.matrices()
-    positions = sorted({(r, c) for mat in mats
-                        for r in range(m.dim_ambient)
-                        for c in range(m.dim_ambient) if mat[r, c] != 0})
+    if not sub.coords:
+        return sub, sub
+    # column p holds entry p of each basis matrix
+    flat = np.array(sub.matrices(), dtype=object).reshape(sub.dim, -1)
+    amb = m.dim_ambient
     inside_rows, outside_rows = [], []
-    for (r, c) in positions:
-        row = [mat[r, c] for mat in mats]
+    for p in range(flat.shape[1]):
+        col = flat[:, p]
+        if not np.any(col):
+            continue
+        r, c = divmod(p, amb)
         if r in support and c in support:
-            outside_rows.append(row)      # must vanish for the outside part
+            outside_rows.append(col)      # must vanish for the outside part
         else:
-            inside_rows.append(row)       # must vanish for the inside part
+            inside_rows.append(col)       # must vanish for the inside part
     inside = _constrained(m, sub, inside_rows)
     outside = _constrained(m, sub, outside_rows)
     return inside, outside
@@ -167,25 +138,20 @@ def _support_split(m: GradedModel, sub: LSubspace, support: set[int]):
 def _constrained(m: GradedModel, sub: LSubspace, rows) -> LSubspace:
     if not rows:
         return sub
-    mat = np.array(rows, dtype=object)
-    kernel = ratlin.nullspace(mat)
-    lifted = [sum((vec[i] * sub.coords[i] for i in range(len(vec))),
-                  ratlin.rzeros(len(sub.coords[0])))
-              for vec in kernel]
-    return LSubspace(m, lifted)
+    return _lift(m, ratlin.nullspace(np.array(rows, dtype=object)),
+                 np.array(sub.coords, dtype=object))
 
 
 def stabilizer_sk(m: GradedModel, k: int) -> StabilizerDecomposition:
     """Exact stabilizer decomposition at tensor depth k, 1 <= k < n."""
     if not 1 <= k < m.n:
         raise ValueError(f"k={k} outside [1, {m.n})")
-    ys = [t.y for t in m.triples[:k]]
-    xi = ys[0]
-    for y in ys[1:]:
-        xi = xi + y
+    # h -> [h, xi] for xi = y_1 + ... + y_k is the sum of the maps of the y_j
+    maps = [liealg.l_bracket_map(m, t.y) for t in m.triples[:k]]
+    xi_map = sum(maps[1:], maps[0])
 
-    s_k = _kernel_of_bracket_maps(m, [xi])
-    s_k_prime = _kernel_of_bracket_maps(m, ys)
+    s_k = LSubspace(m, ratlin.nullspace(xi_map))
+    s_k_prime = LSubspace(m, ratlin.nullspace(np.vstack(maps)))
 
     u_k = _form_radical(m, s_k)
     u_k_prime = _form_radical(m, s_k_prime)
@@ -213,7 +179,7 @@ def stabilizer_sk(m: GradedModel, k: int) -> StabilizerDecomposition:
     return StabilizerDecomposition(
         model=m, k=k, s_k=s_k, s_k_prime=s_k_prime,
         nilradical=u_k, levi=levi, levi_prime=levi_prime,
-        g_k=g_k, h_k=h_k, l_k=l_k)
+        g_k=g_k, h_k=h_k, l_k=l_k, xi_map=xi_map)
 
 
 def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> VerificationReport:
@@ -238,16 +204,14 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
     bad = 0
     for a in levi_mats:
         for b in levi_mats:
-            if not _in_sum(m, dec.levi, m.bracket(a, b)):
+            if not dec.levi.contains(m.bracket(a, b)):
                 bad += 1
     report.add("levi closes under bracket", bad == 0, residual=bad)
-    gl = _l_gram(m, theta_twist=False)
-    l_idx = m.l_indices
     bad = 0
-    for va in dec.nilradical.coords:
-        for vb in dec.nilradical.coords:
-            if va.dot(gl.dot(vb)) != 0:
-                bad += 1
+    if dec.nilradical.coords:
+        u = np.array(dec.nilradical.coords, dtype=object)
+        pairings = ratlin.matmul(ratlin.matmul(u, m.l_gram), u.T)
+        bad = int(np.count_nonzero(pairings))
     report.add("nilradical is isotropic for the form", bad == 0, residual=bad)
 
     sprime_in_s = all(dec.s_k.contains(mat) for mat in dec.s_k_prime.matrices())
@@ -263,22 +227,11 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
     report.add("[g_k, l_k] = 0", bad == 0, residual=bad)
 
     # orbit-stabilizer: rank of the bracket map plus the kernel fills l
-    ys = [t.y for t in m.triples[:dec.k]]
-    xi = ys[0]
-    for y in ys[1:]:
-        xi = xi + y
-    rows = [m.expand(m.bracket(m.basis[i], xi)) for i in m.l_indices]
-    orbit_dim = ratlin.rank(np.array(rows, dtype=object))
+    orbit_dim = ratlin.rank(dec.xi_map)
     report.add("dim s_k + dim O_k = dim l",
                dec.s_k.dim + orbit_dim == m.dim_l,
                detail=f"dim O_k = {orbit_dim}")
     return report
-
-
-def _in_sum(m: GradedModel, sub: LSubspace, mat) -> bool:
-    full = m.expand(mat)
-    vec = np.array([full[i] for i in m.l_indices], dtype=object)
-    return ratlin.in_span(sub.coords, vec)
 
 
 def audit_dual_pair(m: GradedModel, k: int, expected: DualPair | None = None) -> VerificationReport:

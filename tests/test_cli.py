@@ -210,3 +210,19 @@ def test_argparse_error_is_one_line(capsys):
     assert code == cli.EXIT_USAGE
     assert err.splitlines() == [
         "minorbit verify: error: the following arguments are required: --model"]
+
+
+@pytest.mark.parametrize("suite,samples", [
+    ("orbit", "0"), ("orbit", "-1"),
+    ("spherical", "0"), ("spherical", "-1"), ("spherical", "10"),
+    ("all", "0"), ("all", "-1"), ("all", "10")])
+def test_verify_too_few_samples_is_usage_error(capsys, suite, samples):
+    _assert_usage_error(capsys, "verify", suite, "--model", "o2n2n", "--n", "2",
+                        "--samples", samples)
+
+
+def test_verify_orbit_accepts_few_samples(capsys):
+    # the orbit suite never calls fourier_phi, so it takes any count >= 1
+    code, _, err = run_cli(capsys, "verify", "orbit", "--model", "gl2n", "--n", "2",
+                           "--samples", "100")
+    assert code != cli.EXIT_USAGE and "Traceback" not in err

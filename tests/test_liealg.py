@@ -52,7 +52,7 @@ def test_bracket_outside_span_raises(o2):
     bad = o2.zero()
     bad[0, 4] = Fraction(1)  # upper-right block must be skew
     with pytest.raises(SpanError):
-        o2.expand(bad)
+        o2.coords(bad)
 
 
 def test_theta_examples(o2):
@@ -190,3 +190,13 @@ def test_theta_fixed_subalgebra_dimension(family, n, expected):
     # subalgebra has the dimension of the maximal compact subalgebra
     m = liealg.build_model(family, n)
     assert _theta_fixed_dim(m) == expected
+
+
+@pytest.mark.parametrize("family", ["o2n2n", "gl2nR"])
+def test_rank_four_exact_suites(family):
+    m = liealg.build_model(family, 4)
+    rep = liealg.structural_suite(m)
+    assert rep.passed, [c.name for c in rep.checks if not c.passed]
+    assert liealg.casimir_omega_scalar(m) == 2
+    rep = liealg.modular_character_check(m)
+    assert rep.passed and all(c.residual == 0 for c in rep.checks)
