@@ -135,6 +135,11 @@ def cmd_verify(args) -> int:
         print(f"--samples must be at least {least} for verify {args.suite}, "
               f"got {samples}", file=sys.stderr)
         return EXIT_USAGE
+    # the Monte Carlo suites seed numpy generators, which take seeds >= 0
+    if least is not None and seed < 0:
+        print(f"--seed must be non-negative for verify {args.suite}, got {seed}",
+              file=sys.stderr)
+        return EXIT_USAGE
     reports: list[VerificationReport] = []
     suite = args.suite
     if suite in ("structural", "all"):
@@ -211,6 +216,9 @@ def cmd_fourier(args) -> int:
         return EXIT_USAGE
     if args.steps < 1:
         print(f"--steps must be at least 1, got {args.steps}", file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
     rays = orbit.FloatBackend(model).ray_blocks()
     if args.ray not in rays:

@@ -5,9 +5,19 @@ w^(dn-1) dw.  The base measure on O' is normalized to the invariant
 probability measure targeted by the sampler; every check below compares
 ratios, so the free overall scalar never enters.
 
-Monte Carlo estimates draw the radius from Gamma(dn, 1) with importance
-weight Gamma(dn) e^w, and pair y with -y (antithetic), which makes every
-oscillatory estimator explicitly real.
+Radii are drawn by importance sampling against w^(dn-1) dw, from one of
+two laws:
+
+* Gamma(dn, 1), with weight Gamma(dn) e^w (sample_radii).  The transform
+  estimates use it: fourier_phi, and through it m_invariance_check, and
+  the spherical cancellation test.  Oscillatory estimators also pair y
+  with -y (antithetic), which makes them explicitly real.
+* A defensive mixture (sample_radii_mixture) of that Gamma law and six
+  chi-type laws w = s sqrt(Gamma(dn/2, 1)), s = 1/8 .. 4, with the
+  balance-heuristic weight and a fixed share of the draws per component.
+  The measure checks use it: scaling_check and equivariance_check
+  integrate Gaussians e^-(w/s)^2 with s from 1/2 to 4, and the narrow
+  ones live at w < 1, far below the Gamma law's bulk at w ~ dn.
 """
 
 from __future__ import annotations
@@ -132,6 +142,22 @@ class FloatBackend:
         log_weight = w + math.lgamma(self.dn)
         return w, np.exp(log_weight)
 
+    def sample_radii_mixture(self, rng: np.random.Generator, count: int):
+        """Radii from the defensive mixture, with weights w^(dn-1) / q(w).
+
+        The draws are stratified by component: component k gets counts[k] of
+        them (count / K, the remainder spread over the first components), in
+        the order Gamma(dn, 1) then s = 1/8 .. 4, and q mixes the components
+        in those same shares, so the weighted mean is unbiased.
+        """
+        counts = mixture_counts(count)
+        w0, _ = self.sample_radii(rng, counts[0])
+        parts = [w0]
+        for s, c in zip(MIXTURE_SCALES, counts[1:]):
+            parts.append(np.maximum(s * np.sqrt(rng.gamma(self.dn / 2, 1.0, size=c)), 1e-290))
+        w = np.concatenate(parts)
+        return w, mixture_weight(w, self.dn, counts)
+
     # -- pairings against a fixed n-side block x
 
     def pair_x(self, x_block, u, v, w):
@@ -203,6 +229,34 @@ def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint
         out.append(OrbitPoint(y=mats[i], radius=1.0, unit_part=mats[i],
                               exact=False, radius_sq=1.0))
     return out
+
+
+# ------------------------------------------------ defensive radial mixture
+
+MIXTURE_SCALES = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
+
+
+def mixture_counts(count: int) -> list[int]:
+    """Draws per component: Gamma(dn, 1) first, then one per scale."""
+    k = 1 + len(MIXTURE_SCALES)
+    return [count // k + (i < count % k) for i in range(k)]
+
+
+def mixture_weight(w, dn: int, counts) -> np.ndarray:
+    """w^(dn-1) / q(w) for the mixture q with component shares counts / sum.
+
+    Over w^(dn-1), the Gamma(dn, 1) density is e^-w / Gamma(dn) and the law
+    of s sqrt(Gamma(dn/2, 1)) is 2 e^-(w/s)^2 / (Gamma(dn/2) s^dn).  Each
+    term is formed as one exp of its logarithm, so no power of s or Gamma
+    value is ever held on its own.
+    """
+    w = np.asarray(w, dtype=float)
+    total = float(sum(counts))
+    dens = (counts[0] / total) * np.exp(-w - math.lgamma(dn))
+    log_chi = math.log(2.0) - math.lgamma(dn / 2)
+    for s, c in zip(MIXTURE_SCALES, counts[1:]):
+        dens = dens + (c / total) * np.exp(log_chi - dn * math.log(s) - (w / s) ** 2)
+    return 1.0 / dens
 
 
 # --------------------------------------------------------- radial integral
@@ -298,13 +352,34 @@ def _test_bank() -> list[tuple[str, Callable]]:
     ]
 
 
+def _mean_stderr(t: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its i.i.d. standard error.
+
+    On a stratified draw the i.i.d. formula over-estimates the variance of
+    the mean, so the error bar it gives is conservative.
+    """
+    return float(np.mean(t)), float(np.std(t)) / math.sqrt(t.size)
+
+
+def _add_ratio(report: VerificationReport, name: str, lhs: tuple[float, float],
+               rhs: tuple[float, float], rtol: float, samples: int, detail: str) -> None:
+    """Check lhs / rhs = 1 to rtol, for (mean, stderr) sides drawn on
+    independent streams; the ratio's stderr is the delta-method one."""
+    ratio = lhs[0] / rhs[0]
+    rel = abs(ratio - 1.0)
+    stderr = abs(ratio) * math.hypot(lhs[1] / lhs[0], rhs[1] / rhs[0])
+    report.add(name, rel < rtol, residual=rel, exact=False, samples=samples,
+               detail=detail, estimate=ratio, stderr=stderr,
+               z=(ratio - 1.0) / stderr if stderr else None)
+
+
 def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
                        samples: int = 10 ** 6, rtol: float = 0.01) -> VerificationReport:
     """Integral ratio under random diagonal L elements vs the character.
 
     For diagonal l the transformed radius is computable in closed form, so
     both sides of the equivariance identity are plain radial Monte Carlo
-    estimates; they must agree to rtol.
+    estimates on independent mixture streams; they must agree to rtol.
     """
     report = VerificationReport("equivariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -313,23 +388,19 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     rng_l = np.random.default_rng(seed + 1)
     rng_r = np.random.default_rng(seed + 2)
     u1, v1 = be.sample_units(rng_l, samples)
-    w1, weight1 = be.sample_radii(rng_l, samples)
-    u2, v2 = be.sample_units(rng_r, samples)
-    w2, weight2 = be.sample_radii(rng_r, samples)
+    w1, weight1 = be.sample_radii_mixture(rng_l, samples)
+    w2, weight2 = be.sample_radii_mixture(rng_r, samples)
 
     for name, g in _test_bank():
-        base = float(np.mean(weight2 * g(w2)))
+        base, base_se = _mean_stderr(weight2 * g(w2))
         report.add(f"identity ratio [{name}]", True, residual=0.0, exact=True,
                    detail="same-stream ratio is identically 1")
         for li in range(l_samples):
             action, char = be.random_diag_l(rand)
             radii = be.radii_after_diag(action, u1, v1, w1)
-            lhs = float(np.mean(weight1 * g(radii)))
-            rhs = char * base
-            rel = abs(lhs / rhs - 1.0)
-            report.add(f"diag l#{li} ratio [{name}]", rel < rtol, residual=rel,
-                       exact=False, samples=samples,
-                       detail=f"character factor {char:.6g}")
+            _add_ratio(report, f"diag l#{li} ratio [{name}]",
+                       _mean_stderr(weight1 * g(radii)), (char * base, char * base_se),
+                       rtol, samples, f"character factor {char:.6g}")
     return report
 
 
@@ -337,7 +408,7 @@ def scaling_check(m: liealg.GradedModel, z_values=(0.5, 2.0), samples: int = 10 
                   seed: int = 0, rtol: float = 0.01) -> VerificationReport:
     """Pushforward law: integrating f(z y) against d mu_1 scales by z^{-dn}.
 
-    The two sides use independent sample streams, so this exercises the
+    The two sides use independent mixture streams, so this exercises the
     sampler rather than restating its construction.
     """
     report = VerificationReport("measure_scaling", meta={
@@ -346,14 +417,13 @@ def scaling_check(m: liealg.GradedModel, z_values=(0.5, 2.0), samples: int = 10 
     dn = m.d * m.n
     rng_a = np.random.default_rng(seed + 11)
     rng_b = np.random.default_rng(seed + 12)
-    wa, weight_a = be.sample_radii(rng_a, samples)
-    wb, weight_b = be.sample_radii(rng_b, samples)
+    wa, weight_a = be.sample_radii_mixture(rng_a, samples)
+    wb, weight_b = be.sample_radii_mixture(rng_b, samples)
     for name, g in _test_bank():
-        base = float(np.mean(weight_b * g(wb)))
+        base, base_se = _mean_stderr(weight_b * g(wb))
         for z in z_values:
-            lhs = float(np.mean(weight_a * g(z * wa)))
-            rhs = float(z) ** (-dn) * base
-            rel = abs(lhs / rhs - 1.0)
-            report.add(f"z={z} [{name}]", rel < rtol, residual=rel, exact=False,
-                       samples=samples, detail=f"z^-dn = {float(z) ** (-dn):.6g}")
+            factor = float(z) ** (-dn)
+            _add_ratio(report, f"z={z} [{name}]", _mean_stderr(weight_a * g(z * wa)),
+                       (factor * base, factor * base_se), rtol, samples,
+                       f"z^-dn = {factor:.6g}")
     return report

@@ -28,6 +28,11 @@ class CheckResult:
     samples: int | None = None
     inconclusive: bool = False
     detail: str = ""
+    # Monte Carlo statistics: the estimate, its standard error, and the
+    # signed z of the estimate against the value the identity predicts
+    estimate: float | None = None
+    stderr: float | None = None
+    z: float | None = None
 
     def as_dict(self) -> dict:
         d = {
@@ -42,6 +47,10 @@ class CheckResult:
             d["inconclusive"] = True
         if self.detail:
             d["detail"] = self.detail
+        for key in ("estimate", "stderr", "z"):
+            value = getattr(self, key)
+            if value is not None:
+                d[key] = float(value)
         return d
 
 

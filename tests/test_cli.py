@@ -226,3 +226,21 @@ def test_verify_orbit_accepts_few_samples(capsys):
     code, _, err = run_cli(capsys, "verify", "orbit", "--model", "gl2n", "--n", "2",
                            "--samples", "100")
     assert code != cli.EXIT_USAGE and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("fourier", "--model", "gl2n", "--n", "2", "--steps", "1"),
+    ("verify", "orbit", "--model", "o2n2n", "--n", "2"),
+    ("verify", "spherical", "--model", "o2n2n", "--n", "2"),
+    ("verify", "all", "--model", "gl2n", "--n", "2")])
+@pytest.mark.parametrize("seed", ["-1", "-5"])
+def test_negative_seed_is_usage_error(capsys, argv, seed):
+    # the Monte Carlo commands seed numpy generators, which reject seeds < 0
+    _assert_usage_error(capsys, *argv, "--samples", "10000", "--seed", seed)
+
+
+@pytest.mark.parametrize("suite", ["structural", "constants", "modular", "crown"])
+def test_exact_suites_accept_negative_seed(capsys, suite):
+    code, _, err = run_cli(capsys, "verify", suite, "--model", "gl2n", "--n", "2",
+                           "--seed", "-3")
+    assert code == cli.EXIT_PASS and not err

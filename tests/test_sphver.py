@@ -137,3 +137,26 @@ def test_spherical_determinism(o2):
 def test_m_invariance_of_transform(o2):
     rep = sphver.m_invariance_check(o2, samples=2 * 10 ** 5, seed=1)
     assert rep.passed, rep.to_json()
+
+
+def test_spherical_grid_prefix_matches_full_grid(gl2):
+    # one sample stream serves the whole grid, so a point's check does not
+    # depend on which other points are evaluated
+    grid = sphver.default_grid(gl2)
+    full = sphver.verify_spherical_direct(gl2, grid=grid, samples=10 ** 5, seed=5)
+    head = sphver.verify_spherical_direct(gl2, grid=grid[:3], samples=10 ** 5, seed=5)
+    assert [c.as_dict() for c in head.checks] == [c.as_dict() for c in full.checks[:3]]
+    # nor on its place in the grid
+    back = sphver.verify_spherical_direct(gl2, grid=grid[2::-1], samples=10 ** 5, seed=5)
+    assert [c.as_dict() for c in back.checks[::-1]] == [c.as_dict() for c in full.checks[:3]]
+
+
+def test_monte_carlo_checks_carry_statistics(o2):
+    rep = sphver.verify_spherical_direct(o2, grid=_short_grid(o2, tmax=1.0),
+                                         samples=10 ** 5, seed=2)
+    for c in rep.checks[1:]:
+        assert c.z == pytest.approx(c.estimate / c.stderr)
+        assert {"estimate", "stderr", "z"} <= set(c.as_dict())
+    assert "z" not in rep.checks[0].as_dict()  # the origin has no spread
+    exact = sphver.verify_k1(o2).checks[0].as_dict()
+    assert not {"estimate", "stderr", "z"} & set(exact)
