@@ -28,6 +28,11 @@ _MIN_Z = 1e-8
 _FAST_PATH_OK: dict[float, bool] = {}
 _AUDIT_GRID = (0.1, 0.37, 1.0, 2.7, 7.4, 20.0, 45.0)
 _AUDIT_RTOL = 1e-9
+# k_ladder refuses orders that need more upward-recurrence steps than this,
+# so a huge order fails at once instead of looping |tau| times.  Nothing is
+# lost: K_tau overflows double precision at the audit point w = 0.1 for
+# |tau| > 105, so no order near the cap can be certified anyway.
+MAX_LADDER_STEPS = 1000
 
 
 def bessel_k_integral(tau, z: float) -> float:
@@ -47,7 +52,10 @@ def bessel_k_integral(tau, z: float) -> float:
     # beyond this point the integrand is below exp(-720) even after the
     # cosh(tau u) growth; quad gets a finite interval
     upper = math.acosh(1.0 + 720.0 / z) + 1.0
-    val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=300)
+    try:
+        val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=300)
+    except OverflowError:
+        raise QuadratureError(f"K integral overflows at tau={t}, z={z}") from None
     if not math.isfinite(val) or err > 1e-10 * abs(val):
         raise QuadratureError(f"K integral did not converge at tau={t}, z={z} (err={err})")
     return math.exp(-z) * val
@@ -70,8 +78,9 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
     which is stable for K because it is the dominant solution.  Any other
     order is taken from kv, one call per order.  w is a Python float or a
     float array; a float gives Python floats and an array gives arrays, with
-    bit-identical values.  The kernel is not certified here: callers go
-    through the cached quadrature audit first.
+    bit-identical values.  A ladder that needs more than MAX_LADDER_STEPS
+    recurrence steps raises ValueError.  The kernel is not certified here:
+    callers go through the cached quadrature audit first.
     """
     t = float(tau)
     orders = [abs(t + j) for j in range(count)]
@@ -83,6 +92,9 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
         return tuple(float(special.kv(a, w)) if scalar else special.kv(a, w)
                      for a in orders)
     steps = round(max(orders) - base)
+    if steps > MAX_LADDER_STEPS:
+        raise ValueError(f"K at order {max(orders):g} needs more than "
+                         f"{MAX_LADDER_STEPS} recurrence steps")
     if base == 0.5:
         k = np.sqrt(np.pi / (2.0 * w)) * np.exp(-w)
         ladder = [k, k * (1.0 + 1.0 / w)] if steps else [k]
@@ -103,7 +115,8 @@ def _audit_fast_path(tau) -> bool:
     a = abs(float(tau))
     ok = _FAST_PATH_OK.get(a)
     if ok is None:
-        fast = k_ladder(a, np.array(_AUDIT_GRID))[0]
+        with np.errstate(over="ignore", invalid="ignore"):
+            fast = k_ladder(a, np.array(_AUDIT_GRID))[0]
         ok = all(math.isclose(k, bessel_k_integral(a, z), rel_tol=_AUDIT_RTOL)
                  for k, z in zip(fast.tolist(), _AUDIT_GRID))
         _FAST_PATH_OK[a] = ok

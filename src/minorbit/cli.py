@@ -8,7 +8,10 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
+import math
+import os
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -17,7 +20,7 @@ import numpy as np
 
 from . import bessel, catalog, liealg, orbit, sphver, tensor
 from .catalog import Family, OpqDescriptor
-from .reports import VerificationReport
+from .reports import QuadratureError, VerificationReport
 
 EXIT_PASS = 0
 EXIT_FAIL = 1
@@ -65,6 +68,48 @@ def _build_model(args) -> liealg.GradedModel | str:
         return str(ex)
 
 
+def _unwritable(path: str | None) -> str | None:
+    """Why an output file cannot be written at path, or None.
+
+    Probed before any work by opening path for appending; a file that the
+    probe created is removed again, so a refused run leaves nothing behind.
+    """
+    if path is None:
+        return None
+    existed = os.path.lexists(path)
+    try:
+        with open(path, "a", encoding="utf-8"):
+            pass
+    except OSError as ex:
+        return f"cannot write {path}: {ex.strerror or ex}"
+    if not existed:
+        os.remove(path)
+    return None
+
+
+def _write_file(path: str, text: str) -> str | None:
+    """Write text to path in one piece; on failure remove what was written
+    and return the diagnostic."""
+    try:
+        with open(path, "w", newline="", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as ex:
+        if os.path.isfile(path):
+            os.remove(path)
+        return f"cannot write {path}: {ex.strerror or ex}"
+    return None
+
+
+def _nonfinite(args, names: tuple[str, ...]) -> str | None:
+    """A diagnostic for the first of the float options names that is nan or
+    infinite, or None."""
+    for name in names:
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            return f"--{name} must be finite, got {value}"
+    return None
+
+
 def _emit_reports(reports: list[VerificationReport], json_path: str | None,
                   command: str, config: dict) -> int:
     hard_failed = any(r.hard_failed for r in reports)
@@ -81,9 +126,10 @@ def _emit_reports(reports: list[VerificationReport], json_path: str | None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if json_path:
-        with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        error = _write_file(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        if error:
+            print(error, file=sys.stderr)
+            return EXIT_USAGE
     if hard_failed:
         return EXIT_FAIL
     if inconclusive:
@@ -140,6 +186,10 @@ def cmd_verify(args) -> int:
         print(f"--seed must be non-negative for verify {args.suite}, got {seed}",
               file=sys.stderr)
         return EXIT_USAGE
+    error = _unwritable(args.json)
+    if error:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     reports: list[VerificationReport] = []
     suite = args.suite
     if suite in ("structural", "all"):
@@ -170,6 +220,10 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ bessel
 
 def cmd_bessel(args) -> int:
+    error = _nonfinite(args, ("tau", "zmin", "zmax"))
+    if error:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     if args.zmin <= 0 or args.zmax <= args.zmin or args.steps < 1:
         print("need 0 < zmin < zmax and steps >= 1", file=sys.stderr)
         return EXIT_USAGE
@@ -177,12 +231,25 @@ def cmd_bessel(args) -> int:
     if abs(float(tau) - args.tau) > 1e-12:
         print(f"tau must be a half-integer, got {args.tau}", file=sys.stderr)
         return EXIT_USAGE
+    error = _unwritable(args.out)
+    if error:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     zs = np.linspace(args.zmin, args.zmax, args.steps).tolist()
+    # the whole table is formed before any of it is written
+    table = io.StringIO()
+    try:
+        _write_bessel_table(table, float(tau), zs)
+    except (ValueError, QuadratureError) as ex:
+        print(f"--tau {args.tau:g} cannot be tabulated: {ex}", file=sys.stderr)
+        return EXIT_USAGE
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            _write_bessel_table(fh, float(tau), zs)
+        error = _write_file(args.out, table.getvalue())
+        if error:
+            print(error, file=sys.stderr)
+            return EXIT_USAGE
     else:
-        _write_bessel_table(sys.stdout, float(tau), zs)
+        sys.stdout.write(table.getvalue())
     return EXIT_PASS
 
 
@@ -220,6 +287,10 @@ def cmd_fourier(args) -> int:
     if args.seed < 0:
         print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
         return EXIT_USAGE
+    error = _nonfinite(args, ("tmin", "tmax"))
+    if error:
+        print(error, file=sys.stderr)
+        return EXIT_USAGE
     rays = orbit.FloatBackend(model).ray_blocks()
     if args.ray not in rays:
         print(f"unknown ray {args.ray!r} (choose from {sorted(rays)})", file=sys.stderr)
@@ -256,6 +327,10 @@ def cmd_tensor(args) -> int:
     family, n = model.family, model.n
     if not 2 <= args.k < n:
         print(f"k={args.k} outside [2, {n})", file=sys.stderr)
+        return EXIT_USAGE
+    error = _unwritable(args.json)
+    if error:
+        print(error, file=sys.stderr)
         return EXIT_USAGE
     rep = tensor.audit_dual_pair(model, args.k)
     config = {"model": family.value, "n": n, "k": args.k}

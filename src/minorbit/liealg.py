@@ -449,16 +449,15 @@ def _unit_pairs(rng: np.random.Generator, count: int, m: int):
     return u, _normalize_rows(rng.standard_normal((count, m)))
 
 
-def _skew_crown_pair(x_block, y1_block, u, v, w):
-    s = x_block @ y1_block + y1_block @ x_block
-    return 0.5 * (w ** 2) * (rowdot(u @ s, u) + rowdot(v @ s, v))
+def _skew_crown_form(x_block, y1_block):
+    s = 0.5 * (x_block @ y1_block + y1_block @ x_block)
+    return s, s
 
 
-def _rank_one_crown_pair(x_block, y1_block, u, v, w):
-    # y_1 has nbar block E_11, so only the first row and column of x enter
-    term_v = v[:, 0] * (v @ x_block[:, 0])
-    term_u = u[:, 0] * (u @ x_block[0, :])
-    return (w ** 2) * (term_v + term_u)
+def _rank_one_crown_form(x_block, y1_block):
+    # y_1 has nbar block E_11, so only the first row of x enters A and only
+    # its first column enters B
+    return y1_block @ x_block, x_block @ y1_block
 
 
 def _log_uniform(rand: random.Random, m: int) -> np.ndarray:
@@ -467,24 +466,23 @@ def _log_uniform(rand: random.Random, m: int) -> np.ndarray:
 
 def _orthogonal_diag_l(rand: random.Random, m: int, d: int):
     delta = _log_uniform(rand, m)
-    return (lambda u, v: (u * delta, v * delta)), float(np.prod(delta)) ** (-d)
+    return (delta, delta), float(np.prod(delta)) ** (-d)
 
 
 def _general_linear_diag_l(rand: random.Random, m: int, d: int):
     p = _log_uniform(rand, m)
     q = _log_uniform(rand, m)
-    return (lambda u, v: (u * q, v / p)), (float(np.prod(p)) / float(np.prod(q))) ** d
+    return (q, 1.0 / p), (float(np.prod(p)) / float(np.prod(q))) ** d
 
 
-def _skew_radius(a, b, w):
-    na = rowdot(a, a)
-    nb = rowdot(b, b)
-    ab = rowdot(a, b)
+def _skew_radius(gram, w):
+    na, nb, ab = gram
     return w * np.sqrt(np.maximum(na * nb - ab * ab, 0.0))
 
 
-def _rank_one_radius(a, b, w):
-    return w * np.sqrt(rowdot(a, a)) * np.sqrt(rowdot(b, b))
+def _rank_one_radius(gram, w):
+    na, nb = gram
+    return w * np.sqrt(na) * np.sqrt(nb)
 
 
 @dataclass(frozen=True)
@@ -510,10 +508,13 @@ class ModelSpec:
     l_action: Callable         # (rand, block size) -> exact L action on nbar blocks
     sample_units: Callable     # (rng, count, block size) -> rows (u, v)
     unit_block: Callable       # (u, v) -> stack of nbar blocks y'(u, v)
-    crown_pair: Callable       # (x block, y_1 block, u, v, w) -> <x, [[theta y, y_1], y]>
+    crown_form: Callable       # (x block, y_1 block) -> (A, B) with
+    #                            <x, [[theta y, y_1], y]> = w^2 (u^T A u + v^T B v)
     m_rotation_pair: Callable  # (r, r2) -> rotations acting on u and on v
-    random_diag_l: Callable    # (rand, block size, d) -> ((u, v) -> (a, b), character)
-    radius: Callable           # (a, b, w) -> |w y'(a, b)|
+    random_diag_l: Callable    # (rand, block size, d) -> ((a scale, b scale), character):
+    #                            diagonal l maps (u, v) to (u * a scale, v * b scale)
+    cross_gram: bool           # whether radius needs a.b besides |a|^2 and |b|^2
+    radius: Callable           # ((|a|^2, |b|^2[, a.b]), w) -> |w y'(a, b)|
 
 
 SPECS = {
@@ -528,9 +529,10 @@ SPECS = {
         l_action=_orthogonal_l_action,
         sample_units=_orthonormal_pairs,
         unit_block=lambda u, v: u[:, :, None] * v[:, None, :] - v[:, :, None] * u[:, None, :],
-        crown_pair=_skew_crown_pair,
+        crown_form=_skew_crown_form,
         m_rotation_pair=lambda r, r2: (r, r),
         random_diag_l=_orthogonal_diag_l,
+        cross_gram=True,
         radius=_skew_radius),
     Family.GL2N_R: ModelSpec(
         basis=_general_linear_basis, block_per_rank=1, nbar_upper=False,
@@ -542,10 +544,11 @@ SPECS = {
         l_action=_general_linear_l_action,
         sample_units=_unit_pairs,
         unit_block=lambda u, v: u[:, :, None] * v[:, None, :],
-        crown_pair=_rank_one_crown_pair,
+        crown_form=_rank_one_crown_form,
         # l = (P, Q) moves n-side blocks as B -> P B Q^T
         m_rotation_pair=lambda r, r2: (r, r2),
         random_diag_l=_general_linear_diag_l,
+        cross_gram=False,
         radius=_rank_one_radius),
 }
 MODEL_FAMILIES = tuple(SPECS)
@@ -559,22 +562,6 @@ def build_model(family: Family | str, n: int) -> GradedModel:
 
 
 # ------------------------------------------------------ module operations
-
-def bracket(m: GradedModel, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = m.bracket(x, y)
-    m.coords(out)  # raises SpanError when the result leaves the span
-    return out
-
-
-def theta(m: GradedModel, x: np.ndarray) -> np.ndarray:
-    out = m.theta(x)
-    m.coords(out)
-    return out
-
-
-def pair(m: GradedModel, x: np.ndarray, y: np.ndarray) -> Fraction:
-    return m.pair(x, y)
-
 
 def norm_nbar_sq(m: GradedModel, y: np.ndarray) -> Fraction:
     if any(m.grades[k] != -1 for k in m.coords(y)):

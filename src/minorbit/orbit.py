@@ -9,15 +9,27 @@ Radii are drawn by importance sampling against w^(dn-1) dw, from one of
 two laws:
 
 * Gamma(dn, 1), with weight Gamma(dn) e^w (sample_radii).  The transform
-  estimates use it: fourier_phi, and through it m_invariance_check, and
-  the spherical cancellation test.  Oscillatory estimators also pair y
-  with -y (antithetic), which makes them explicitly real.
+  estimates use it: fourier_phi_many (fourier_phi is its one-point view),
+  and through it m_invariance_check, and the spherical cancellation test.
+  Oscillatory estimators also pair y with -y (antithetic), which makes
+  them explicitly real.
 * A defensive mixture (sample_radii_mixture) of that Gamma law and six
   chi-type laws w = s sqrt(Gamma(dn/2, 1)), s = 1/8 .. 4, with the
   balance-heuristic weight and a fixed share of the draws per component.
   The measure checks use it: scaling_check and equivariance_check
   integrate Gaussians e^-(w/s)^2 with s from 1/2 to 4, and the narrow
   ones live at w < 1, far below the Gamma law's bulk at w ~ dn.
+
+The checks evaluate one sample stream at many points x or many group
+elements l, and the work that depends on neither is done once per stream:
+
+* fourier_phi_many draws the stream and evaluates the radial profile once
+  for all x; only the phase is formed per x.
+* PairingForms holds the x-free columns of the pairings, which the points
+  of the spherical grid and its rays share; a point pays only for a sum
+  over the nonzero coefficients of its x.
+* equivariance_check squares the unit rows once (diag_gram); each diagonal
+  l pays only for two or three matrix-vector products.
 """
 
 from __future__ import annotations
@@ -26,6 +38,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -158,18 +171,18 @@ class FloatBackend:
         w = np.concatenate(parts)
         return w, mixture_weight(w, self.dn, counts)
 
-    # -- pairings against a fixed n-side block x
+    # -- pairings against a fixed n-side block x, views of PairingForms
 
     def pair_x(self, x_block, u, v, w):
         """<x, w * y'(u, v)> for x given by its n-side block."""
-        return w * liealg.rowdot(v @ x_block, u)
+        return PairingForms(self, u, v, w).pair_x(x_block)
 
     def pair_theta_y1(self, u, v, w):
-        return self.pair_x(self.theta_y1_block, u, v, w)
+        return PairingForms(self, u, v, w).pair_x(self.theta_y1_block)
 
     def crown_pair(self, x_block, u, v, w):
         """<x, [[theta y, y_1], y]> at y = w * y'(u, v), bilinear in y."""
-        return self.spec.crown_pair(x_block, self.y1_block, u, v, w)
+        return PairingForms(self, u, v, w).crown_pair(x_block)
 
     # -- materialization
 
@@ -203,12 +216,27 @@ class FloatBackend:
         return lambda cblk: rv @ cblk @ ru.T
 
     def random_diag_l(self, rand: random.Random):
-        """A random diagonal l, as its action on unit rows, and its character."""
+        """A random diagonal l, as the scales (a, b) by which it multiplies
+        the unit rows u and v, and its character."""
         return self.spec.random_diag_l(rand, self.block, self.model.d)
 
-    def radii_after_diag(self, action, u, v, w):
-        a, b = action(u, v)
-        return self.spec.radius(a, b, w)
+    def diag_gram(self, u, v):
+        """The squared rows u * u, v * v, and u * v when the family's radius
+        needs it: the l-free part of every radius after a diagonal l.
+
+        u and v are overwritten by their squares, so at most three arrays of
+        their size are ever held at once.
+        """
+        cross = [u * v] if self.spec.cross_gram else []
+        return [np.square(u, out=u), np.square(v, out=v)] + cross
+
+    def radii_after_diag(self, gram, scales, w):
+        """|w * y'(u * a, v * b)| from the diag_gram of (u, v) and the scales
+        (a, b) of a diagonal l: the Gram entries are linear in a^2, b^2 and
+        a * b, so each costs one matrix-vector product."""
+        a, b = scales
+        weights = [a * a, b * b, a * b][:len(gram)]
+        return self.spec.radius([g @ c for g, c in zip(gram, weights)], w)
 
     # -- default grid rays
 
@@ -229,6 +257,72 @@ def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint
         out.append(OrbitPoint(y=mats[i], radius=1.0, unit_part=mats[i],
                               exact=False, radius_sq=1.0))
     return out
+
+
+# ------------------------------------------------------ pairings as forms
+
+class PairingForms:
+    """The pairings of one sample stream as linear and quadratic forms in x.
+
+    At y = w * y'(u, v) and an n-side block x,
+
+        <x, y> = sum_ij x_ij (w v_i u_j),
+        <x, [[theta y, y_1], y]> = w^2 (u^T A u + v^T B v),
+
+    with (A, B) the family's crown_form of x.  The columns w v_i u_j,
+    w^2 u_a u_b and w^2 v_a v_b do not depend on x: each is formed on first
+    use and kept, so the points of a grid share them.  A pairing at x is a
+    sum over the nonzero coefficients of x (of A and B for the crown
+    pairing) in row-major order, so its value depends on the stream and on
+    x alone, not on which points came before.
+    """
+
+    def __init__(self, backend: FloatBackend, u, v, w):
+        self.backend = backend
+        self.u, self.v, self.w = u, v, w
+        self._columns: dict = {}
+
+    @cached_property
+    def _w2(self) -> np.ndarray:
+        return self.w * self.w
+
+    def _column(self, key) -> np.ndarray:
+        """The x-free column ("vu", i, j) = w v_i u_j, or ("uu", i, j) =
+        w^2 u_i u_j, or ("vv", i, j) = w^2 v_i v_j."""
+        col = self._columns.get(key)
+        if col is None:
+            kind, i, j = key
+            if kind == "vu":
+                col = self.w * self.v[:, i] * self.u[:, j]
+            else:
+                rows = self.u if kind == "uu" else self.v
+                col = self._w2 * rows[:, i] * rows[:, j]
+            self._columns[key] = col
+        return col
+
+    def _sum(self, terms) -> np.ndarray:
+        out = np.zeros(self.w.shape)
+        for key, c in terms:
+            out += c * self._column(key)
+        return out
+
+    def pair_x(self, x_block) -> np.ndarray:
+        """<x, w * y'(u, v)> for x given by its n-side block."""
+        return self._sum((("vu", int(i), int(j)), x_block[i, j])
+                         for i, j in zip(*np.nonzero(x_block)))
+
+    def crown_pair(self, x_block) -> np.ndarray:
+        """<x, [[theta y, y_1], y]> at y = w * y'(u, v)."""
+        forms = self.backend.spec.crown_form(x_block, self.backend.y1_block)
+        return self._sum(term for kind, a in zip(("uu", "vv"), forms)
+                         for term in _quadratic_terms(kind, a))
+
+
+def _quadratic_terms(kind: str, a: np.ndarray):
+    """The terms of r^T a r over the columns r_i r_j, i <= j, row-major."""
+    sym = a + a.T
+    for i, j in zip(*np.nonzero(np.triu(sym))):
+        yield (kind, int(i), int(j)), (a[i, i] if i == j else sym[i, j])
 
 
 # ------------------------------------------------ defensive radial mixture
@@ -326,6 +420,18 @@ def fourier_phi(m: liealg.GradedModel, x, samples: int = 10 ** 5,
     Antithetic y/-y pairing annihilates the imaginary part identically; the
     reported value is real with a standard error from the paired stream.
     """
+    return fourier_phi_many(m, [x], samples, seed)[0]
+
+
+def fourier_phi_many(m: liealg.GradedModel, xs, samples: int = 10 ** 5,
+                     seed: int = 0) -> list[FourierEstimate]:
+    """fourier_phi at every x of xs, on one draw of the sample stream.
+
+    The stream, the radial profile and the weights do not depend on x, so
+    they are formed once, and only the phase is evaluated per x.  Entry k
+    depends on xs[k] alone: it is fourier_phi(m, xs[k], samples, seed), bit
+    for bit.
+    """
     if samples < MIN_FOURIER_SAMPLES:
         raise ValueError(f"need at least {MIN_FOURIER_SAMPLES} samples")
     be = FloatBackend(m)
@@ -334,12 +440,19 @@ def fourier_phi(m: liealg.GradedModel, x, samples: int = 10 ** 5,
     pairs = samples // 2
     u, v = be.sample_units(rng, pairs)
     w, weight = be.sample_radii(rng, pairs)
-    xb = _resolve_x_block(m, x)
-    phase = be.pair_x(xb, u, v, w)
-    t = weight * bessel.radial_profile_at(tau, w) * np.cos(phase)
-    value = float(np.mean(t))
-    stderr = float(np.std(t) / math.sqrt(pairs))
-    return FourierEstimate(complex(value, 0.0), stderr, 2 * pairs, seed)
+    amp = weight * bessel.radial_profile_at(tau, w)
+    out = []
+    for x in xs:
+        xb = _resolve_x_block(m, x)
+        # <x, y> as a matrix product rather than through PairingForms: the
+        # two agree to rounding, and this spelling keeps the digits of the
+        # transform as they have always been
+        phase = w * liealg.rowdot(v @ xb, u)
+        t = amp * np.cos(phase)
+        value = float(np.mean(t))
+        stderr = float(np.std(t) / math.sqrt(pairs))
+        out.append(FourierEstimate(complex(value, 0.0), stderr, 2 * pairs, seed))
+    return out
 
 
 # ------------------------------------------------------------- check suites
@@ -380,6 +493,8 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     For diagonal l the transformed radius is computable in closed form, so
     both sides of the equivariance identity are plain radial Monte Carlo
     estimates on independent mixture streams; they must agree to rtol.
+    The squared unit rows are formed once for all l (diag_gram), and each l
+    costs two or three matrix-vector products.
     """
     report = VerificationReport("equivariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -387,7 +502,7 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     rand = random.Random(seed)
     rng_l = np.random.default_rng(seed + 1)
     rng_r = np.random.default_rng(seed + 2)
-    u1, v1 = be.sample_units(rng_l, samples)
+    gram = be.diag_gram(*be.sample_units(rng_l, samples))
     w1, weight1 = be.sample_radii_mixture(rng_l, samples)
     w2, weight2 = be.sample_radii_mixture(rng_r, samples)
 
@@ -396,8 +511,8 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
         report.add(f"identity ratio [{name}]", True, residual=0.0, exact=True,
                    detail="same-stream ratio is identically 1")
         for li in range(l_samples):
-            action, char = be.random_diag_l(rand)
-            radii = be.radii_after_diag(action, u1, v1, w1)
+            scales, char = be.random_diag_l(rand)
+            radii = be.radii_after_diag(gram, scales, w1)
             _add_ratio(report, f"diag l#{li} ratio [{name}]",
                        _mean_stderr(weight1 * g(radii)), (char * base, char * base_se),
                        rtol, samples, f"character factor {char:.6g}")

@@ -222,10 +222,15 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
 
     Both constituents, the gradient-term integral and the weighted transform,
     are evaluated on one correlated sample stream, drawn once for the whole
-    grid, so the numbers of a grid point depend on the seed and not on its
-    place in the grid.  At each point their sum must vanish within
-    sigma_gate standard errors for the true radial order, and tau_shift
-    perturbs the order to exercise the detection power.
+    grid.  The profile, the weights, the theta y_1 term and the x-free
+    columns of the pairings (orbit.PairingForms) are shared by every grid
+    point and ray; a point pays for its pairings as sums over the nonzero
+    coefficients of x, then for cos, sin, the mean and the std.  So a grid
+    point's numbers depend on the seed and on x alone, not on its place in
+    the grid or on the other points.  At each point the sum of the two
+    constituents must vanish within sigma_gate standard errors for the true
+    radial order, and tau_shift perturbs the order to exercise the
+    detection power.
     """
     tau = Fraction(m.d - m.e - 1, 2) + tau_shift
     report = VerificationReport("spherical_direct", meta={
@@ -239,14 +244,15 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     u, v = be.sample_units(rng, pairs)
     w, weight = be.sample_radii(rng, pairs)
     phi = bessel.radial_profile_at(tau, w)
+    forms = orbit.PairingForms(be, u, v, w)
     # the x-free factors of the two terms
     crown_factor = weight * bessel.radial_profile_d1_at(tau, w)
-    theta_term = weight * phi * be.pair_theta_y1(u, v, w)
+    theta_term = weight * phi * forms.pair_x(be.theta_y1_block)
     mass = float(np.mean(weight * phi))  # transform at 0, the scale anchor
     zmax = 0.0
     for name, x_block in grid:
-        phase = be.pair_x(x_block, u, v, w)
-        cpair = be.crown_pair(x_block, u, v, w)
+        phase = forms.pair_x(x_block)
+        cpair = forms.crown_pair(x_block)
         t = crown_factor * cpair * np.cos(phase) - theta_term * np.sin(phase)
         est = float(np.mean(t))
         sd = float(np.std(t))
@@ -270,15 +276,20 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
 
 def m_invariance_check(m: liealg.GradedModel, samples: int = 4 * 10 ** 5,
                        seed: int = 0, sigma_gate: float = 3.0) -> VerificationReport:
-    """Transform values agree at x and at a fixed M-rotation of x."""
+    """Transform values agree at x and at a fixed M-rotation of x.
+
+    The x side and the rotated side are two streams (seed + 1, seed + 2),
+    each drawn once for all three rays by orbit.fourier_phi_many.
+    """
     report = VerificationReport("m_invariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
     be = orbit.FloatBackend(m)
     rot = be.m_rotation_x()
-    for name, base in be.ray_blocks().items():
-        x = 1.5 * base
-        a = orbit.fourier_phi(m, x, samples=samples, seed=seed + 1)
-        b = orbit.fourier_phi(m, rot(x), samples=samples, seed=seed + 2)
+    rays = be.ray_blocks()
+    xs = [1.5 * base for base in rays.values()]
+    side_a = orbit.fourier_phi_many(m, xs, samples=samples, seed=seed + 1)
+    side_b = orbit.fourier_phi_many(m, [rot(x) for x in xs], samples=samples, seed=seed + 2)
+    for name, a, b in zip(rays, side_a, side_b):
         gap = a.value.real - b.value.real
         diff = abs(gap)
         sigma = math.hypot(a.stderr, b.stderr)

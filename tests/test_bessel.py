@@ -198,3 +198,13 @@ def test_vector_profile_refuses_uncertified_order(monkeypatch):
     assert bessel._FAST_PATH_OK == {0.0: False}
     with pytest.raises(QuadratureError):
         bessel.bessel_k(0.0, 1.0)
+
+
+def test_kernel_refuses_orders_beyond_the_step_cap():
+    cap = bessel.MAX_LADDER_STEPS
+    assert math.isinf(bessel.k_ladder(cap, 1.0)[0])   # overflows, but is allowed
+    for order in (cap + 1, cap + 1.5, 1e300, -1e300):
+        with pytest.raises(ValueError, match="recurrence steps"):
+            bessel.k_ladder(order, 1.0)
+    with pytest.raises(ValueError, match="recurrence steps"):
+        bessel.bessel_k(1e300, 1.0)

@@ -244,3 +244,39 @@ def test_exact_suites_accept_negative_seed(capsys, suite):
     code, _, err = run_cli(capsys, "verify", suite, "--model", "gl2n", "--n", "2",
                            "--seed", "-3")
     assert code == cli.EXIT_PASS and not err
+
+
+@pytest.mark.parametrize("argv", [
+    ("bessel", "--tau", "nan", "--zmin", "1", "--zmax", "2", "--steps", "3"),
+    ("bessel", "--tau", "inf", "--zmin", "1", "--zmax", "2", "--steps", "3"),
+    ("bessel", "--tau", "1e300", "--zmin", "1", "--zmax", "2", "--steps", "3"),
+    ("bessel", "--tau", "200", "--zmin", "1", "--zmax", "2", "--steps", "3"),
+    ("bessel", "--tau", "0", "--zmin", "nan", "--zmax", "2", "--steps", "3"),
+    ("bessel", "--tau", "0", "--zmin", "1", "--zmax", "inf", "--steps", "3"),
+    ("fourier", "--model", "o2n2n", "--n", "2", "--tmin", "nan", "--samples", "10000"),
+    ("fourier", "--model", "o2n2n", "--n", "2", "--tmax", "inf", "--samples", "10000")])
+def test_nonfinite_or_huge_numeric_argument_is_usage_error(capsys, argv):
+    _assert_usage_error(capsys, *argv)
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "all", "--model", "o2n2n", "--n", "2", "--samples", "10000"), "--json"),
+    (("tensor", "audit", "--model", "o2n2n", "--n", "3", "--k", "2"), "--json"),
+    (("bessel", "--tau", "0", "--zmin", "1", "--zmax", "2", "--steps", "3"), "--out")])
+def test_unwritable_output_is_usage_error_before_any_work(capsys, tmp_path, monkeypatch,
+                                                          argv, flag):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before the output path was checked")
+    for mod, name in ((cli.liealg, "structural_suite"), (cli.tensor, "audit_dual_pair"),
+                      (cli.bessel, "bessel_k")):
+        monkeypatch.setattr(mod, name, refuse)
+    _assert_usage_error(capsys, *argv, flag, str(tmp_path / "missing" / "out.json"))
+    _assert_usage_error(capsys, *argv, flag, str(tmp_path))  # a directory
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_refused_bessel_table_leaves_no_file(capsys, tmp_path):
+    out_path = tmp_path / "k.csv"
+    _assert_usage_error(capsys, "bessel", "--tau", "1e300", "--zmin", "1", "--zmax", "2",
+                        "--steps", "3", "--out", str(out_path))
+    assert not out_path.exists()

@@ -43,9 +43,9 @@ def test_y1_block_matches_reference_matrix(o2):
 
 def test_sl2_bracket_examples(o2):
     t = o2.triples
-    assert ratlin.is_zero_matrix(liealg.bracket(o2, t[0].x, t[0].y) - t[0].h)
-    assert ratlin.is_zero_matrix(liealg.bracket(o2, t[0].h, t[0].x) - 2 * t[0].x)
-    assert ratlin.is_zero_matrix(liealg.bracket(o2, t[0].x, t[1].x))
+    assert ratlin.is_zero_matrix(o2.bracket(t[0].x, t[0].y) - t[0].h)
+    assert ratlin.is_zero_matrix(o2.bracket(t[0].h, t[0].x) - 2 * t[0].x)
+    assert ratlin.is_zero_matrix(o2.bracket(t[0].x, t[1].x))
 
 
 def test_bracket_outside_span_raises(o2):
@@ -57,20 +57,20 @@ def test_bracket_outside_span_raises(o2):
 
 def test_theta_examples(o2):
     t1 = o2.triples[0]
-    assert ratlin.is_zero_matrix(liealg.theta(o2, t1.y) + t1.x)
-    assert ratlin.is_zero_matrix(liealg.theta(o2, t1.h) + t1.h)
+    assert ratlin.is_zero_matrix(o2.theta(t1.y) + t1.x)
+    assert ratlin.is_zero_matrix(o2.theta(t1.h) + t1.h)
     # skew gl-block elements lie in k and are fixed by theta
     skew = o2.zero()
     skew[0, 1], skew[1, 0] = Fraction(1), Fraction(-1)
     skew[4 + 1, 4 + 0], skew[4 + 0, 4 + 1] = Fraction(-1), Fraction(1)
-    assert ratlin.is_zero_matrix(liealg.theta(o2, skew) - skew)
+    assert ratlin.is_zero_matrix(o2.theta(skew) - skew)
 
 
 def test_pair_examples(o2):
     t = o2.triples
-    assert liealg.pair(o2, t[0].x, t[0].y) == 1
-    assert liealg.pair(o2, t[0].y, liealg.theta(o2, t[0].y)) == -1
-    assert liealg.pair(o2, t[0].x, t[1].x) == 0
+    assert o2.pair(t[0].x, t[0].y) == 1
+    assert o2.pair(t[0].y, o2.theta(t[0].y)) == -1
+    assert o2.pair(t[0].x, t[1].x) == 0
 
 
 def test_norm_nbar(o2):

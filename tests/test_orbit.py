@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import mpmath
@@ -97,6 +98,72 @@ def test_backend_pairings_match_exact_model(all_models):
                                 abs_tol=1e-11)
 
 
+def test_pairing_forms_match_exact_model(all_models):
+    # one evaluator serves a sparse ray and the dense M-rotated x, sharing
+    # its x-free columns; both pairings must agree with the trace form
+    for m in all_models:
+        be = orbit.FloatBackend(m)
+        u, v = be.sample_units(np.random.default_rng(7), 5)
+        w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
+        mats = be.matrices(u, v, w)
+        scale = float(m.form_scale)
+        y1 = _tofloat(m.triples[0].y)
+        mix = be.ray_blocks()["mix"]
+        rotated = be.m_rotation_x()(1.5 * mix)
+        assert np.count_nonzero(rotated) > np.count_nonzero(mix)
+        forms = orbit.PairingForms(be, u, v, w)
+        for xb in (mix, rotated, _tofloat(m.block(m.theta(m.triples[0].y), 1))):
+            x_full = m.embed(xb, 1)
+            phase, crown_pair = forms.pair_x(xb), forms.crown_pair(xb)
+            for i in range(5):
+                y = mats[i]
+                th_y = -y.T
+                crown = th_y @ y1 - y1 @ th_y
+                crown = crown @ y - y @ crown
+                assert math.isclose(scale * np.trace(x_full @ y), phase[i],
+                                    rel_tol=1e-12, abs_tol=1e-12)
+                assert math.isclose(scale * np.trace(x_full @ crown), crown_pair[i],
+                                    rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_pairing_forms_value_depends_on_x_alone(gl2, o3):
+    # the shared columns must not make a pairing depend on earlier points
+    for m in (gl2, o3):
+        be = orbit.FloatBackend(m)
+        u, v = be.sample_units(np.random.default_rng(3), 1000)
+        w = np.random.default_rng(4).gamma(4.0, 1.0, 1000)
+        rays = be.ray_blocks()
+        x = 2.5 * rays["mix"]
+        shared = orbit.PairingForms(be, u, v, w)
+        shared.pair_x(rays["e1"])
+        shared.crown_pair(be.m_rotation_x()(rays["e2"]))
+        fresh = orbit.PairingForms(be, u, v, w)
+        assert np.array_equal(shared.pair_x(x), fresh.pair_x(x))
+        assert np.array_equal(shared.crown_pair(x), fresh.crown_pair(x))
+        assert np.array_equal(shared.pair_x(x), be.pair_x(x, u, v, w))
+        assert np.array_equal(shared.crown_pair(x), be.crown_pair(x, u, v, w))
+
+
+@pytest.mark.parametrize("family,n", [("o2n2n", 2), ("gl2nR", 2), ("o2n2n", 6)])
+def test_equivariance_radii_from_gram(family, n):
+    # the Gram-sum radii against |w y'(u a, v b)| of the materialised rows,
+    # measured with the trace form of the model
+    m = liealg.build_model(family, n)
+    be = orbit.FloatBackend(m)
+    rng = np.random.default_rng(11)
+    u, v = be.sample_units(rng, 2000)
+    w = rng.gamma(be.dn, 1.0, 2000)
+    rows = (u.copy(), v.copy())
+    gram = be.diag_gram(u, v)
+    rand = random.Random(5)
+    for _ in range(4):
+        (a, b), _ = be.random_diag_l(rand)
+        radii = be.radii_after_diag(gram, (a, b), w)
+        blocks = be.blocks(rows[0] * a, rows[1] * b, w)
+        expect = np.sqrt(float(m.form_scale) * np.sum(blocks * blocks, axis=(1, 2)))
+        assert np.max(np.abs(radii / expect - 1.0)) < 1e-13
+
+
 def test_radial_integral_closed_form(o2):
     val = orbit.l2_norm_g_tau(o2)
     assert math.isclose(val, math.pi / 8, rel_tol=1e-6)
@@ -164,6 +231,19 @@ def test_fourier_accepts_exact_n_elements(o2):
     x1 = o2.triples[0].x
     est = orbit.fourier_phi(o2, x1, samples=10 ** 5, seed=3)
     assert est.value.real > 0
+
+
+def test_fourier_phi_many_matches_fourier_phi(o2, gl2):
+    for m in (o2, gl2):
+        be = orbit.FloatBackend(m)
+        rays = be.ray_blocks()
+        xs = [0.0 * rays["e1"], 1.5 * rays["e2"], be.m_rotation_x()(2.0 * rays["mix"]),
+              m.triples[0].x]
+        many = orbit.fourier_phi_many(m, xs, samples=4 * 10 ** 4, seed=9)
+        for x, est in zip(xs, many):
+            one = orbit.fourier_phi(m, x, samples=4 * 10 ** 4, seed=9)
+            assert est.as_dict() == one.as_dict()
+        assert orbit.fourier_phi_many(m, xs[::-1], samples=4 * 10 ** 4, seed=9) == many[::-1]
 
 
 def test_fourier_requires_enough_samples(o2):

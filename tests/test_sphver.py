@@ -139,6 +139,22 @@ def test_m_invariance_of_transform(o2):
     assert rep.passed, rep.to_json()
 
 
+def test_m_invariance_matches_separate_fourier_calls(o2, gl2):
+    for m in (o2, gl2):
+        rep = sphver.m_invariance_check(m, samples=10 ** 5, seed=4)
+        be = orbit.FloatBackend(m)
+        rot = be.m_rotation_x()
+        rays = be.ray_blocks()
+        assert [c.name for c in rep.checks] == [f"ray {name}" for name in rays]
+        for check, base in zip(rep.checks, rays.values()):
+            a = orbit.fourier_phi(m, 1.5 * base, samples=10 ** 5, seed=5)
+            b = orbit.fourier_phi(m, rot(1.5 * base), samples=10 ** 5, seed=6)
+            sigma = math.hypot(a.stderr, b.stderr)
+            assert check.estimate == a.value.real - b.value.real
+            assert check.stderr == sigma
+            assert check.residual == abs(a.value.real - b.value.real)
+
+
 def test_spherical_grid_prefix_matches_full_grid(gl2):
     # one sample stream serves the whole grid, so a point's check does not
     # depend on which other points are evaluated
