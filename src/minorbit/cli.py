@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 from fractions import Fraction
@@ -181,6 +182,10 @@ def cmd_verify(args) -> int:
         print(f"--samples must be at least {least} for verify {args.suite}, "
               f"got {samples}", file=sys.stderr)
         return EXIT_USAGE
+    if least is not None and samples > orbit.MAX_SAMPLES:
+        print(f"--samples must be at most {orbit.MAX_SAMPLES} for verify {args.suite}, "
+              f"got {samples}", file=sys.stderr)
+        return EXIT_USAGE
     # the Monte Carlo suites seed numpy generators, which take seeds >= 0
     if least is not None and seed < 0:
         print(f"--seed must be non-negative for verify {args.suite}, got {seed}",
@@ -277,9 +282,9 @@ def cmd_fourier(args) -> int:
     if isinstance(model, str):
         print(model, file=sys.stderr)
         return EXIT_USAGE
-    if args.samples < orbit.MIN_FOURIER_SAMPLES:
-        print(f"--samples must be at least {orbit.MIN_FOURIER_SAMPLES}, got {args.samples}",
-              file=sys.stderr)
+    if not orbit.MIN_FOURIER_SAMPLES <= args.samples <= orbit.MAX_SAMPLES:
+        print(f"--samples must be between {orbit.MIN_FOURIER_SAMPLES} and "
+              f"{orbit.MAX_SAMPLES}, got {args.samples}", file=sys.stderr)
         return EXIT_USAGE
     if args.steps < 1:
         print(f"--steps must be at least 1, got {args.steps}", file=sys.stderr)
@@ -339,8 +344,21 @@ def cmd_tensor(args) -> int:
 
 # -------------------------------------------------------------------- main
 
+_NEGATIVE_NUMBER = re.compile(
+    r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as the one line `minorbit <cmd>: error: ...`."""
+    """Reports a usage error as the one line `minorbit <cmd>: error: ...`.
+
+    A negative number is an option value in every form float() reads, not
+    only as -12 or -1.5: argparse's own pattern takes -1e3 and -inf for
+    options and fails with "expected one argument".
+    """
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")

@@ -325,6 +325,30 @@ def _quadratic_terms(kind: str, a: np.ndarray):
         yield (kind, int(i), int(j)), (a[i, i] if i == j else sym[i, j])
 
 
+def cos_sin(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(cos phase, sin phase) of a float array, from the half-angle tangent
+    h = tan(phase / 2).
+
+    cos = (1 - h^2) / (1 + h^2) and sin = 2h / (1 + h^2).  Where numpy's
+    float64 tan runs as a SIMD kernel and its cos and sin go through scalar
+    libm (AVX-512 builds), this is several times faster than np.cos and
+    np.sin: tan is one SIMD pass, the rest are five arithmetic passes.
+    Against them the absolute error stays within 2.2e-16, one unit in the
+    last place of 1.0, on phases up to |phase| = 1e5 (tests/test_orbit.py).
+    At the doubles nearest the odd multiples of pi, h reaches about 1.6e18
+    there; h^2 stays finite and the result is (-1, ~0).
+    """
+    h = phase * 0.5
+    np.tan(h, out=h)
+    cos = h * h
+    den = cos + 1.0
+    np.subtract(1.0, cos, out=cos)
+    cos /= den
+    h += h
+    h /= den
+    return cos, h
+
+
 # ------------------------------------------------ defensive radial mixture
 
 MIXTURE_SCALES = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)
@@ -342,15 +366,28 @@ def mixture_weight(w, dn: int, counts) -> np.ndarray:
     Over w^(dn-1), the Gamma(dn, 1) density is e^-w / Gamma(dn) and the law
     of s sqrt(Gamma(dn/2, 1)) is 2 e^-(w/s)^2 / (Gamma(dn/2) s^dn).  Each
     term is formed as one exp of its logarithm, so no power of s or Gamma
-    value is ever held on its own.
+    value is ever held on its own.  w^2 is formed once: each s is a power of
+    two, so w^2 * (1/s^2) equals (w/s)^2 bit for bit, and where w^2 under-
+    or overflows both spellings still give the same term.  The terms
+    accumulate in place through one scratch array, in component order.  A
+    scalar w gives a scalar.
     """
     w = np.asarray(w, dtype=float)
     total = float(sum(counts))
-    dens = (counts[0] / total) * np.exp(-w - math.lgamma(dn))
+    dens = np.negative(w, out=np.empty_like(w))
+    dens -= math.lgamma(dn)
+    np.exp(dens, out=dens)
+    dens *= counts[0] / total
+    w2 = np.multiply(w, w, out=np.empty_like(w))
+    term = np.empty_like(w)
     log_chi = math.log(2.0) - math.lgamma(dn / 2)
     for s, c in zip(MIXTURE_SCALES, counts[1:]):
-        dens = dens + (c / total) * np.exp(log_chi - dn * math.log(s) - (w / s) ** 2)
-    return 1.0 / dens
+        np.multiply(w2, 1.0 / (s * s), out=term)
+        np.subtract(log_chi - dn * math.log(s), term, out=term)
+        np.exp(term, out=term)
+        term *= c / total
+        dens += term
+    return np.divide(1.0, dens, out=dens)[()]
 
 
 # --------------------------------------------------------- radial integral
@@ -389,6 +426,12 @@ def l2_norm_g_tau(m: liealg.GradedModel) -> float:
 # ----------------------------------------------------------- Fourier side
 
 MIN_FOURIER_SAMPLES = 10 ** 4
+
+# The largest sample count the CLI accepts.  Every array of a Monte Carlo
+# suite is held at once: peak memory grows by about 170 bytes per sample
+# (254 MB at 1e6, 590 MB at 3e6 for verify orbit or spherical), so the cap
+# keeps a run under about 2 GB.
+MAX_SAMPLES = 10 ** 7
 
 
 @dataclass

@@ -225,7 +225,8 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     grid.  The profile, the weights, the theta y_1 term and the x-free
     columns of the pairings (orbit.PairingForms) are shared by every grid
     point and ray; a point pays for its pairings as sums over the nonzero
-    coefficients of x, then for cos, sin, the mean and the std.  So a grid
+    coefficients of x, then for cos and sin of the phase from one
+    half-angle tangent (orbit.cos_sin), the mean and the std.  So a grid
     point's numbers depend on the seed and on x alone, not on its place in
     the grid or on the other points.  At each point the sum of the two
     constituents must vanish within sigma_gate standard errors for the true
@@ -253,7 +254,12 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     for name, x_block in grid:
         phase = forms.pair_x(x_block)
         cpair = forms.crown_pair(x_block)
-        t = crown_factor * cpair * np.cos(phase) - theta_term * np.sin(phase)
+        cos, sin = orbit.cos_sin(phase)
+        # t = crown_factor * cpair * cos - theta_term * sin, in place
+        t = np.multiply(crown_factor, cpair, out=cpair)
+        t *= cos
+        sin *= theta_term
+        t -= sin
         est = float(np.mean(t))
         sd = float(np.std(t))
         stderr = sd / math.sqrt(pairs)

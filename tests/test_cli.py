@@ -280,3 +280,73 @@ def test_refused_bessel_table_leaves_no_file(capsys, tmp_path):
     _assert_usage_error(capsys, "bessel", "--tau", "1e300", "--zmin", "1", "--zmax", "2",
                         "--steps", "3", "--out", str(out_path))
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("plain,spelled", [("-0.5", "-5e-1"), ("-1.5", "-1.5E+0"),
+                                           ("-0.5", "-.5")])
+def test_negative_value_in_any_float_spelling_is_a_number(capsys, plain, spelled):
+    argv = ("bessel", "--zmin", "0.5", "--zmax", "2", "--steps", "3", "--tau")
+    code_a, out_a, _ = run_cli(capsys, *argv, plain)
+    code_b, out_b, err = run_cli(capsys, *argv, spelled)
+    assert code_a == code_b == cli.EXIT_PASS and not err
+    assert out_a == out_b
+
+
+def test_fourier_negative_tmin_in_exponent_notation(capsys):
+    argv = ("fourier", "--model", "o2n2n", "--n", "2", "--tmax", "0", "--steps", "2",
+            "--samples", "10000", "--tmin")
+    code_a, out_a, _ = run_cli(capsys, *argv, "-0.1")
+    code_b, out_b, err = run_cli(capsys, *argv, "-1e-1")
+    assert code_a == code_b == cli.EXIT_PASS and not err
+    assert out_a == out_b
+
+
+@pytest.mark.parametrize("argv,diagnostic", [
+    (("bessel", "--tau", "-1e3", "--zmin", "1", "--zmax", "2", "--steps", "2"),
+     "cannot be tabulated"),
+    (("bessel", "--tau", "-inf", "--zmin", "1", "--zmax", "2", "--steps", "2"),
+     "must be finite"),
+    (("fourier", "--model", "o2n2n", "--n", "2", "--tmin", "-NaN", "--samples", "10000"),
+     "must be finite")])
+def test_negative_value_reaches_its_own_check(capsys, argv, diagnostic):
+    # argparse used to take these for options ("expected one argument")
+    code, _, err = run_cli(capsys, *argv)
+    assert code == cli.EXIT_USAGE and diagnostic in err
+    assert len(err.strip().splitlines()) == 1
+
+
+_SAMPLED_COMMANDS = [
+    ("verify", "spherical", "--model", "gl2n", "--n", "2"),
+    ("verify", "orbit", "--model", "o2n2n", "--n", "2"),
+    ("verify", "all", "--model", "gl2n", "--n", "2"),
+    ("fourier", "--model", "o2n2n", "--n", "2", "--steps", "1")]
+
+
+def _stub_sampled_work(monkeypatch, stub):
+    for mod, name in ((cli.liealg, "structural_suite"), (cli.orbit, "scaling_check"),
+                      (cli.orbit, "equivariance_check"),
+                      (cli.sphver, "verify_spherical_direct"),
+                      (cli.sphver, "m_invariance_check"), (cli.orbit, "fourier_phi")):
+        monkeypatch.setattr(mod, name, stub)
+
+
+@pytest.mark.parametrize("argv", _SAMPLED_COMMANDS)
+@pytest.mark.parametrize("samples", [cli.orbit.MAX_SAMPLES + 1, 10 ** 12])
+def test_huge_sample_count_is_usage_error_before_any_work(capsys, monkeypatch, argv,
+                                                          samples):
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --samples was checked")
+    _stub_sampled_work(monkeypatch, refuse)
+    _assert_usage_error(capsys, *argv, "--samples", str(samples))
+
+
+@pytest.mark.parametrize("argv", _SAMPLED_COMMANDS)
+def test_sample_count_at_the_cap_is_accepted(capsys, monkeypatch, argv):
+    # the suites are stubbed, so nothing of that size is drawn
+    def stub(m, *args, samples=None, seed=0, **kwargs):
+        if argv[0] == "fourier":
+            return cli.orbit.FourierEstimate(1.0 + 0j, 0.1, samples, seed)
+        return cli.VerificationReport("stub")
+    _stub_sampled_work(monkeypatch, stub)
+    code, _, err = run_cli(capsys, *argv, "--samples", str(cli.orbit.MAX_SAMPLES))
+    assert code == cli.EXIT_PASS and not err

@@ -287,6 +287,45 @@ def test_mixture_weighted_mean_of_gaussian(family, n, dn):
     assert abs(est - math.gamma(dn / 2) / 2) < 3 * se
 
 
+@pytest.mark.parametrize("family,n,dn", [("gl2nR", 2, 2), ("o2n2n", 2, 4),
+                                          ("gl2nR", 6, 6), ("o2n2n", 6, 12)])
+def test_mixture_weight_bit_identical_to_formula(family, n, dn):
+    # the in-place form with w^2 * (1/s^2) against the plain formula with
+    # (w/s)^2, on draws, on a log-spaced sweep and at the radius floor
+    def plain(w):
+        total = float(sum(counts))
+        dens = (counts[0] / total) * np.exp(-w - math.lgamma(dn))
+        log_chi = math.log(2.0) - math.lgamma(dn / 2)
+        for s, c in zip(orbit.MIXTURE_SCALES, counts[1:]):
+            dens = dens + (c / total) * np.exp(log_chi - dn * math.log(s) - (w / s) ** 2)
+        return 1.0 / dens
+
+    counts = orbit.mixture_counts(10 ** 5)
+    be = orbit.FloatBackend(liealg.build_model(family, n))
+    assert be.dn == dn
+    w, weight = be.sample_radii_mixture(np.random.default_rng(dn), 10 ** 5)
+    assert np.array_equal(weight, plain(w))
+    sweep = np.concatenate([np.geomspace(1e-290, 1e2, 20001), [1e-290, 1e-155, 0.5, 64.0]])
+    assert np.array_equal(orbit.mixture_weight(sweep, dn, counts), plain(sweep))
+    scalar = orbit.mixture_weight(1e-290, dn, counts)
+    assert np.ndim(scalar) == 0 and scalar == plain(np.float64(1e-290))
+
+
+def test_cos_sin_matches_libm():
+    rng = np.random.default_rng(9)
+    phases = np.concatenate([
+        rng.uniform(-1e5, 1e5, 10 ** 6),
+        [0.0, -0.0],
+        np.arange(-31831, 31832, 2) * math.pi,   # odd multiples of pi to 1e5
+    ])
+    cos, sin = orbit.cos_sin(phases)
+    assert np.isfinite(cos).all() and np.isfinite(sin).all()
+    assert np.max(np.abs(cos - np.cos(phases))) <= 2.3e-16
+    assert np.max(np.abs(sin - np.sin(phases))) <= 2.3e-16
+    assert (cos[-31834:-31832] == 1.0).all() and (sin[-31834:-31832] == 0.0).all()
+    assert (cos[-31832:] == -1.0).all()
+
+
 def test_mixture_stratified_allocation():
     assert orbit.mixture_counts(10 ** 6) == [142858] + [142857] * 6
     assert sum(orbit.mixture_counts(100)) == 100

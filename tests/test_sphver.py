@@ -167,6 +167,21 @@ def test_spherical_grid_prefix_matches_full_grid(gl2):
     assert [c.as_dict() for c in back.checks[::-1]] == [c.as_dict() for c in full.checks[:3]]
 
 
+@pytest.mark.parametrize("family", [Family.O2N2N, Family.GL2N_R])
+def test_spherical_tangent_trig_matches_libm(monkeypatch, family):
+    # orbit.cos_sin replaces np.cos and np.sin in the grid loop; on the same
+    # stream the estimates move only by rounding and no verdict changes
+    m = liealg.build_model(family, 2)
+    fast = sphver.verify_spherical_direct(m, samples=4 * 10 ** 5, seed=1)
+    monkeypatch.setattr(orbit, "cos_sin", lambda phase: (np.cos(phase), np.sin(phase)))
+    libm = sphver.verify_spherical_direct(m, samples=4 * 10 ** 5, seed=1)
+    assert [c.name for c in fast.checks] == [c.name for c in libm.checks]
+    for a, b in zip(fast.checks, libm.checks):
+        assert (a.passed, a.inconclusive) == (b.passed, b.inconclusive)
+        assert abs(a.estimate - b.estimate) <= 1e-12 * b.stderr
+    assert fast.passed == libm.passed
+
+
 def test_monte_carlo_checks_carry_statistics(o2):
     rep = sphver.verify_spherical_direct(o2, grid=_short_grid(o2, tmax=1.0),
                                          samples=10 ** 5, seed=2)
