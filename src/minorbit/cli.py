@@ -232,6 +232,9 @@ def cmd_bessel(args) -> int:
     if args.zmin <= 0 or args.zmax <= args.zmin or args.steps < 1:
         print("need 0 < zmin < zmax and steps >= 1", file=sys.stderr)
         return EXIT_USAGE
+    if args.steps > orbit.MAX_STEPS:
+        print(f"--steps must be at most {orbit.MAX_STEPS}, got {args.steps}", file=sys.stderr)
+        return EXIT_USAGE
     tau = Fraction(args.tau).limit_denominator(2)
     if abs(float(tau) - args.tau) > 1e-12:
         print(f"tau must be a half-integer, got {args.tau}", file=sys.stderr)
@@ -286,8 +289,9 @@ def cmd_fourier(args) -> int:
         print(f"--samples must be between {orbit.MIN_FOURIER_SAMPLES} and "
               f"{orbit.MAX_SAMPLES}, got {args.samples}", file=sys.stderr)
         return EXIT_USAGE
-    if args.steps < 1:
-        print(f"--steps must be at least 1, got {args.steps}", file=sys.stderr)
+    if not 1 <= args.steps <= orbit.MAX_STEPS:
+        print(f"--steps must be between 1 and {orbit.MAX_STEPS}, got {args.steps}",
+              file=sys.stderr)
         return EXIT_USAGE
     if args.seed < 0:
         print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)

@@ -30,6 +30,15 @@ elements l, and the work that depends on neither is done once per stream:
   over the nonzero coefficients of its x.
 * equivariance_check squares the unit rows once (diag_gram); each diagonal
   l pays only for two or three matrix-vector products.
+
+The measure checks and the spherical grid never form an integrand over the
+whole stream.  They evaluate it on contiguous slices of CHUNK samples, small
+enough that a slice's temporaries stay in the L2 cache, and reduce each
+estimate with a streaming mean and centred sum of squares (Moments).  Every
+sample's value is the one the whole-stream formula gives, bit for bit; only
+the order of the summation depends on CHUNK, so an estimate moves with it by
+rounding alone.  fourier_phi_many keeps whole-stream np.mean and np.std, so
+the digits of the transform are unchanged.
 """
 
 from __future__ import annotations
@@ -169,7 +178,10 @@ class FloatBackend:
         for s, c in zip(MIXTURE_SCALES, counts[1:]):
             parts.append(np.maximum(s * np.sqrt(rng.gamma(self.dn / 2, 1.0, size=c)), 1e-290))
         w = np.concatenate(parts)
-        return w, mixture_weight(w, self.dn, counts)
+        weight = np.empty_like(w)
+        for s in chunks(count):
+            weight[s] = mixture_weight(w[s], self.dn, counts)
+        return w, weight
 
     # -- pairings against a fixed n-side block x, views of PairingForms
 
@@ -274,7 +286,9 @@ class PairingForms:
     use and kept, so the points of a grid share them.  A pairing at x is a
     sum over the nonzero coefficients of x (of A and B for the crown
     pairing) in row-major order, so its value depends on the stream and on
-    x alone, not on which points came before.
+    x alone, not on which points came before.  The spherical grid makes one
+    per slice of its stream, with the term lists (linear_terms,
+    crown_terms) built once per point.
     """
 
     def __init__(self, backend: FloatBackend, u, v, w):
@@ -300,22 +314,35 @@ class PairingForms:
             self._columns[key] = col
         return col
 
-    def _sum(self, terms) -> np.ndarray:
+    def sum(self, terms) -> np.ndarray:
+        """The sum of c * column over the (column key, c) terms, in their
+        order, accumulated in place in one new array."""
         out = np.zeros(self.w.shape)
+        scratch = np.empty_like(out)
         for key, c in terms:
-            out += c * self._column(key)
+            out += np.multiply(self._column(key), c, out=scratch)
         return out
+
+    @staticmethod
+    def linear_terms(x_block) -> list:
+        """The terms of <x, y> over the columns w v_i u_j, row-major."""
+        return [(("vu", int(i), int(j)), x_block[i, j]) for i, j in zip(*np.nonzero(x_block))]
+
+    @staticmethod
+    def crown_terms(backend: FloatBackend, x_block) -> list:
+        """The terms of <x, [[theta y, y_1], y]> over the columns w^2 u_a u_b,
+        then w^2 v_a v_b."""
+        forms = backend.spec.crown_form(x_block, backend.y1_block)
+        return [term for kind, a in zip(("uu", "vv"), forms)
+                for term in _quadratic_terms(kind, a)]
 
     def pair_x(self, x_block) -> np.ndarray:
         """<x, w * y'(u, v)> for x given by its n-side block."""
-        return self._sum((("vu", int(i), int(j)), x_block[i, j])
-                         for i, j in zip(*np.nonzero(x_block)))
+        return self.sum(self.linear_terms(x_block))
 
     def crown_pair(self, x_block) -> np.ndarray:
         """<x, [[theta y, y_1], y]> at y = w * y'(u, v)."""
-        forms = self.backend.spec.crown_form(x_block, self.backend.y1_block)
-        return self._sum(term for kind, a in zip(("uu", "vv"), forms)
-                         for term in _quadratic_terms(kind, a))
+        return self.sum(self.crown_terms(self.backend, x_block))
 
 
 def _quadratic_terms(kind: str, a: np.ndarray):
@@ -347,6 +374,71 @@ def cos_sin(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     h += h
     h /= den
     return cos, h
+
+
+# ------------------------------------------------------ streaming moments
+
+# Rows per slice of a sample stream.  A slice of floats takes 128 KB, so the
+# half-dozen temporaries of one integrand evaluation fit in a 2 MB L2 cache.
+# It changes only the order of the summation, never a sample's value.
+CHUNK = 16384
+
+
+def chunks(count: int):
+    """The slices of CHUNK consecutive rows that cover range(count)."""
+    return (slice(lo, lo + CHUNK) for lo in range(0, count, CHUNK))
+
+
+class Moments:
+    """Streaming mean and centred sum of squares of a sample.
+
+    Each batch is reduced to its own mean and centred sum of squares and
+    merged by the pairwise update of Chan, Golub and LeVeque (Amer. Statist.
+    37, 1983), so the digits survive where the mean is many standard
+    deviations from zero, which the E[t^2] - E[t]^2 shortcut loses.  mean
+    and std match np.mean and np.std (ddof 0) of the concatenated batches
+    to rounding; a single batch gives its own mean bit for bit, and batches
+    of zeros a mean and std of exactly 0.
+    """
+
+    def __init__(self):
+        self.count = 0
+        self.mean = 0.0
+        self.m2 = 0.0
+
+    def add(self, t: np.ndarray) -> None:
+        """Merge the values of the float array t, which is overwritten by
+        its deviations from its own mean."""
+        n = t.size
+        mean = float(t.sum()) / n
+        t -= mean
+        m2 = float(np.dot(t, t))
+        total = self.count + n
+        delta = mean - self.mean
+        self.mean += delta * (n / total)
+        self.m2 += m2 + delta * delta * (self.count * n / total)
+        self.count = total
+
+    @property
+    def std(self) -> float:
+        return math.sqrt(self.m2 / self.count)
+
+    @property
+    def stderr(self) -> float:
+        """The i.i.d. standard error of the mean.  On a stratified draw it
+        over-estimates the variance of the mean, so the error bar it gives
+        is conservative."""
+        return self.std / math.sqrt(self.count)
+
+
+def sliced_mean(f: Callable, *arrays) -> tuple[float, float]:
+    """Mean and standard error of f(*arrays), with f evaluated on the
+    successive CHUNK-row slices of the arrays (equal length along axis 0)
+    and reduced by Moments; f must return a new float array."""
+    acc = Moments()
+    for s in chunks(len(arrays[0])):
+        acc.add(f(*(a[s] for a in arrays)))
+    return acc.mean, acc.stderr
 
 
 # ------------------------------------------------ defensive radial mixture
@@ -427,11 +519,18 @@ def l2_norm_g_tau(m: liealg.GradedModel) -> float:
 
 MIN_FOURIER_SAMPLES = 10 ** 4
 
-# The largest sample count the CLI accepts.  Every array of a Monte Carlo
-# suite is held at once: peak memory grows by about 170 bytes per sample
-# (254 MB at 1e6, 590 MB at 3e6 for verify orbit or spherical), so the cap
-# keeps a run under about 2 GB.
+# The largest sample count the CLI accepts.  The draws of a Monte Carlo
+# suite are held at once (the integrands only a slice at a time): peak
+# memory grows by about 130 bytes per sample (214 MB at 1e6, 476 MB at 3e6
+# for verify orbit or all, where equivariance_check holds the most), so the
+# cap keeps a run under about 1.5 GB.
 MAX_SAMPLES = 10 ** 7
+
+# The largest --steps the bessel and fourier commands accept.  The grid and
+# every row are held until the output is written: a bessel table at the cap
+# takes about 250 MB and 25 s, and a fourier ray at the cap makes a million
+# transform estimates of at least MIN_FOURIER_SAMPLES each.
+MAX_STEPS = 10 ** 6
 
 
 @dataclass
@@ -508,15 +607,6 @@ def _test_bank() -> list[tuple[str, Callable]]:
     ]
 
 
-def _mean_stderr(t: np.ndarray) -> tuple[float, float]:
-    """Sample mean and its i.i.d. standard error.
-
-    On a stratified draw the i.i.d. formula over-estimates the variance of
-    the mean, so the error bar it gives is conservative.
-    """
-    return float(np.mean(t)), float(np.std(t)) / math.sqrt(t.size)
-
-
 def _add_ratio(report: VerificationReport, name: str, lhs: tuple[float, float],
                rhs: tuple[float, float], rtol: float, samples: int, detail: str) -> None:
     """Check lhs / rhs = 1 to rtol, for (mean, stderr) sides drawn on
@@ -536,8 +626,10 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     For diagonal l the transformed radius is computable in closed form, so
     both sides of the equivariance identity are plain radial Monte Carlo
     estimates on independent mixture streams; they must agree to rtol.
-    The squared unit rows are formed once for all l (diag_gram), and each l
-    costs two or three matrix-vector products.
+    The squared unit rows are formed once for all l (diag_gram); each l
+    costs two or three matrix-vector products, and the radii, the test
+    function and the weighted integrand are formed a slice at a time
+    (sliced_mean).
     """
     report = VerificationReport("equivariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -550,14 +642,17 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     w2, weight2 = be.sample_radii_mixture(rng_r, samples)
 
     for name, g in _test_bank():
-        base, base_se = _mean_stderr(weight2 * g(w2))
+        base, base_se = sliced_mean(lambda w, weight: weight * g(w), w2, weight2)
         report.add(f"identity ratio [{name}]", True, residual=0.0, exact=True,
                    detail="same-stream ratio is identically 1")
         for li in range(l_samples):
             scales, char = be.random_diag_l(rand)
-            radii = be.radii_after_diag(gram, scales, w1)
+
+            def transformed(w, weight, *gram_rows):
+                return weight * g(be.radii_after_diag(gram_rows, scales, w))
             _add_ratio(report, f"diag l#{li} ratio [{name}]",
-                       _mean_stderr(weight1 * g(radii)), (char * base, char * base_se),
+                       sliced_mean(transformed, w1, weight1, *gram),
+                       (char * base, char * base_se),
                        rtol, samples, f"character factor {char:.6g}")
     return report
 
@@ -567,7 +662,8 @@ def scaling_check(m: liealg.GradedModel, z_values=(0.5, 2.0), samples: int = 10 
     """Pushforward law: integrating f(z y) against d mu_1 scales by z^{-dn}.
 
     The two sides use independent mixture streams, so this exercises the
-    sampler rather than restating its construction.
+    sampler rather than restating its construction.  The integrands are
+    formed a slice at a time (sliced_mean).
     """
     report = VerificationReport("measure_scaling", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -578,10 +674,11 @@ def scaling_check(m: liealg.GradedModel, z_values=(0.5, 2.0), samples: int = 10 
     wa, weight_a = be.sample_radii_mixture(rng_a, samples)
     wb, weight_b = be.sample_radii_mixture(rng_b, samples)
     for name, g in _test_bank():
-        base, base_se = _mean_stderr(weight_b * g(wb))
+        base, base_se = sliced_mean(lambda w, weight: weight * g(w), wb, weight_b)
         for z in z_values:
             factor = float(z) ** (-dn)
-            _add_ratio(report, f"z={z} [{name}]", _mean_stderr(weight_a * g(z * wa)),
+            _add_ratio(report, f"z={z} [{name}]",
+                       sliced_mean(lambda w, weight: weight * g(z * w), wa, weight_a),
                        (factor * base, factor * base_se), rtol, samples,
                        f"z^-dn = {factor:.6g}")
     return report

@@ -222,16 +222,19 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
 
     Both constituents, the gradient-term integral and the weighted transform,
     are evaluated on one correlated sample stream, drawn once for the whole
-    grid.  The profile, the weights, the theta y_1 term and the x-free
-    columns of the pairings (orbit.PairingForms) are shared by every grid
-    point and ray; a point pays for its pairings as sums over the nonzero
-    coefficients of x, then for cos and sin of the phase from one
-    half-angle tangent (orbit.cos_sin), the mean and the std.  So a grid
-    point's numbers depend on the seed and on x alone, not on its place in
-    the grid or on the other points.  At each point the sum of the two
-    constituents must vanish within sigma_gate standard errors for the true
-    radial order, and tau_shift perturbs the order to exercise the
-    detection power.
+    grid.  The profile and the weights are formed once for the stream.  The
+    stream is then walked in slices of orbit.CHUNK samples, the outer loop,
+    and the grid points are the inner loop: per slice, the x-free columns of
+    the pairings (orbit.PairingForms) and the theta y_1 term are formed once
+    and shared by every point, and a point pays for its pairings as sums
+    over the nonzero coefficients of x (term lists built once per point),
+    for cos and sin of the phase from one half-angle tangent
+    (orbit.cos_sin), and for one update of its own streaming moments
+    (orbit.Moments), fed in slice order.  So a grid point's numbers depend
+    on the seed and on x alone, not on its place in the grid or on the
+    other points.  At each point the sum of the two constituents must
+    vanish within sigma_gate standard errors for the true radial order, and
+    tau_shift perturbs the order to exercise the detection power.
     """
     tau = Fraction(m.d - m.e - 1, 2) + tau_shift
     report = VerificationReport("spherical_direct", meta={
@@ -244,24 +247,30 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     rng = np.random.default_rng(seed)
     u, v = be.sample_units(rng, pairs)
     w, weight = be.sample_radii(rng, pairs)
-    phi = bessel.radial_profile_at(tau, w)
-    forms = orbit.PairingForms(be, u, v, w)
     # the x-free factors of the two terms
+    amp = weight * bessel.radial_profile_at(tau, w)
     crown_factor = weight * bessel.radial_profile_d1_at(tau, w)
-    theta_term = weight * phi * forms.pair_x(be.theta_y1_block)
-    mass = float(np.mean(weight * phi))  # transform at 0, the scale anchor
+    mass = float(np.mean(amp))  # transform at 0, the scale anchor
+    theta_terms = orbit.PairingForms.linear_terms(be.theta_y1_block)
+    point_terms = [(orbit.PairingForms.linear_terms(x_block),
+                    orbit.PairingForms.crown_terms(be, x_block)) for _, x_block in grid]
+    moments = [orbit.Moments() for _ in grid]
+    for s in orbit.chunks(pairs):
+        cols = orbit.PairingForms(be, u[s], v[s], w[s])
+        theta_term = amp[s] * cols.sum(theta_terms)
+        for acc, (linear, crown) in zip(moments, point_terms):
+            cos, sin = orbit.cos_sin(cols.sum(linear))
+            # t = crown_factor * cpair * cos - theta_term * sin, in place
+            t = cols.sum(crown)
+            t *= crown_factor[s]
+            t *= cos
+            sin *= theta_term
+            t -= sin
+            acc.add(t)
     zmax = 0.0
-    for name, x_block in grid:
-        phase = forms.pair_x(x_block)
-        cpair = forms.crown_pair(x_block)
-        cos, sin = orbit.cos_sin(phase)
-        # t = crown_factor * cpair * cos - theta_term * sin, in place
-        t = np.multiply(crown_factor, cpair, out=cpair)
-        t *= cos
-        sin *= theta_term
-        t -= sin
-        est = float(np.mean(t))
-        sd = float(np.std(t))
+    for (name, _), acc in zip(grid, moments):
+        est = acc.mean
+        sd = acc.std
         stderr = sd / math.sqrt(pairs)
         if sd == 0.0:
             report.add(f"x = {name}", est == 0.0, residual=est, exact=False,

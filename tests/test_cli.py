@@ -350,3 +350,46 @@ def test_sample_count_at_the_cap_is_accepted(capsys, monkeypatch, argv):
     _stub_sampled_work(monkeypatch, stub)
     code, _, err = run_cli(capsys, *argv, "--samples", str(cli.orbit.MAX_SAMPLES))
     assert code == cli.EXIT_PASS and not err
+
+
+_STEPPED_COMMANDS = [
+    ("bessel", "--tau", "0.5", "--zmin", "1", "--zmax", "2"),
+    ("fourier", "--model", "o2n2n", "--n", "2", "--samples", "10000")]
+
+
+def _stub_stepped_work(monkeypatch, stub):
+    monkeypatch.setattr(cli, "_write_bessel_table", stub)
+    monkeypatch.setattr(cli.orbit, "fourier_phi", stub)
+
+
+@pytest.mark.parametrize("argv", _STEPPED_COMMANDS)
+@pytest.mark.parametrize("steps", [cli.orbit.MAX_STEPS + 1, 10 ** 9])
+def test_huge_step_count_is_usage_error_before_any_work(capsys, monkeypatch, argv, steps):
+    # the grid itself is work: np.linspace of 1e9 points alone takes 8 GB
+    def refuse(*args, **kwargs):
+        raise AssertionError("work started before --steps was checked")
+    _stub_stepped_work(monkeypatch, refuse)
+    monkeypatch.setattr(cli.np, "linspace", refuse)
+    _assert_usage_error(capsys, *argv, "--steps", str(steps))
+
+
+class _WorkStarted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("argv", _STEPPED_COMMANDS)
+def test_step_count_at_the_cap_is_accepted(capsys, monkeypatch, argv):
+    # the first row's work is stubbed to stop the run, so only the grid of
+    # MAX_STEPS points is ever formed
+    grids = []
+
+    def start(*args, **kwargs):
+        if argv[0] == "bessel":
+            grids.append(args[2])
+        raise _WorkStarted
+    _stub_stepped_work(monkeypatch, start)
+    with pytest.raises(_WorkStarted):
+        cli.main([*argv, "--steps", str(cli.orbit.MAX_STEPS)])
+    assert capsys.readouterr().err == ""
+    if argv[0] == "bessel":
+        assert len(grids[0]) == cli.orbit.MAX_STEPS

@@ -329,3 +329,39 @@ def test_cos_sin_matches_libm():
 def test_mixture_stratified_allocation():
     assert orbit.mixture_counts(10 ** 6) == [142858] + [142857] * 6
     assert sum(orbit.mixture_counts(100)) == 100
+
+
+def _streamed(t):
+    acc = orbit.Moments()
+    for s in orbit.chunks(t.size):
+        acc.add(t[s].copy())
+    return acc
+
+
+@pytest.mark.parametrize("count", [1, orbit.CHUNK - 1, orbit.CHUNK, orbit.CHUNK + 1,
+                                   3 * orbit.CHUNK + 7])
+def test_streamed_moments_match_numpy(count):
+    t = 0.5 + 3.0 * np.random.default_rng(count).standard_normal(count)
+    acc = _streamed(t)
+    assert acc.count == count
+    assert acc.mean == pytest.approx(np.mean(t), rel=1e-12, abs=0)
+    assert acc.std == pytest.approx(np.std(t), rel=1e-12, abs=0)
+    mean, stderr = orbit.sliced_mean(lambda a: 2.0 * a, t)
+    assert mean == pytest.approx(2.0 * np.mean(t), rel=1e-12, abs=0)
+    assert stderr == pytest.approx(2.0 * np.std(t) / math.sqrt(count), rel=1e-12, abs=0)
+
+
+def test_streamed_moments_keep_digits_far_from_zero():
+    # mean / sd = 1e6: the merged centred sums keep the spread, where the
+    # shortcut E[t^2] - E[t]^2 cancels twelve of its digits away
+    t = 1e6 + np.random.default_rng(5).standard_normal(3 * orbit.CHUNK + 7)
+    acc = _streamed(t)
+    assert acc.mean == pytest.approx(np.mean(t), rel=1e-12, abs=0)
+    assert acc.std == pytest.approx(np.std(t), rel=1e-12, abs=0)
+    shortcut = math.sqrt(float(np.mean(t * t)) - float(np.mean(t)) ** 2)
+    assert abs(shortcut - np.std(t)) > 1e-6 * np.std(t)
+
+
+def test_streamed_moments_of_zeros_are_exactly_zero():
+    acc = _streamed(np.zeros(2 * orbit.CHUNK + 3))
+    assert acc.std == 0.0 and acc.mean == 0.0

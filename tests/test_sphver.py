@@ -191,3 +191,41 @@ def test_monte_carlo_checks_carry_statistics(o2):
     assert "z" not in rep.checks[0].as_dict()  # the origin has no spread
     exact = sphver.verify_k1(o2).checks[0].as_dict()
     assert not {"estimate", "stderr", "z"} & set(exact)
+
+
+def test_spherical_origin_has_exactly_zero_spread(o2, gl2):
+    # the origin's integrand is 0 on every sample, and the streamed moments
+    # over several slices keep it exactly 0
+    for m in (o2, gl2):
+        rep = sphver.verify_spherical_direct(m, grid=_short_grid(m, tmax=0.5),
+                                             samples=10 ** 5, seed=1)
+        origin = rep.checks[0]
+        assert 10 ** 5 // 2 > 2 * orbit.CHUNK
+        assert origin.name == "x = origin" and origin.passed
+        assert origin.estimate == 0.0 and origin.stderr == 0.0
+
+
+@pytest.mark.parametrize("family", [Family.O2N2N, Family.GL2N_R])
+def test_slice_length_moves_only_rounding(monkeypatch, family):
+    # orbit.CHUNK sets the order of the summation, not what is summed: on the
+    # same streams the estimates move by rounding alone and no verdict moves
+    m = liealg.build_model(family, 2)
+    samples = 2 * 10 ** 5 + 37
+
+    def run():
+        return [sphver.verify_spherical_direct(m, grid=_short_grid(m), samples=samples,
+                                               seed=3),
+                orbit.equivariance_check(m, seed=3, samples=samples),
+                orbit.scaling_check(m, seed=3, samples=samples)]
+    default = run()
+    monkeypatch.setattr(orbit, "CHUNK", 1000)
+    small = run()
+    for a, b in zip(default, small):
+        assert [c.name for c in a.checks] == [c.name for c in b.checks]
+        for ca, cb in zip(a.checks, b.checks):
+            assert (ca.passed, ca.inconclusive) == (cb.passed, cb.inconclusive)
+            if cb.stderr:
+                assert abs(ca.estimate - cb.estimate) <= 1e-12 * cb.stderr
+            else:
+                assert ca.estimate == cb.estimate
+        assert a.passed == b.passed
