@@ -1,7 +1,7 @@
 """Exact-arithmetic graded matrix models g = nbar + l + n.
 
 Each explicit family is one `ModelSpec` in `SPECS`, which holds its block
-layout and its formulas on nbar blocks:
+layout, its exact L action and its unit sampler:
 
 * split orthogonal model: 4n x 4n matrices preserving the split symmetric
   form, with l the diagonal GL_2n block, n the lower-left skew block and
@@ -12,8 +12,8 @@ layout and its formulas on nbar blocks:
 Basis matrices have entries 0 or +-1, so structure constants, brackets and
 trace products are computed on Python integers (the form is an integer
 trace times form_scale), and every identity asserted here has residual
-exactly 0.  The float formulas of the specs drive the Monte Carlo layer in
-`orbit`.
+exactly 0.  The Monte Carlo layer in `orbit` evaluates the exact forms
+nbar_pairing, crown_tensor and torus on the nbar coordinates of samples.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -44,6 +44,15 @@ class SL2Triple:
     x: np.ndarray
     y: np.ndarray
     h: np.ndarray
+
+
+class Torus(NamedTuple):
+    """The diagonal elements H_i = basis[indices[i]] of the l-basis, with
+    [H_i, e_k] = weights[i, k] e_k on nbar and character[i] = 2d nu(H_i)."""
+
+    indices: list
+    weights: np.ndarray
+    character: list
 
 
 class GradedModel:
@@ -284,6 +293,44 @@ class GradedModel:
                     _acc_coeff(out, col, a * b)
         return out
 
+    # ------------------------------------------------------- forms on nbar
+
+    @cached_property
+    def nbar_pairing(self) -> np.ndarray:
+        """P[a, k] = <e_a, e_k> for e_a in n and e_k in nbar: <x, y> = x P c
+        for x and y = sum_k c_k e_k given by their coordinates."""
+        return self.form_scale * self.trace_gram[np.ix_(self.n_indices, self.nbar_indices)]
+
+    @cached_property
+    def crown_tensor(self) -> np.ndarray:
+        """T[a, k, l] = <e_a, [[theta e_k, y_1], e_l]> for e_a in n and e_k,
+        e_l in nbar: <x, [[theta y, y_1], y]> = c^T (sum_a x_a T[a]) c."""
+        y1 = self.coords(self.triples[0].y)
+        nbar = self.nbar_indices
+        place = {k: kk for kk, k in enumerate(nbar)}
+        out = ratlin.rzeros((len(self.n_indices), len(nbar), len(nbar)))
+        for kk, k in enumerate(nbar):
+            tk, sk = self.theta_perm[k]
+            inner = self.bracket_coords({tk: sk}, y1)
+            for ll, l in enumerate(nbar):
+                for j, cj in self.bracket_coords(inner, {l: 1}).items():
+                    out[:, kk, ll] += cj * self.nbar_pairing[:, place[j]]
+        return out
+
+    @cached_property
+    def torus(self) -> Torus:
+        """The diagonal elements of the l-basis; ModelInvariantError when
+        some nbar basis element is not a weight vector of them."""
+        indices = [a for a in self.l_indices if all(r == c for (r, c), _ in self._sparse[a])]
+        weights = np.zeros((len(indices), self.dim_nbar), dtype=np.int64)
+        for i, a in enumerate(indices):
+            for kk, k in enumerate(self.nbar_indices):
+                img = self.ad[a].get(k, _EMPTY)
+                if img.keys() - {k}:
+                    raise ModelInvariantError(f"basis element {k} is not a torus weight vector")
+                weights[i, kk] = img.get(k, 0)
+        return Torus(indices, weights, [2 * self.d * self.nu_covector[a] for a in indices])
+
     # -------------------------------------------------------------- actions
 
     def random_l_action(self, rand: random.Random):
@@ -293,18 +340,6 @@ class GradedModel:
         Products of elementary and diagonal factors keep everything exact.
         """
         return self.spec.l_action(rand, self.block_size)
-
-    def l_from_gl_block(self, a: np.ndarray) -> np.ndarray:
-        """Embed a GL block as an element of l.
-
-        For the orthogonal model the canonical identification reads off the
-        lower-right block, so nu(embedded identity) = (1/2) tr.  The general
-        linear model takes a pair (A, D) and this helper embeds (a, a).
-        """
-        out = self.zero()
-        b = self.block_size
-        out[:b, :b], out[b:, b:] = self.spec.gl_diagonal(a)
-        return out
 
 
 # ------------------------------------------------------------------ sparse
@@ -440,49 +475,15 @@ def _normalize_rows(a: np.ndarray) -> np.ndarray:
 def _orthonormal_pairs(rng: np.random.Generator, count: int, m: int):
     u = _normalize_rows(rng.standard_normal((count, m)))
     v = rng.standard_normal((count, m))
-    v -= rowdot(v, u)[:, None] * u
+    proj = rowdot(v, u)
+    for j in range(m):   # a column at a time: no temporary of v's size
+        v[:, j] -= proj * u[:, j]
     return u, _normalize_rows(v)
 
 
 def _unit_pairs(rng: np.random.Generator, count: int, m: int):
     u = _normalize_rows(rng.standard_normal((count, m)))
     return u, _normalize_rows(rng.standard_normal((count, m)))
-
-
-def _skew_crown_form(x_block, y1_block):
-    s = 0.5 * (x_block @ y1_block + y1_block @ x_block)
-    return s, s
-
-
-def _rank_one_crown_form(x_block, y1_block):
-    # y_1 has nbar block E_11, so only the first row of x enters A and only
-    # its first column enters B
-    return y1_block @ x_block, x_block @ y1_block
-
-
-def _log_uniform(rand: random.Random, m: int) -> np.ndarray:
-    return np.array([math.exp(rand.uniform(-0.4, 0.4)) for _ in range(m)])
-
-
-def _orthogonal_diag_l(rand: random.Random, m: int, d: int):
-    delta = _log_uniform(rand, m)
-    return (delta, delta), float(np.prod(delta)) ** (-d)
-
-
-def _general_linear_diag_l(rand: random.Random, m: int, d: int):
-    p = _log_uniform(rand, m)
-    q = _log_uniform(rand, m)
-    return (q, 1.0 / p), (float(np.prod(p)) / float(np.prod(q))) ** d
-
-
-def _skew_radius(gram, w):
-    na, nb, ab = gram
-    return w * np.sqrt(np.maximum(na * nb - ab * ab, 0.0))
-
-
-def _rank_one_radius(gram, w):
-    na, nb = gram
-    return w * np.sqrt(na) * np.sqrt(nb)
 
 
 @dataclass(frozen=True)
@@ -493,10 +494,9 @@ class ModelSpec:
     nbar sits in the upper-right block when nbar_upper, else lower-left, and
     n in the other off-diagonal block.
 
-    Float formulas: a point of the orbit is w * y'(u, v), where y' is the
-    nbar block unit_block(u, v) of the unit-direction rows u, v.  They were
-    derived from the trace form and are checked against the exact model in
-    the tests.
+    Sampling: sample_units draws unit rows (u, v) of the invariant measure
+    on O', whose point has nbar coordinates c_k = sum val u_r v_c over the
+    entries (r, c, val) of e_k's nbar block; M = K cap L acts on u and v.
     """
 
     basis: Callable            # block size -> (basis, grades): nbar, l, n
@@ -504,17 +504,9 @@ class ModelSpec:
     nbar_upper: bool
     nu_weights: tuple          # nu = w0 tr(upper-left) + w1 tr(lower-right)
     y_entries: Callable        # j -> ((row, col, value), ...) in y_j's nbar block
-    gl_diagonal: Callable      # a -> the diagonal blocks of l_from_gl_block(a)
     l_action: Callable         # (rand, block size) -> exact L action on nbar blocks
     sample_units: Callable     # (rng, count, block size) -> rows (u, v)
-    unit_block: Callable       # (u, v) -> stack of nbar blocks y'(u, v)
-    crown_form: Callable       # (x block, y_1 block) -> (A, B) with
-    #                            <x, [[theta y, y_1], y]> = w^2 (u^T A u + v^T B v)
     m_rotation_pair: Callable  # (r, r2) -> rotations acting on u and on v
-    random_diag_l: Callable    # (rand, block size, d) -> ((a scale, b scale), character):
-    #                            diagonal l maps (u, v) to (u * a scale, v * b scale)
-    cross_gram: bool           # whether radius needs a.b besides |a|^2 and |b|^2
-    radius: Callable           # ((|a|^2, |b|^2[, a.b]), w) -> |w y'(a, b)|
 
 
 SPECS = {
@@ -525,31 +517,19 @@ SPECS = {
         nu_weights=(Fraction(-1, 2), ZERO),
         # y_j has nbar block B_j = [[0, -1], [1, 0]] at rows/columns 2j-2, 2j-1
         y_entries=lambda j: ((2 * j - 2, 2 * j - 1, -1), (2 * j - 1, 2 * j - 2, 1)),
-        gl_diagonal=lambda a: (-a.T, a),
         l_action=_orthogonal_l_action,
         sample_units=_orthonormal_pairs,
-        unit_block=lambda u, v: u[:, :, None] * v[:, None, :] - v[:, :, None] * u[:, None, :],
-        crown_form=_skew_crown_form,
-        m_rotation_pair=lambda r, r2: (r, r),
-        random_diag_l=_orthogonal_diag_l,
-        cross_gram=True,
-        radius=_skew_radius),
+        m_rotation_pair=lambda r, r2: (r, r)),
     Family.GL2N_R: ModelSpec(
         basis=_general_linear_basis, block_per_rank=1, nbar_upper=False,
         # nu = (tr A - tr D)/2 on l = gl_n + gl_n; this is the extension of
         # the torus data pinned by the rank-one measure pushforward
         nu_weights=(Fraction(1, 2), Fraction(-1, 2)),
         y_entries=lambda j: ((j - 1, j - 1, 1),),
-        gl_diagonal=lambda a: (a, a),
         l_action=_general_linear_l_action,
         sample_units=_unit_pairs,
-        unit_block=lambda u, v: u[:, :, None] * v[:, None, :],
-        crown_form=_rank_one_crown_form,
         # l = (P, Q) moves n-side blocks as B -> P B Q^T
-        m_rotation_pair=lambda r, r2: (r, r2),
-        random_diag_l=_general_linear_diag_l,
-        cross_gram=False,
-        radius=_rank_one_radius),
+        m_rotation_pair=lambda r, r2: (r, r2)),
 }
 MODEL_FAMILIES = tuple(SPECS)
 

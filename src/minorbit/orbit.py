@@ -27,9 +27,12 @@ elements l, and the work that depends on neither is done once per stream:
   for all x; only the phase is formed per x.
 * PairingForms holds the x-free columns of the pairings, which the points
   of the spherical grid and its rays share; a point pays only for a sum
-  over the nonzero coefficients of its x.
-* equivariance_check squares the unit rows once (diag_gram); each diagonal
-  l pays only for two or three matrix-vector products.
+  over the nonzero coefficients of its forms.
+* equivariance_check squares the nbar coordinates of the unit points once;
+  each diagonal l pays only for one matrix-vector product.
+
+A sample is kept as the nbar coordinates c of its unit part; every pairing,
+radius and torus action is a form in c built exactly from the model.
 
 The measure checks and the spherical grid never form an integrand over the
 whole stream.  They evaluate it on contiguous slices of CHUNK samples, small
@@ -37,8 +40,8 @@ enough that a slice's temporaries stay in the L2 cache, and reduce each
 estimate with a streaming mean and centred sum of squares (Moments).  Every
 sample's value is the one the whole-stream formula gives, bit for bit; only
 the order of the summation depends on CHUNK, so an estimate moves with it by
-rounding alone.  fourier_phi_many keeps whole-stream np.mean and np.std, so
-the digits of the transform are unchanged.
+rounding alone.  fourier_phi_many reduces with whole-stream np.mean and
+np.std.
 """
 
 from __future__ import annotations
@@ -137,11 +140,13 @@ def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[
 # ------------------------------------------------------------ float backend
 
 class FloatBackend:
-    """Vectorized sampling and pairing formulas for one model.
+    """Vectorized sampling and the float forms of one model.
 
-    Unit directions are stored as row pairs (U, V) and points as
-    w * y'(U, V); the per-family formulas come from the model's spec.  The
-    fixed blocks are read off the exact sl2 triples.
+    A sample is kept as its radius w and the nbar coordinates c of its unit
+    part, y = w * sum_k c_k e_k.  The family's spec draws the unit rows
+    (u, v), which are mapped to c at once; every pairing, crown pairing and
+    torus action is a form in c, read off the exact model and converted to
+    float here.
     """
 
     def __init__(self, m: liealg.GradedModel):
@@ -149,14 +154,25 @@ class FloatBackend:
         self.spec = m.spec
         self.block = m.block_size
         self.dn = m.d * m.n
-        y1 = m.triples[0].y
-        self.y1_block = m.block(y1, -1).astype(float)
-        self.theta_y1_block = m.block(m.theta(y1), 1).astype(float)
+        nbar_blocks = [m.block(m.basis[k], -1) for k in m.nbar_indices]
+        self._nbar_flat = np.array(nbar_blocks, dtype=float).reshape(len(nbar_blocks), -1)
+        # c_k = sum val u_r v_c over the entries (r, c, val = +-1) of e_k's block
+        self._unit_entries = [(k, r, col, np.add if b[r, col] > 0 else np.subtract)
+                              for k, b in enumerate(nbar_blocks) for r, col in zip(*np.nonzero(b))]
+        self.theta_y1_block = m.block(m.theta(m.triples[0].y), 1).astype(float)
 
     # -- sampling
 
-    def sample_units(self, rng: np.random.Generator, count: int):
-        return self.spec.sample_units(rng, count, self.block)
+    def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """The nbar coordinates c of count unit points of O': the family's
+        rows (u, v) mapped at once, a slice at a time into one array."""
+        u, v = self.spec.sample_units(rng, count, self.block)
+        c = np.zeros((count, self.model.dim_nbar))
+        for s in chunks(count):
+            us, vs, cs = u[s], v[s], c[s]
+            for k, r, col, op in self._unit_entries:
+                op(cs[:, k], us[:, r] * vs[:, col], out=cs[:, k])
+        return c
 
     def sample_radii(self, rng: np.random.Generator, count: int):
         w = rng.gamma(shape=self.dn, scale=1.0, size=count)
@@ -183,31 +199,64 @@ class FloatBackend:
             weight[s] = mixture_weight(w[s], self.dn, counts)
         return w, weight
 
-    # -- pairings against a fixed n-side block x, views of PairingForms
+    # -- forms in c, built from the exact model
 
-    def pair_x(self, x_block, u, v, w):
-        """<x, w * y'(u, v)> for x given by its n-side block."""
-        return PairingForms(self, u, v, w).pair_x(x_block)
+    @cached_property
+    def _pairing(self) -> np.ndarray:
+        return self.model.nbar_pairing.astype(float)
 
-    def pair_theta_y1(self, u, v, w):
-        return PairingForms(self, u, v, w).pair_x(self.theta_y1_block)
+    @cached_property
+    def _crown(self) -> np.ndarray:
+        return self.model.crown_tensor.astype(float)
 
-    def crown_pair(self, x_block, u, v, w):
-        """<x, [[theta y, y_1], y]> at y = w * y'(u, v), bilinear in y."""
-        return PairingForms(self, u, v, w).crown_pair(x_block)
+    def _x_coords(self, x) -> np.ndarray:
+        """The n-coordinates of x, given as an n-side block or an ambient
+        matrix, exact or float; ValueError when x is not in n."""
+        x = np.asarray(x)
+        if x.shape == (self.block, self.block):
+            x = self.model.embed(x, 1)
+        elif x.shape != (self.model.dim_ambient, self.model.dim_ambient):
+            raise ValueError(f"cannot interpret x of shape {x.shape}")
+        coords = self.model.coords(x)
+        if any(self.model.grades[k] != 1 for k in coords):
+            raise ValueError("x is not in n")
+        return np.array([coords.get(k, 0) for k in self.model.n_indices], dtype=float)
+
+    def linear_form(self, x) -> np.ndarray:
+        """g_x, with <x, w * sum_k c_k e_k> = w (c . g_x)."""
+        return self._x_coords(x) @ self._pairing
+
+    def crown_matrix(self, x) -> np.ndarray:
+        """T_x = sum_a x_a T[a], with <x, [[theta y, y_1], y]> = w^2 c^T T_x c."""
+        return np.tensordot(self._x_coords(x), self._crown, 1)
+
+    # -- pairings against a fixed x in n, views of PairingForms
+
+    def pair_x(self, x, c, w):
+        """<x, w * sum_k c_k e_k>."""
+        return PairingForms(self, c, w).pair_x(x)
+
+    def pair_theta_y1(self, c, w):
+        return PairingForms(self, c, w).pair_x(self.theta_y1_block)
+
+    def crown_pair(self, x, c, w):
+        """<x, [[theta y, y_1], y]> at y = w * sum_k c_k e_k, bilinear in y."""
+        return PairingForms(self, c, w).crown_pair(x)
 
     # -- materialization
 
-    def blocks(self, u, v, w):
-        return w[:, None, None] * self.spec.unit_block(u, v)
+    def blocks(self, c, w):
+        """The nbar blocks of the points w * sum_k c_k e_k."""
+        return w[:, None, None] * (c @ self._nbar_flat).reshape(-1, self.block, self.block)
 
-    def matrices(self, u, v, w):
-        return self.model.embed(self.blocks(u, v, w), -1)
+    def matrices(self, c, w):
+        return self.model.embed(self.blocks(c, w), -1)
 
     # -- group actions
 
-    def _m_rotations(self):
-        """A fixed M = K cap L element, as the rotations of u and of v."""
+    def m_rotation_x(self):
+        """A fixed M = K cap L element acting on n-side blocks: the family's
+        rotations (ru, rv) of the unit rows move a block x to rv x ru^T."""
         mdim = self.block
         c, s = 0.6, 0.8
         i, j = (1, 2) if mdim >= 3 else (0, 1)
@@ -215,40 +264,23 @@ class FloatBackend:
         r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
         r2 = np.eye(mdim)
         r2[0, 0], r2[0, 1], r2[1, 0], r2[1, 1] = c, -s, s, c
-        return self.spec.m_rotation_pair(r, r2)
-
-    def m_rotation_units(self):
-        """The fixed M element acting on unit-direction pairs."""
-        ru, rv = self._m_rotations()
-        return lambda u, v: (u @ ru.T, v @ rv.T)
-
-    def m_rotation_x(self):
-        """The same M element acting on n-side blocks."""
-        ru, rv = self._m_rotations()
+        ru, rv = self.spec.m_rotation_pair(r, r2)
         return lambda cblk: rv @ cblk @ ru.T
 
     def random_diag_l(self, rand: random.Random):
-        """A random diagonal l, as the scales (a, b) by which it multiplies
-        the unit rows u and v, and its character."""
-        return self.spec.random_diag_l(rand, self.block, self.model.d)
+        """A random diagonal l = exp(sum_i t_i H_i) over the model's torus,
+        with one t_i uniform on (-0.4, 0.4) per H_i in l-index order, as the
+        squares lambda^2 of its scales of the coordinates c_k, and its
+        character exp(2d nu(H))."""
+        torus = self.model.torus
+        t = np.array([rand.uniform(-0.4, 0.4) for _ in torus.indices])
+        lam2 = np.exp(2.0 * (t @ torus.weights))
+        return lam2, math.exp(sum(ti * float(chi) for ti, chi in zip(t, torus.character)))
 
-    def diag_gram(self, u, v):
-        """The squared rows u * u, v * v, and u * v when the family's radius
-        needs it: the l-free part of every radius after a diagonal l.
-
-        u and v are overwritten by their squares, so at most three arrays of
-        their size are ever held at once.
-        """
-        cross = [u * v] if self.spec.cross_gram else []
-        return [np.square(u, out=u), np.square(v, out=v)] + cross
-
-    def radii_after_diag(self, gram, scales, w):
-        """|w * y'(u * a, v * b)| from the diag_gram of (u, v) and the scales
-        (a, b) of a diagonal l: the Gram entries are linear in a^2, b^2 and
-        a * b, so each costs one matrix-vector product."""
-        a, b = scales
-        weights = [a * a, b * b, a * b][:len(gram)]
-        return self.spec.radius([g @ c for g, c in zip(gram, weights)], w)
+    def radii_after_diag(self, c2, lam2, w):
+        """|l (w * sum_k c_k e_k)| = w sqrt(sum_k lambda_k^2 c_k^2), from the
+        squared coordinates c2, l-free, and the lambda^2 of a diagonal l."""
+        return w * np.sqrt(c2 @ lam2)
 
     # -- default grid rays
 
@@ -261,9 +293,7 @@ class FloatBackend:
 def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
     """Unit-sphere orbit points from the invariance-targeting base sampler."""
     be = FloatBackend(m)
-    rng = np.random.default_rng(seed)
-    u, v = be.sample_units(rng, count)
-    mats = be.matrices(u, v, np.ones(count))
+    mats = be.matrices(be.sample_units(np.random.default_rng(seed), count), np.ones(count))
     out = []
     for i in range(count):
         out.append(OrbitPoint(y=mats[i], radius=1.0, unit_part=mats[i],
@@ -274,26 +304,27 @@ def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint
 # ------------------------------------------------------ pairings as forms
 
 class PairingForms:
-    """The pairings of one sample stream as linear and quadratic forms in x.
+    """The pairings of one sample stream as linear and quadratic forms in c.
 
-    At y = w * y'(u, v) and an n-side block x,
+    At y = w * sum_k c_k e_k and x in n,
 
-        <x, y> = sum_ij x_ij (w v_i u_j),
-        <x, [[theta y, y_1], y]> = w^2 (u^T A u + v^T B v),
+        <x, y> = sum_k g_k (w c_k),
+        <x, [[theta y, y_1], y]> = sum_{k <= l} S_kl (w^2 c_k c_l),
 
-    with (A, B) the family's crown_form of x.  The columns w v_i u_j,
-    w^2 u_a u_b and w^2 v_a v_b do not depend on x: each is formed on first
-    use and kept, so the points of a grid share them.  A pairing at x is a
-    sum over the nonzero coefficients of x (of A and B for the crown
-    pairing) in row-major order, so its value depends on the stream and on
-    x alone, not on which points came before.  The spherical grid makes one
-    per slice of its stream, with the term lists (linear_terms,
-    crown_terms) built once per point.
+    with g = g_x the backend's linear_form of x and S its symmetrized
+    crown_matrix T_x (S_kk = T_kk, S_kl = T_kl + T_lk).  The columns w c_k
+    and w^2 c_k c_l do not depend on x: each is formed on first use and
+    kept, so the points of a grid share them.  A pairing at x is a sum over
+    the nonzero coefficients of g (of S for the crown pairing) in row-major
+    order, so its value depends on the stream and on x alone, not on which
+    points came before.  The spherical grid makes one per slice of its
+    stream, with the term lists (linear_terms, crown_terms) built once per
+    point.
     """
 
-    def __init__(self, backend: FloatBackend, u, v, w):
+    def __init__(self, backend: FloatBackend, c, w):
         self.backend = backend
-        self.u, self.v, self.w = u, v, w
+        self.c, self.w = c, w
         self._columns: dict = {}
 
     @cached_property
@@ -301,55 +332,47 @@ class PairingForms:
         return self.w * self.w
 
     def _column(self, key) -> np.ndarray:
-        """The x-free column ("vu", i, j) = w v_i u_j, or ("uu", i, j) =
-        w^2 u_i u_j, or ("vv", i, j) = w^2 v_i v_j."""
+        """The x-free column (k,) = w c_k, or (k, l) = w^2 c_k c_l."""
         col = self._columns.get(key)
         if col is None:
-            kind, i, j = key
-            if kind == "vu":
-                col = self.w * self.v[:, i] * self.u[:, j]
+            if len(key) == 1:
+                col = self.w * self.c[:, key[0]]
             else:
-                rows = self.u if kind == "uu" else self.v
-                col = self._w2 * rows[:, i] * rows[:, j]
+                col = self._w2 * self.c[:, key[0]] * self.c[:, key[1]]
             self._columns[key] = col
         return col
 
     def sum(self, terms) -> np.ndarray:
-        """The sum of c * column over the (column key, c) terms, in their
-        order, accumulated in place in one new array."""
+        """The sum of coef * column over the (column key, coef) terms, in
+        their order, accumulated in place in one new array."""
         out = np.zeros(self.w.shape)
         scratch = np.empty_like(out)
-        for key, c in terms:
-            out += np.multiply(self._column(key), c, out=scratch)
+        for key, coef in terms:
+            out += np.multiply(self._column(key), coef, out=scratch)
         return out
 
     @staticmethod
-    def linear_terms(x_block) -> list:
-        """The terms of <x, y> over the columns w v_i u_j, row-major."""
-        return [(("vu", int(i), int(j)), x_block[i, j]) for i, j in zip(*np.nonzero(x_block))]
+    def linear_terms(backend: FloatBackend, x) -> list:
+        """The terms of <x, y> over the columns w c_k."""
+        g = backend.linear_form(x)
+        return [((int(k),), g[k]) for k in np.flatnonzero(g)]
 
     @staticmethod
-    def crown_terms(backend: FloatBackend, x_block) -> list:
-        """The terms of <x, [[theta y, y_1], y]> over the columns w^2 u_a u_b,
-        then w^2 v_a v_b."""
-        forms = backend.spec.crown_form(x_block, backend.y1_block)
-        return [term for kind, a in zip(("uu", "vv"), forms)
-                for term in _quadratic_terms(kind, a)]
+    def crown_terms(backend: FloatBackend, x) -> list:
+        """The terms of <x, [[theta y, y_1], y]> over the columns
+        w^2 c_k c_l, k <= l, row-major."""
+        t = backend.crown_matrix(x)
+        sym = t + t.T
+        return [((int(k), int(l)), t[k, k] if k == l else sym[k, l])
+                for k, l in zip(*np.nonzero(np.triu(sym)))]
 
-    def pair_x(self, x_block) -> np.ndarray:
-        """<x, w * y'(u, v)> for x given by its n-side block."""
-        return self.sum(self.linear_terms(x_block))
+    def pair_x(self, x) -> np.ndarray:
+        """<x, w * sum_k c_k e_k>."""
+        return self.sum(self.linear_terms(self.backend, x))
 
-    def crown_pair(self, x_block) -> np.ndarray:
-        """<x, [[theta y, y_1], y]> at y = w * y'(u, v)."""
-        return self.sum(self.crown_terms(self.backend, x_block))
-
-
-def _quadratic_terms(kind: str, a: np.ndarray):
-    """The terms of r^T a r over the columns r_i r_j, i <= j, row-major."""
-    sym = a + a.T
-    for i, j in zip(*np.nonzero(np.triu(sym))):
-        yield (kind, int(i), int(j)), (a[i, i] if i == j else sym[i, j])
+    def crown_pair(self, x) -> np.ndarray:
+        """<x, [[theta y, y_1], y]> at y = w * sum_k c_k e_k."""
+        return self.sum(self.crown_terms(self.backend, x))
 
 
 def cos_sin(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -521,9 +544,10 @@ MIN_FOURIER_SAMPLES = 10 ** 4
 
 # The largest sample count the CLI accepts.  The draws of a Monte Carlo
 # suite are held at once (the integrands only a slice at a time): peak
-# memory grows by about 130 bytes per sample (214 MB at 1e6, 476 MB at 3e6
-# for verify orbit or all, where equivariance_check holds the most), so the
-# cap keeps a run under about 1.5 GB.
+# memory grows by about 115 bytes per sample (197 MB at 1e6, 426 MB at 3e6
+# for verify orbit or all on o2n2n n = 2, where equivariance_check holds the
+# most: the unit rows while they are mapped to coordinates), so the cap
+# keeps a run under about 1.3 GB.
 MAX_SAMPLES = 10 ** 7
 
 # The largest --steps the bessel and fourier commands accept.  The grid and
@@ -543,16 +567,6 @@ class FourierEstimate:
     def as_dict(self) -> dict:
         return {"value": [self.value.real, self.value.imag],
                 "stderr": self.stderr, "samples": self.samples, "seed": self.seed}
-
-
-def _resolve_x_block(m: liealg.GradedModel, x) -> np.ndarray:
-    x = np.asarray(x)
-    mdim = m.block_size
-    if x.shape == (m.dim_ambient, m.dim_ambient):
-        x = m.block(x, 1)
-    elif x.shape != (mdim, mdim):
-        raise ValueError(f"cannot interpret x of shape {x.shape}")
-    return x.astype(float)
 
 
 def fourier_phi(m: liealg.GradedModel, x, samples: int = 10 ** 5,
@@ -580,16 +594,12 @@ def fourier_phi_many(m: liealg.GradedModel, xs, samples: int = 10 ** 5,
     tau = Fraction(m.d - m.e - 1, 2)
     rng = np.random.default_rng(seed)
     pairs = samples // 2
-    u, v = be.sample_units(rng, pairs)
+    c = be.sample_units(rng, pairs)
     w, weight = be.sample_radii(rng, pairs)
     amp = weight * bessel.radial_profile_at(tau, w)
     out = []
     for x in xs:
-        xb = _resolve_x_block(m, x)
-        # <x, y> as a matrix product rather than through PairingForms: the
-        # two agree to rounding, and this spelling keeps the digits of the
-        # transform as they have always been
-        phase = w * liealg.rowdot(v @ xb, u)
+        phase = w * (c @ be.linear_form(x))
         t = amp * np.cos(phase)
         value = float(np.mean(t))
         stderr = float(np.std(t) / math.sqrt(pairs))
@@ -626,10 +636,10 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     For diagonal l the transformed radius is computable in closed form, so
     both sides of the equivariance identity are plain radial Monte Carlo
     estimates on independent mixture streams; they must agree to rtol.
-    The squared unit rows are formed once for all l (diag_gram); each l
-    costs two or three matrix-vector products, and the radii, the test
-    function and the weighted integrand are formed a slice at a time
-    (sliced_mean).
+    The squared coordinates c_k^2 of the unit points are formed once for
+    all l; each l costs one matrix-vector product with its squared torus
+    scales, and the radii, the test function and the weighted integrand are
+    formed a slice at a time (sliced_mean).
     """
     report = VerificationReport("equivariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -637,7 +647,8 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     rand = random.Random(seed)
     rng_l = np.random.default_rng(seed + 1)
     rng_r = np.random.default_rng(seed + 2)
-    gram = be.diag_gram(*be.sample_units(rng_l, samples))
+    c2 = be.sample_units(rng_l, samples)
+    np.square(c2, out=c2)
     w1, weight1 = be.sample_radii_mixture(rng_l, samples)
     w2, weight2 = be.sample_radii_mixture(rng_r, samples)
 
@@ -646,12 +657,12 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
         report.add(f"identity ratio [{name}]", True, residual=0.0, exact=True,
                    detail="same-stream ratio is identically 1")
         for li in range(l_samples):
-            scales, char = be.random_diag_l(rand)
+            lam2, char = be.random_diag_l(rand)
 
-            def transformed(w, weight, *gram_rows):
-                return weight * g(be.radii_after_diag(gram_rows, scales, w))
+            def transformed(w, weight, c2):
+                return weight * g(be.radii_after_diag(c2, lam2, w))
             _add_ratio(report, f"diag l#{li} ratio [{name}]",
-                       sliced_mean(transformed, w1, weight1, *gram),
+                       sliced_mean(transformed, w1, weight1, c2),
                        (char * base, char * base_se),
                        rtol, samples, f"character factor {char:.6g}")
     return report

@@ -245,18 +245,18 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     be = orbit.FloatBackend(m)
     pairs = samples // 2
     rng = np.random.default_rng(seed)
-    u, v = be.sample_units(rng, pairs)
+    c = be.sample_units(rng, pairs)
     w, weight = be.sample_radii(rng, pairs)
     # the x-free factors of the two terms
     amp = weight * bessel.radial_profile_at(tau, w)
     crown_factor = weight * bessel.radial_profile_d1_at(tau, w)
     mass = float(np.mean(amp))  # transform at 0, the scale anchor
-    theta_terms = orbit.PairingForms.linear_terms(be.theta_y1_block)
-    point_terms = [(orbit.PairingForms.linear_terms(x_block),
+    theta_terms = orbit.PairingForms.linear_terms(be, be.theta_y1_block)
+    point_terms = [(orbit.PairingForms.linear_terms(be, x_block),
                     orbit.PairingForms.crown_terms(be, x_block)) for _, x_block in grid]
     moments = [orbit.Moments() for _ in grid]
     for s in orbit.chunks(pairs):
-        cols = orbit.PairingForms(be, u[s], v[s], w[s])
+        cols = orbit.PairingForms(be, c[s], w[s])
         theta_term = amp[s] * cols.sum(theta_terms)
         for acc, (linear, crown) in zip(moments, point_terms):
             cos, sin = orbit.cos_sin(cols.sum(linear))

@@ -31,4 +31,7 @@ def gl3():
 
 @pytest.fixture(scope="session")
 def all_models(o2, o3, gl2, gl3):
-    return (o2, o3, gl2, gl3)
+    """Every family of liealg.SPECS at n = 2 and 3."""
+    built = {(m.family, m.n): m for m in (o2, o3, gl2, gl3)}
+    return tuple(built.get((f, n)) or liealg.build_model(f, n)
+                 for f in liealg.SPECS for n in (2, 3))

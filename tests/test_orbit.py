@@ -8,7 +8,7 @@ import pytest
 from scipy import integrate, stats
 
 from minorbit import bessel, liealg, orbit, ratlin
-from minorbit.reports import QuadratureError
+from minorbit.reports import QuadratureError, SpanError
 
 
 def _tofloat(mat):
@@ -57,26 +57,60 @@ def test_base_sampler_mean_pairing(o2):
 
 
 def test_base_sampler_m_invariance_two_sample(o2, gl2):
-    # the distribution of a fixed statistic is unchanged by a fixed rotation
+    # <k x, y> = <x, k^-1 y> and the sampler is M-invariant, so the pairings
+    # with theta y_1 and with its M-rotation have one law on one stream
     for m in (o2, gl2):
         be = orbit.FloatBackend(m)
-        rng = np.random.default_rng(17)
-        u, v = be.sample_units(rng, 4000)
+        c = be.sample_units(np.random.default_rng(17), 4000)
         w = np.ones(4000)
-        stat = be.pair_theta_y1(u, v, w)
-        ru, rv = be.m_rotation_units()(u, v)
-        stat_rot = be.pair_theta_y1(ru, rv, w)
-        ks = stats.ks_2samp(stat, stat_rot)
+        x = be.theta_y1_block
+        rotated = be.m_rotation_x()(x)
+        assert not np.array_equal(rotated, x)
+        ks = stats.ks_2samp(be.pair_x(x, c, w), be.pair_x(rotated, c, w))
         assert ks.pvalue > 1e-3, (m.family, ks)
+
+
+@pytest.mark.parametrize("family,n", [(f.value, n) for f in liealg.SPECS for n in (2, 3)])
+def test_forms_certified_on_rational_orbit_points(family, n):
+    # the forms the float backend evaluates, in exact arithmetic against the
+    # trace form on exact orbit points: every residual is exactly 0
+    m = liealg.build_model(family, n)
+    nbar, torus = m.nbar_indices, m.torus
+    y1 = m.triples[0].y
+    mixed = m.zero()
+    for a, k in enumerate(m.n_indices):
+        mixed = mixed + Fraction((-1) ** a * (a + 1), 3) * m.basis[k]
+    xs = [t.x for t in m.triples] + [m.theta(y1), mixed]
+    forms = []
+    for x in xs:
+        xn = [m.coords(x).get(k, 0) for k in m.n_indices]
+        g = [sum(xa * m.nbar_pairing[a, k] for a, xa in enumerate(xn))
+             for k in range(len(nbar))]
+        t_x = sum(xa * m.crown_tensor[a] for a, xa in enumerate(xn))
+        forms.append((x, g, t_x))
+    for p in orbit.sample_orbit_rational(m, 8, seed=3):
+        y = p.y
+        coords = m.coords(y)
+        assert all(m.grades[k] == -1 for k in coords)
+        c = [coords.get(k, 0) for k in nbar]
+        assert sum(ck * ck for ck in c) + m.pair(y, m.theta(y)) == 0
+        crown = m.bracket(m.bracket(m.theta(y), y1), y)
+        weighted = [m.bracket(m.basis[h], y) for h in torus.indices]
+        for x, g, t_x in forms:
+            assert sum(gk * ck for gk, ck in zip(g, c)) - m.pair(x, y) == 0
+            quad = sum(c[k] * t_x[k, l] * c[l] for k in range(len(c)) for l in range(len(c)))
+            assert quad - m.pair(x, crown) == 0
+            for alpha, hy in zip(torus.weights, weighted):
+                lhs = sum(int(ak) * gk * ck for ak, gk, ck in zip(alpha, g, c))
+                assert lhs - m.pair(x, hy) == 0
 
 
 def test_backend_pairings_match_exact_model(all_models):
     for m in all_models:
         be = orbit.FloatBackend(m)
-        rng = np.random.default_rng(7)
-        u, v = be.sample_units(rng, 5)
+        c = be.sample_units(np.random.default_rng(7), 5)
         w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
-        mats = be.matrices(u, v, w)
+        mats = be.matrices(c, w)
         scale = float(m.form_scale)
         y1 = _tofloat(m.triples[0].y)
         th_y1 = _tofloat(m.theta(m.triples[0].y))
@@ -85,17 +119,14 @@ def test_backend_pairings_match_exact_model(all_models):
         for i in range(5):
             y = mats[i]
             assert math.isclose(scale * np.trace(x_full @ y),
-                                be.pair_x(xb, u[i:i+1], v[i:i+1], w[i:i+1])[0],
-                                abs_tol=1e-12)
+                                be.pair_x(xb, c[i:i+1], w[i:i+1])[0], abs_tol=1e-12)
             assert math.isclose(scale * np.trace(th_y1 @ y),
-                                be.pair_theta_y1(u[i:i+1], v[i:i+1], w[i:i+1])[0],
-                                abs_tol=1e-12)
+                                be.pair_theta_y1(c[i:i+1], w[i:i+1])[0], abs_tol=1e-12)
             th_y = -y.T
             crown = (th_y @ y1 - y1 @ th_y)
             crown = crown @ y - y @ crown
             assert math.isclose(scale * np.trace(x_full @ crown),
-                                be.crown_pair(xb, u[i:i+1], v[i:i+1], w[i:i+1])[0],
-                                abs_tol=1e-11)
+                                be.crown_pair(xb, c[i:i+1], w[i:i+1])[0], abs_tol=1e-11)
 
 
 def test_pairing_forms_match_exact_model(all_models):
@@ -103,15 +134,15 @@ def test_pairing_forms_match_exact_model(all_models):
     # its x-free columns; both pairings must agree with the trace form
     for m in all_models:
         be = orbit.FloatBackend(m)
-        u, v = be.sample_units(np.random.default_rng(7), 5)
+        c = be.sample_units(np.random.default_rng(7), 5)
         w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
-        mats = be.matrices(u, v, w)
+        mats = be.matrices(c, w)
         scale = float(m.form_scale)
         y1 = _tofloat(m.triples[0].y)
         mix = be.ray_blocks()["mix"]
         rotated = be.m_rotation_x()(1.5 * mix)
         assert np.count_nonzero(rotated) > np.count_nonzero(mix)
-        forms = orbit.PairingForms(be, u, v, w)
+        forms = orbit.PairingForms(be, c, w)
         for xb in (mix, rotated, _tofloat(m.block(m.theta(m.triples[0].y), 1))):
             x_full = m.embed(xb, 1)
             phase, crown_pair = forms.pair_x(xb), forms.crown_pair(xb)
@@ -130,38 +161,43 @@ def test_pairing_forms_value_depends_on_x_alone(gl2, o3):
     # the shared columns must not make a pairing depend on earlier points
     for m in (gl2, o3):
         be = orbit.FloatBackend(m)
-        u, v = be.sample_units(np.random.default_rng(3), 1000)
+        c = be.sample_units(np.random.default_rng(3), 1000)
         w = np.random.default_rng(4).gamma(4.0, 1.0, 1000)
         rays = be.ray_blocks()
         x = 2.5 * rays["mix"]
-        shared = orbit.PairingForms(be, u, v, w)
+        shared = orbit.PairingForms(be, c, w)
         shared.pair_x(rays["e1"])
         shared.crown_pair(be.m_rotation_x()(rays["e2"]))
-        fresh = orbit.PairingForms(be, u, v, w)
+        fresh = orbit.PairingForms(be, c, w)
         assert np.array_equal(shared.pair_x(x), fresh.pair_x(x))
         assert np.array_equal(shared.crown_pair(x), fresh.crown_pair(x))
-        assert np.array_equal(shared.pair_x(x), be.pair_x(x, u, v, w))
-        assert np.array_equal(shared.crown_pair(x), be.crown_pair(x, u, v, w))
+        assert np.array_equal(shared.pair_x(x), be.pair_x(x, c, w))
+        assert np.array_equal(shared.crown_pair(x), be.crown_pair(x, c, w))
 
 
-@pytest.mark.parametrize("family,n", [("o2n2n", 2), ("gl2nR", 2), ("o2n2n", 6)])
+@pytest.mark.parametrize("family,n", [(f.value, n) for f in liealg.SPECS for n in (2, 3)]
+                         + [("o2n2n", 6)])
 def test_equivariance_radii_from_gram(family, n):
-    # the Gram-sum radii against |w y'(u a, v b)| of the materialised rows,
-    # measured with the trace form of the model
+    # the radii from the squared coordinates and the torus weights against
+    # |Ad(exp H) y| of the materialised points, measured with the trace form
+    # of the model, and the character against exp(2d nu(H))
     m = liealg.build_model(family, n)
     be = orbit.FloatBackend(m)
     rng = np.random.default_rng(11)
-    u, v = be.sample_units(rng, 2000)
+    c = be.sample_units(rng, 2000)
     w = rng.gamma(be.dn, 1.0, 2000)
-    rows = (u.copy(), v.copy())
-    gram = be.diag_gram(u, v)
-    rand = random.Random(5)
+    mats = be.matrices(c, w)
+    c2 = np.square(c)
+    rand, draws = random.Random(5), random.Random(5)
     for _ in range(4):
-        (a, b), _ = be.random_diag_l(rand)
-        radii = be.radii_after_diag(gram, (a, b), w)
-        blocks = be.blocks(rows[0] * a, rows[1] * b, w)
-        expect = np.sqrt(float(m.form_scale) * np.sum(blocks * blocks, axis=(1, 2)))
+        lam2, char = be.random_diag_l(rand)
+        h = sum(draws.uniform(-0.4, 0.4) * _tofloat(m.basis[a]) for a in m.torus.indices)
+        scale = np.exp(np.diag(h))
+        moved = scale[:, None] * mats / scale[None, :]
+        expect = np.sqrt(float(m.form_scale) * np.sum(moved * moved, axis=(1, 2)))
+        radii = be.radii_after_diag(c2, lam2, w)
         assert np.max(np.abs(radii / expect - 1.0)) < 1e-13
+        assert math.isclose(char, math.exp(2 * m.d * m.nu_from_traces(h)), rel_tol=1e-13)
 
 
 def test_radial_integral_closed_form(o2):
@@ -231,6 +267,16 @@ def test_fourier_accepts_exact_n_elements(o2):
     x1 = o2.triples[0].x
     est = orbit.fourier_phi(o2, x1, samples=10 ** 5, seed=3)
     assert est.value.real > 0
+
+
+def test_fourier_rejects_x_outside_n(o2, gl2):
+    for m in (o2, gl2):
+        with pytest.raises(ValueError, match="not in n"):
+            orbit.fourier_phi(m, m.triples[0].y, samples=10 ** 4)
+    off_skew = np.zeros((4, 4))
+    off_skew[0, 1] = 1.0   # an n-side block of o2n2n must be skew
+    with pytest.raises(SpanError):
+        orbit.fourier_phi(o2, off_skew, samples=10 ** 4)
 
 
 def test_fourier_phi_many_matches_fourier_phi(o2, gl2):
