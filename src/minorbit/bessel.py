@@ -22,6 +22,7 @@ from typing import Callable
 import numpy as np
 from scipy import integrate, special
 
+from . import catalog
 from .reports import QuadratureError
 
 _MIN_Z = 1e-8
@@ -134,9 +135,9 @@ def bessel_k(tau, z, method: str = "auto"):
     """K_tau(z) to at least 10 significant digits.
 
     method "auto" evaluates k_ladder after the quadrature audit certified
-    this order and raises QuadratureError when it did not; "fast" skips the
-    audit; "quadrature" forces the integral representation.  A scalar z
-    (a Python float or int, or a 0-d array) gives a float, an array an array.
+    this order and raises QuadratureError when it did not; "quadrature"
+    forces the integral representation.  A scalar z (a Python float or int,
+    or a 0-d array) gives a float, an array an array.
     """
     t = float(tau)
     scalar = isinstance(z, (float, int)) or np.ndim(z) == 0
@@ -145,15 +146,14 @@ def bessel_k(tau, z, method: str = "auto"):
         if scalar:
             return bessel_k_integral(t, z)
         return np.array([bessel_k_integral(t, float(v)) for v in z])
-    if method not in ("auto", "fast"):
+    if method != "auto":
         raise ValueError(f"unknown method {method!r}")
     if scalar:
         if z <= 0:
             raise ValueError(f"K_tau needs z > 0, got {z}")
     elif np.any(z <= 0):
         raise ValueError("K_tau needs z > 0")
-    if method == "auto":
-        _certify(t)
+    _certify(t)
     return k_ladder(t, z)[0]
 
 
@@ -210,9 +210,10 @@ def d_residual(tau, z: float, v0: float, v1: float, v2: float) -> float:
 def d_coefficient_identity(d: int, e: int) -> tuple[Fraction, Fraction]:
     """The two spellings of the first-order coefficient: 4(tau+1), 2(d+1-e).
 
-    Both are returned as exact rationals; they agree identically in (d, e).
+    Both are returned as exact rationals, the first for the order that
+    catalog.tau serves; they agree identically in (d, e).
     """
-    tau = Fraction(d - e - 1, 2)
+    tau = catalog.tau(catalog.Multiplicities(d, e))
     return 4 * (tau + 1), Fraction(2 * (d + 1 - e))
 
 

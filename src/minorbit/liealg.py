@@ -1,7 +1,7 @@
 """Exact-arithmetic graded matrix models g = nbar + l + n.
 
 Each explicit family is one `ModelSpec` in `SPECS`, which holds its block
-layout, its exact L action and its unit sampler:
+layout and its unit sampler:
 
 * split orthogonal model: 4n x 4n matrices preserving the split symmetric
   form, with l the diagonal GL_2n block, n the lower-left skew block and
@@ -14,6 +14,9 @@ trace products are computed on Python integers (the form is an integer
 trace times form_scale), and every identity asserted here has residual
 exactly 0.  The Monte Carlo layer in `orbit` evaluates the exact forms
 nbar_pairing, crown_tensor and torus on the nbar coordinates of samples.
+The exact L action (random_l_action) is read off the same tables for every
+family: unipotent factors 1 + tE from the l-basis elements with E^2 = 0, and
+torus factors from the torus weights.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import ratlin
+from . import catalog, ratlin
 from .catalog import Family, get_class
 from .ratlin import ZERO
 from .reports import ModelInvariantError, SpanError, VerificationReport
@@ -75,6 +78,7 @@ class GradedModel:
         mult = row.multiplicities()
         self.d = mult.d
         self.e = mult.e
+        self.tau = catalog.tau(mult)
 
         self.block_size = self.spec.block_per_rank * n
         self.dim_ambient = 2 * self.block_size
@@ -333,13 +337,69 @@ class GradedModel:
 
     # -------------------------------------------------------------- actions
 
-    def random_l_action(self, rand: random.Random):
-        """A random rational element of L as its action on nbar blocks.
+    @cached_property
+    def nilpotent_l(self) -> list[int]:
+        """The l-basis elements E with E^2 = 0, checked exactly."""
+        return [a for a in self.l_indices
+                if ratlin.is_zero_matrix(ratlin.matmul(self.basis[a], self.basis[a]))]
 
-        Returns a callable mapping an nbar block matrix to its transform.
-        Products of elementary and diagonal factors keep everything exact.
+    @cached_property
+    def _torus_support(self) -> dict:
+        """nbar index k -> its nonzero torus weights [(i, weights[i, k])]."""
+        w = self.torus.weights
+        return {k: [(i, int(w[i, kk])) for i in np.flatnonzero(w[:, kk])]
+                for kk, k in enumerate(self.nbar_indices)}
+
+    def unipotent_act(self, a: int, t: Fraction, y: dict) -> dict:
+        """Ad(1 + t e_a) y = y + t [e_a, y] + (t^2 / 2) [e_a, [e_a, y]] on
+        sparse coordinates, for a in nilpotent_l (so e_a^2 = 0)."""
+        once = self.bracket_coords({a: 1}, y)
+        out = dict(y)
+        _acc_coeff(out, once, t)
+        _acc_coeff(out, self.bracket_coords({a: 1}, once), t * t / 2)
+        return out
+
+    def torus_act(self, s: list, y: dict) -> dict:
+        """Ad(diag(prod_i s_i^H_i)) y on sparse nbar coordinates, with H_i
+        the torus elements: e_k scales by prod_i s_i^weights[i, k]."""
+        out = {}
+        for k, c in y.items():
+            for i, w in self._torus_support[k]:
+                c *= s[i] ** w
+            out[k] = c
+        return out
+
+    def random_l_action(self, rand: random.Random):
+        """Ad(g) on sparse nbar coordinates for a random rational g in L.
+
+        g is a product of 2r factors, r = len(torus.indices), each a torus
+        factor with probability 1/3 and a unipotent factor 1 + tE otherwise,
+        E drawn from nilpotent_l; s_i and t come from rational palettes.  r
+        counts the matrix indices that the unipotent factors must link for
+        the points of verify_kprime to span nbar.
         """
-        return self.spec.l_action(rand, self.block_size)
+        factors = []
+        for _ in range(2 * len(self.torus.indices)):
+            if rand.randrange(3) == 0:
+                s = [rand.choice(_DIAG_PALETTE) for _ in self.torus.indices]
+                factors.append((self.torus_act, s))
+            else:
+                a = rand.choice(self.nilpotent_l)
+                factors.append((self.unipotent_act, a, rand.choice(_OFFDIAG_PALETTE)))
+
+        def act(y: dict) -> dict:
+            for f, *params in factors:
+                y = f(*params, y)
+            return y
+        return act
+
+    def element(self, coords: dict) -> np.ndarray:
+        """The exact matrix with sparse coordinates {k: c}; inverse of coords."""
+        out = self.zero()
+        for k, c in coords.items():
+            for pos, val in self._sparse[k]:
+                out[pos] += c * val
+        return out
 
 
 # ------------------------------------------------------------------ sparse
@@ -363,35 +423,6 @@ def _sparse_bracket(a, b) -> dict:
                 key = (r2, c1)
                 out[key] = out.get(key, 0) - v2 * v1
     return {k: v for k, v in out.items() if v != 0}
-
-
-def _random_gl(rand: random.Random, m: int) -> np.ndarray:
-    a = ratlin.reye(m)
-    for _ in range(3):
-        kind = rand.choice(("diag", "unip", "unip"))
-        f = ratlin.reye(m)
-        if kind == "diag":
-            for i in range(m):
-                f[i, i] = rand.choice(_DIAG_PALETTE)
-        else:
-            i = rand.randrange(m)
-            j = rand.randrange(m)
-            if i == j:
-                j = (j + 1) % m
-            f[i, j] = rand.choice(_OFFDIAG_PALETTE)
-        a = ratlin.matmul(a, f)
-    return a
-
-
-def _invert_exact(a: np.ndarray) -> np.ndarray:
-    m = a.shape[0]
-    aug = np.empty((m, 2 * m), dtype=object)
-    aug[:, :m] = a
-    aug[:, m:] = ratlin.reye(m)
-    red, pivots = ratlin.rref(aug)
-    if pivots[:m] != list(range(m)):
-        raise ValueError("matrix not invertible")
-    return red[:, m:]
 
 
 # ---------------------------------------------------------- family specs
@@ -449,19 +480,6 @@ def _general_linear_basis(n: int):
     return basis, grades
 
 
-def _orthogonal_l_action(rand: random.Random, m: int):
-    a = _random_gl(rand, m)
-    at = a.T
-    return lambda block: ratlin.matmul(ratlin.matmul(a, block), at)
-
-
-def _general_linear_l_action(rand: random.Random, m: int):
-    p = _random_gl(rand, m)
-    pinv = _invert_exact(p)
-    q = _random_gl(rand, m)
-    return lambda block: ratlin.matmul(ratlin.matmul(q, block), pinv)
-
-
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise dot product sum_i a[n, i] b[n, i]."""
     return np.einsum("ni,ni->n", a, b)
@@ -497,6 +515,8 @@ class ModelSpec:
     Sampling: sample_units draws unit rows (u, v) of the invariant measure
     on O', whose point has nbar coordinates c_k = sum val u_r v_c over the
     entries (r, c, val) of e_k's nbar block; M = K cap L acts on u and v.
+    Everything else, the exact L action and the forms included, GradedModel
+    derives from the basis.
     """
 
     basis: Callable            # block size -> (basis, grades): nbar, l, n
@@ -504,7 +524,6 @@ class ModelSpec:
     nbar_upper: bool
     nu_weights: tuple          # nu = w0 tr(upper-left) + w1 tr(lower-right)
     y_entries: Callable        # j -> ((row, col, value), ...) in y_j's nbar block
-    l_action: Callable         # (rand, block size) -> exact L action on nbar blocks
     sample_units: Callable     # (rng, count, block size) -> rows (u, v)
     m_rotation_pair: Callable  # (r, r2) -> rotations acting on u and on v
 
@@ -517,7 +536,6 @@ SPECS = {
         nu_weights=(Fraction(-1, 2), ZERO),
         # y_j has nbar block B_j = [[0, -1], [1, 0]] at rows/columns 2j-2, 2j-1
         y_entries=lambda j: ((2 * j - 2, 2 * j - 1, -1), (2 * j - 1, 2 * j - 2, 1)),
-        l_action=_orthogonal_l_action,
         sample_units=_orthonormal_pairs,
         m_rotation_pair=lambda r, r2: (r, r)),
     Family.GL2N_R: ModelSpec(
@@ -526,7 +544,6 @@ SPECS = {
         # the torus data pinned by the rank-one measure pushforward
         nu_weights=(Fraction(1, 2), Fraction(-1, 2)),
         y_entries=lambda j: ((j - 1, j - 1, 1),),
-        l_action=_general_linear_l_action,
         sample_units=_unit_pairs,
         # l = (P, Q) moves n-side blocks as B -> P B Q^T
         m_rotation_pair=lambda r, r2: (r, r2)),

@@ -49,7 +49,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -64,13 +63,11 @@ from .reports import QuadratureError, VerificationReport
 
 @dataclass
 class OrbitPoint:
-    """A point of O_1: the matrix, its radius and unit-sphere part."""
+    """A point of O_1: the matrix and its radius."""
 
     y: np.ndarray
     radius: float
-    unit_part: np.ndarray
     exact: bool
-    radius_sq: Fraction | float
 
     def membership_residual(self, m: liealg.GradedModel):
         """[[y, theta y], y] - 2 <y, theta y> y; exactly zero on O_1.
@@ -119,21 +116,18 @@ def radial_measure(m: liealg.GradedModel) -> RadialMeasure:
 # ------------------------------------------------------------ exact points
 
 def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
-    """Exact rational orbit points Ad(l) y_1; the first point is y_1 itself."""
+    """Exact rational orbit points Ad(g) y_1; the first point is y_1 itself.
+
+    Each g is an m.random_l_action on nbar coordinates c; a point is the
+    matrix of its c, of radius sqrt(sum c_k^2) (the nbar basis is orthonormal).
+    """
     rand = random.Random(seed)
-    y1 = m.triples[0].y
+    y1 = m.coords(m.triples[0].y)
     points = []
     for i in range(count):
-        if i == 0:
-            y = y1
-        else:
-            act = m.random_l_action(rand)
-            y = m.embed(act(m.block(y1, -1)), -1)
-        rad_sq = -m.pair(y, m.theta(y))
-        radius = math.sqrt(float(rad_sq))
-        unit = np.array([[float(v) for v in row] for row in y]) / radius
-        points.append(OrbitPoint(y=y, radius=radius, unit_part=unit,
-                                 exact=True, radius_sq=rad_sq))
+        coords = y1 if i == 0 else m.random_l_action(rand)(y1)
+        radius = math.sqrt(float(sum(c * c for c in coords.values())))
+        points.append(OrbitPoint(y=m.element(coords), radius=radius, exact=True))
     return points
 
 
@@ -294,11 +288,7 @@ def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint
     """Unit-sphere orbit points from the invariance-targeting base sampler."""
     be = FloatBackend(m)
     mats = be.matrices(be.sample_units(np.random.default_rng(seed), count), np.ones(count))
-    out = []
-    for i in range(count):
-        out.append(OrbitPoint(y=mats[i], radius=1.0, unit_part=mats[i],
-                              exact=False, radius_sq=1.0))
-    return out
+    return [OrbitPoint(y=y, radius=1.0, exact=False) for y in mats]
 
 
 # ------------------------------------------------------ pairings as forms
@@ -534,8 +524,7 @@ def l2_radial_integral(tau, radial_exp: int) -> float:
 def l2_norm_g_tau(m: liealg.GradedModel) -> float:
     """Radial factor of ||g_tau||^2 on L^2(O_1); the base mass is reported
     separately by radial_measure and multiplies this value."""
-    tau = Fraction(m.d - m.e - 1, 2)
-    return l2_radial_integral(tau, m.d * m.n - 1)
+    return l2_radial_integral(m.tau, m.d * m.n - 1)
 
 
 # ----------------------------------------------------------- Fourier side
@@ -591,12 +580,11 @@ def fourier_phi_many(m: liealg.GradedModel, xs, samples: int = 10 ** 5,
     if samples < MIN_FOURIER_SAMPLES:
         raise ValueError(f"need at least {MIN_FOURIER_SAMPLES} samples")
     be = FloatBackend(m)
-    tau = Fraction(m.d - m.e - 1, 2)
     rng = np.random.default_rng(seed)
     pairs = samples // 2
     c = be.sample_units(rng, pairs)
     w, weight = be.sample_radii(rng, pairs)
-    amp = weight * bessel.radial_profile_at(tau, w)
+    amp = weight * bessel.radial_profile_at(m.tau, w)
     out = []
     for x in xs:
         phase = w * (c @ be.linear_form(x))

@@ -31,13 +31,6 @@ def rzeros(shape) -> np.ndarray:
     return out
 
 
-def reye(n: int) -> np.ndarray:
-    out = rzeros((n, n))
-    for i in range(n):
-        out[i, i] = 1
-    return out
-
-
 def is_zero_matrix(a: np.ndarray) -> bool:
     return not np.any(a)
 

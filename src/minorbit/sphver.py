@@ -21,7 +21,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bessel, liealg, orbit, ratlin
+from . import bessel, catalog, liealg, orbit, ratlin
 from .reports import VerificationReport
 
 ZERO = Fraction(0)
@@ -101,7 +101,7 @@ class CrownAssembly:
 
     @property
     def tau(self) -> Fraction:
-        return Fraction(self.d - self.e - 1, 2)
+        return catalog.tau(catalog.Multiplicities(self.d, self.e))
 
 
 def assemble_crown(m: liealg.GradedModel | None = None, d: int | None = None,
@@ -236,7 +236,7 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     vanish within sigma_gate standard errors for the true radial order, and
     tau_shift perturbs the order to exercise the detection power.
     """
-    tau = Fraction(m.d - m.e - 1, 2) + tau_shift
+    tau = m.tau + tau_shift
     report = VerificationReport("spherical_direct", meta={
         "family": m.family.value, "n": m.n, "tau": tau,
         "tau_shift": tau_shift, "samples": samples, "seed": seed})

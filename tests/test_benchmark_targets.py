@@ -30,3 +30,13 @@ def test_every_tracing_target_resolves():
             if owner is None or not callable(vars(owner).get(member)):
                 missing.append(f"{layer}.{attr}")
     assert not missing, missing
+
+
+def test_every_traced_metric_names_a_target():
+    # a metric over an unwrapped name would silently read 0
+    tracing = _load_tracing()
+    wrapped = {f"{layer}.{attr}" for layer, names in tracing.TARGETS.items()
+               for attr in names}
+    named = [name for group in tracing.GROUP_TIMES.values() for name in group]
+    named += list(tracing.CALL_COUNTS.values()) + list(tracing.CONSTANTS)
+    assert set(named) <= wrapped, sorted(set(named) - wrapped)

@@ -53,6 +53,12 @@ def test_k0_at_two_against_quadrature():
     assert math.isclose(val, mp_bessel_k(0.0, 2.0), rel_tol=1e-10)
 
 
+def test_fast_method_is_rejected():
+    # no K skips the quadrature audit: "fast" is an unknown method
+    with pytest.raises(ValueError, match="unknown method"):
+        bessel.bessel_k(0.5, 1.0, method="fast")
+
+
 def test_domain_errors():
     with pytest.raises(ValueError):
         bessel.bessel_k(0.5, 0.0)

@@ -1,5 +1,8 @@
+import math
+import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minorbit import liealg, ratlin
@@ -201,3 +204,44 @@ def test_rank_four_exact_suites(family):
     assert liealg.casimir_omega_scalar(m) == 2
     rep = liealg.modular_character_check(m)
     assert rep.passed and all(c.residual == 0 for c in rep.checks)
+
+
+def test_unipotent_act_is_ambient_conjugation(all_models):
+    # Ad(1 + tE) Y = (1 + tE) Y (1 - tE) for E^2 = 0, residual exactly 0;
+    # with t = p/q the integer side is (q + pE) Y (q - pE) = q^2 Ad(1 + tE) Y.
+    # Y runs over the whole basis: on nbar the (t^2 / 2)(ad E)^2 term
+    # vanishes for both families, on l it does not.
+    for m in all_models:
+        assert m.nilpotent_l
+        one = np.eye(m.dim_ambient, dtype=np.int64)
+        stack = np.array(m.basis, dtype=np.int64)
+        for a in m.nilpotent_l:
+            e = stack[a]
+            assert not np.any(e @ e)
+            for t in liealg._OFFDIAG_PALETTE:
+                p, q = t.numerator, t.denominator
+                ambient = (q * one + p * e) @ stack @ (q * one - p * e)
+                for k in range(m.dim):
+                    image = m.element(m.unipotent_act(a, t, {k: 1}))
+                    assert ratlin.is_zero_matrix(q * q * image - ambient[k]), (m.family, a, t, k)
+
+
+def test_torus_act_is_ambient_conjugation(all_models):
+    # Ad(D) Y = D Y D^-1 with D = diag(prod_i s_i^(H_i)_rr), residual exactly 0
+    rand = random.Random(0)
+    for m in all_models:
+        hs = [np.diag(m.basis[a]) for a in m.torus.indices]
+        palette = liealg._DIAG_PALETTE
+        draws = [[palette[(i + shift) % len(palette)] for i in range(len(hs))]
+                 for shift in range(len(palette))]
+        draws += [[rand.choice(palette) for _ in hs] for _ in range(5)]
+        for s in draws:
+            diag = [math.prod(si ** int(h[r]) for si, h in zip(s, hs))
+                    for r in range(m.dim_ambient)]
+            for k in m.nbar_indices:
+                y = m.basis[k]
+                ambient = np.array([[diag[r] * y[r, c] / diag[c]
+                                     for c in range(m.dim_ambient)]
+                                    for r in range(m.dim_ambient)], dtype=object)
+                image = m.element(m.torus_act(s, {k: 1}))
+                assert ratlin.is_zero_matrix(image - ambient), (m.family, s, k)

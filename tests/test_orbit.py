@@ -1,3 +1,4 @@
+import inspect
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from minorbit import bessel, liealg, orbit, ratlin
+from minorbit import bessel, liealg, orbit, ratlin, sphver
 from minorbit.reports import QuadratureError, SpanError
 
 
@@ -22,6 +23,22 @@ def test_rational_orbit_points_exact(o2, gl2):
         for p in pts:
             assert p.exact
             assert ratlin.is_zero_matrix(p.membership_residual(m))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_kprime_points_span_nbar(family, n):
+    # the points verify_kprime draws by default lie in nbar and span it, so
+    # the k' certificate reaches every coordinate direction of O_1
+    params = inspect.signature(sphver.verify_kprime).parameters
+    samples, seed = params["samples"].default, params["seed"].default
+    m = liealg.build_model(family, n)
+    rows = []
+    for p in orbit.sample_orbit_rational(m, samples, seed):
+        coords = m.coords(p.y)
+        assert all(m.grades[k] == -1 for k in coords)
+        rows.append([coords.get(k, 0) for k in m.nbar_indices])
+    assert ratlin.rank(np.array(rows, dtype=object)) == m.dim_nbar
 
 
 def test_rational_orbit_determinism(o2):
