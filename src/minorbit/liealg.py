@@ -667,10 +667,23 @@ class LSubspace:
         flat = ratlin.matmul(np.array(self.coords, dtype=object), m.l_basis_flat)
         return list(flat.reshape(self.dim, m.dim_ambient, m.dim_ambient))
 
-    def contains(self, l_elt: np.ndarray) -> bool:
-        """The l-part of l_elt lies in the subspace."""
-        coords = self.model.coords(l_elt)
-        return self.echelon.contains([coords.get(k, 0) for k in self.model.l_indices])
+    @cached_property
+    def sparse(self) -> list[dict]:
+        """Each basis vector as sparse model coordinates {k: c}, k in l."""
+        l_idx = self.model.l_indices
+        return [{l_idx[i]: c for i, c in enumerate(row) if c} for row in self.coords]
+
+    def contains_coords(self, coords: dict) -> bool:
+        """The element with sparse model coordinates coords lies in the
+        subspace: no coordinate off l, and its l-part in the span."""
+        m = self.model
+        if any(m.grades[k] != 0 for k in coords):
+            return False
+        return self.echelon.contains([coords.get(k, 0) for k in m.l_indices])
+
+    def contains(self, elt: np.ndarray) -> bool:
+        """The matrix elt lies in the subspace."""
+        return self.contains_coords(self.model.coords(elt))
 
 
 def l_bracket_map(m: GradedModel, y: np.ndarray) -> np.ndarray:

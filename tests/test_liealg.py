@@ -120,6 +120,16 @@ def test_stabilizer_dimensions(o2, gl2):
     assert everything.dim == o2.dim_l
 
 
+def test_subspace_contains_rejects_elements_outside_l(o2):
+    # y_1 lies in nbar, so neither it nor h_2 + y_1 lies in s_1, though
+    # both have l-part in s_1 (0 and h_2)
+    y1, h2 = o2.triples[0].y, o2.triples[1].h
+    s1 = liealg.stabilizer_algebra(o2, y1)
+    assert s1.contains(h2)
+    assert not s1.contains(y1)
+    assert not s1.contains(h2 + y1)
+
+
 def test_stabilizer_scale_invariant(o2):
     y1 = o2.triples[0].y
     s1 = liealg.stabilizer_algebra(o2, y1)
@@ -162,9 +172,11 @@ def test_k1_linear_identity_on_basis(all_models):
             assert liealg.nu(m, m.bracket(ty1, y)) == m.pair(ty1, y)
 
 
-def test_kprime_identity_on_rational_orbit(o2, gl2):
+def test_kprime_identity_on_rational_orbit(o3, gl3):
+    # ranks 3 and 4; rank 2 is test_orbit.py::test_rational_orbit_points_exact
     from minorbit import orbit
-    for m in (o2, gl2):
+    rank4 = [liealg.build_model(f, 4) for f in (Family.O2N2N, Family.GL2N_R)]
+    for m in (o3, gl3, *rank4):
         for p in orbit.sample_orbit_rational(m, 25, seed=11):
             assert ratlin.is_zero_matrix(p.membership_residual(m))
 

@@ -1,3 +1,8 @@
+import dataclasses
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
 from minorbit import liealg, ratlin, tensor
@@ -62,3 +67,65 @@ def test_nilradical_shared_between_stabilizers(o3):
     assert rad_prime.dim == dec.u_k_dim
     assert ratlin.span_intersection_dim(
         rad_prime.coords, dec.nilradical.coords) == dec.u_k_dim
+
+
+@pytest.mark.parametrize("family,dims", [
+    (Family.O2N2N, {2: (10, 6), 3: (21, 9)}),     # Sp_2k(R) / [SL_2(R)]^k
+    (Family.GL2N_R, {2: (4, 2), 3: (9, 3)}),      # GL_k(R) / [GL_1(R)]^k
+], ids=["o2n2n", "gl2nR"])
+def test_rank4_audit_matches_catalog(family, dims):
+    m = liealg.build_model(family, 4)
+    for k, (g_dim, h_dim) in dims.items():
+        pair = dual_pair(get_class(family), k, n=4)
+        assert (pair.g_dim, pair.h_dim) == (g_dim, h_dim)
+        rep = tensor.audit_dual_pair(m, k)
+        assert rep.passed, rep.to_json()
+        assert (rep.meta["dims"]["g_k"], rep.meta["dims"]["h_k"]) == (g_dim, h_dim)
+        assert all(c.residual in (None, 0) for c in rep.checks)
+
+
+def _failed(rep, name):
+    check = next(c for c in rep.checks if c.name == name)
+    return not check.passed and check.residual > 0
+
+
+def _unclosed_pair(m, sub):
+    """Two basis vectors of sub whose bracket leaves their span."""
+    for a, b in itertools.combinations(sub.coords, 2):
+        pair = liealg.LSubspace(m, [a, b])
+        if not pair.contains_coords(m.bracket_coords(*pair.sparse)):
+            return pair
+    raise AssertionError("every pair of basis vectors closes")
+
+
+def test_invariants_fail_on_wrong_decompositions(o3):
+    dec = tensor.stabilizer_sk(o3, 2)
+    cases = [
+        (dataclasses.replace(dec, nilradical=dec.levi), "nilradical is an ideal of s_k"),
+        (dataclasses.replace(dec, l_k=dec.g_k), "[g_k, l_k] = 0"),     # sp_4 is not abelian
+        (dataclasses.replace(dec, levi=_unclosed_pair(o3, dec.levi)),
+         "levi closes under bracket"),
+    ]
+    for wrong, name in cases:
+        rep = tensor.decomposition_invariants(o3, wrong)
+        assert _failed(rep, name), rep.to_json()
+
+
+def _random_l_element(m, rand):
+    return {k: Fraction(rand.randint(-4, 4), rand.randint(1, 3))
+            for k in rand.sample(m.l_indices, 4)}
+
+
+@pytest.mark.parametrize("fixture", ["o3", "gl3"])
+def test_bracket_coords_match_dense_commutator(fixture, request):
+    # the dense matrix commutator is the oracle for the coordinate brackets
+    # that decomposition_invariants runs on
+    m = request.getfixturevalue(fixture)
+    dec = tensor.stabilizer_sk(m, 2)
+    rand = random.Random(7)
+    pairs = [(a, b) for a in dec.s_k.sparse for b in dec.nilradical.sparse]
+    pairs += [(a, b) for a in dec.levi.sparse for b in dec.levi.sparse]
+    pairs += [(_random_l_element(m, rand), _random_l_element(m, rand)) for _ in range(20)]
+    for a, b in pairs:
+        dense = ratlin.commutator(m.element(a), m.element(b))
+        assert m.coords(dense) == m.bracket_coords(a, b)
