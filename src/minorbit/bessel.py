@@ -193,10 +193,6 @@ def phi_radial(tau) -> RadialFunction:
     return RadialFunction(tau, lambda z: phi_tau(tau, z))
 
 
-def constant_radial(c: float) -> RadialFunction:
-    return RadialFunction(0, lambda z: (c, 0.0, 0.0))
-
-
 def apply_D(tau, f: RadialFunction, z: float) -> float:
     """Evaluate D f = 4 z f'' + 4 (tau + 1) f' - f at z."""
     return d_residual(tau, z, *f.eval(z))

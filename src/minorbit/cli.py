@@ -335,7 +335,8 @@ def cmd_tensor(args) -> int:
         return EXIT_USAGE
     family, n = model.family, model.n
     if not 2 <= args.k < n:
-        print(f"k={args.k} outside [2, {n})", file=sys.stderr)
+        reason = "so n=2 admits no k" if n == 2 else f"and k={args.k} is outside [2, {n})"
+        print(f"tensor audit needs 2 <= k < n, {reason}", file=sys.stderr)
         return EXIT_USAGE
     error = _unwritable(args.json)
     if error:

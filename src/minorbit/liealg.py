@@ -9,14 +9,17 @@ layout and its unit sampler:
 * split general linear model: gl_2n with l the two diagonal n x n blocks,
   n the upper-right block and nbar the lower-left block.
 
-Basis matrices have entries 0 or +-1, so structure constants, brackets and
-trace products are computed on Python integers (the form is an integer
-trace times form_scale), and every identity asserted here has residual
-exactly 0.  The Monte Carlo layer in `orbit` evaluates the exact forms
-nbar_pairing, crown_tensor and torus on the nbar coordinates of samples.
-The exact L action (random_l_action) is read off the same tables for every
-family: unipotent factors 1 + tE from the l-basis elements with E^2 = 0, and
-torus factors from the torus weights.
+A family is its sparse basis entries ((r, c), +-1) on pairwise disjoint
+supports, its grades and its y_j entries.  Every exact computation runs on
+sparse coordinates {k: c} through integer tables built from the entries
+(ad, trace_gram, theta_perm); the form is an integer trace times
+form_scale, and every identity asserted here has residual exactly 0.
+Dense matrices are views (`element`, and `coords` back) for model_dump,
+the matrix-sample Jacobi and the float layer.  The Monte Carlo layer in `orbit`
+evaluates the exact forms nbar_pairing, crown_tensor and torus on the nbar
+coordinates of samples.  The exact L action (random_l_action) is read off
+the same tables for every family: unipotent factors 1 + tE from the
+l-basis elements with E^2 = 0, and torus factors from the torus weights.
 """
 
 from __future__ import annotations
@@ -43,14 +46,16 @@ _OFFDIAG_PALETTE = (Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2
 
 @dataclass(frozen=True)
 class SL2Triple:
+    """The j-th sl2 triple, each element as sparse coordinates {k: c}."""
+
     j: int
-    x: np.ndarray
-    y: np.ndarray
-    h: np.ndarray
+    x: dict
+    y: dict
+    h: dict
 
 
 class Torus(NamedTuple):
-    """The diagonal elements H_i = basis[indices[i]] of the l-basis, with
+    """The diagonal elements H_i = e_{indices[i]} of the l-basis, with
     [H_i, e_k] = weights[i, k] e_k on nbar and character[i] = 2d nu(H_i)."""
 
     indices: list
@@ -61,8 +66,9 @@ class Torus(NamedTuple):
 class GradedModel:
     """A graded Lie algebra model with integer basis and exact form.
 
-    Basis matrices have entries 0 or +-1, so brackets, structure constants
-    and trace products are integers; the form is form_scale times the
+    Elements are sparse coordinates {k: c} in the basis.  Basis elements
+    have entries +-1 on pairwise disjoint supports, so brackets, structure
+    constants and traces are integers; the form is form_scale times the
     integer trace.  The tables below are built on first use.
     """
 
@@ -82,23 +88,34 @@ class GradedModel:
 
         self.block_size = self.spec.block_per_rank * n
         self.dim_ambient = 2 * self.block_size
-        self.basis, self.grades = self.spec.basis(self.block_size)
-        self.nu_covector = np.array([self.nu_from_traces(b) for b in self.basis], dtype=object)
-        self.dim = len(self.basis)
+        self._sparse, self.grades = self.spec.basis(self.block_size)
+        self.dim = len(self._sparse)
         self.nbar_indices = [i for i, g in enumerate(self.grades) if g == -1]
         self.l_indices = [i for i, g in enumerate(self.grades) if g == 0]
         self.n_indices = [i for i, g in enumerate(self.grades) if g == 1]
-        self._sparse = [_to_sparse(b) for b in self.basis]
-        self._leads = self._build_lead_map()
+        self._owner = self._build_owner_map()
+        # nu_from_traces on the entries: a diagonal entry weighs nu_weights[0]
+        # in the upper-left block and nu_weights[1] in the lower-right one
+        weights = self.spec.nu_weights
+        b = self.block_size
+        self.nu_covector = np.array(
+            [sum((weights[r >= b] * v for (r, c), v in sp if r == c), ZERO)
+             for sp in self._sparse], dtype=object)
 
-    def _build_lead_map(self):
-        leads = {}
+    def _build_owner_map(self) -> dict:
+        """Entry position -> (basis index, entry value); raises
+        ModelInvariantError unless every entry is +-1 and no two basis
+        elements share an entry position."""
+        owner: dict = {}
         for k, sp in enumerate(self._sparse):
-            pos, val = sp[0]
-            if val not in (1, -1):
-                raise ModelInvariantError("basis lead entry is not +-1")
-            leads[pos] = (k, val)   # val is its own inverse
-        return leads
+            for pos, val in sp:
+                if val not in (1, -1):
+                    raise ModelInvariantError(f"basis element {k} has entry {val} at {pos}")
+                if pos in owner:
+                    raise ModelInvariantError(
+                        f"basis elements {owner[pos][0]} and {k} share the entry {pos}")
+                owner[pos] = (k, val)
+        return owner
 
     # -------------------------------------------------------------- layout
 
@@ -139,53 +156,46 @@ class GradedModel:
     def dim_l(self) -> int:
         return len(self.l_indices)
 
-    # -------------------------------------------------------------- algebra
+    def positions(self, k: int) -> list[tuple[int, int]]:
+        """The entry positions (r, c) of the basis element e_k."""
+        return [pos for pos, _ in self._sparse[k]]
 
-    def zero(self) -> np.ndarray:
-        return ratlin.rzeros((self.dim_ambient, self.dim_ambient))
+    # ------------------------------------------------------ dense views
 
-    def bracket(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return ratlin.commutator(x, y)
-
-    def theta(self, x: np.ndarray) -> np.ndarray:
-        return -x.T
+    def element(self, coords: dict) -> np.ndarray:
+        """The exact matrix with sparse coordinates {k: c}; inverse of coords."""
+        out = ratlin.rzeros((self.dim_ambient, self.dim_ambient))
+        for k, c in coords.items():
+            for pos, val in self._sparse[k]:
+                out[pos] += c * val
+        return out
 
     @cached_property
-    def form_scale(self) -> Fraction:
-        t = self.triples[0]
-        tr = ratlin.trace_product(t.x, t.y)
-        if tr == 0:
-            raise ModelInvariantError("degenerate normalization trace")
-        return Fraction(1, tr)
-
-    def pair(self, x: np.ndarray, y: np.ndarray) -> Fraction:
-        return self.form_scale * ratlin.trace_product(x, y)
+    def basis(self) -> list[np.ndarray]:
+        """The basis matrices, a dense view of the sparse entries."""
+        return [self.element({k: 1}) for k in range(self.dim)]
 
     def coords(self, x: np.ndarray) -> dict:
-        """Sparse coordinates {k: c} of x in the model basis; SpanError when
-        x is outside the span."""
+        """Sparse coordinates {k: c} of the matrix x in the model basis;
+        SpanError when x is outside the span."""
         rows, cols = np.nonzero(x)
         return self._coords_of(dict(zip(zip(rows.tolist(), cols.tolist()),
                                         x[rows, cols].tolist())))
 
     def _coords_of(self, entries: dict) -> dict:
-        """Sparse coordinates of the matrix with nonzero entries {(r, c): v}."""
-        coords = {}
+        """Sparse coordinates of the matrix with nonzero entries {(r, c): v}.
+
+        Supports are disjoint, so the matrix is in the span exactly when
+        every entry has an owner, the entries of one owner give one
+        coefficient, and no owner misses an entry."""
+        coords: dict = {}
         for pos, v in entries.items():
-            lead = self._leads.get(pos)
-            if lead is not None:
-                coords[lead[0]] = v * lead[1]
-        # subtract the reconstruction and demand an exactly zero remainder
-        rest = dict(entries)
-        for k, ck in coords.items():
-            for pos, val in self._sparse[k]:
-                newv = rest.get(pos, 0) - ck * val
-                if newv == 0:
-                    rest.pop(pos, None)
-                else:
-                    rest[pos] = newv
-        if rest:
-            raise SpanError(f"element outside model span (remainder at {sorted(rest)[:4]})")
+            k, val = self._owner.get(pos, (None, 0))
+            # val is +-1, so the coefficient v / val is v * val
+            if k is None or coords.setdefault(k, v * val) != v * val:
+                raise SpanError(f"element outside model span (entry at {pos})")
+        if sum(len(self._sparse[k]) for k in coords) != len(entries):
+            raise SpanError("element outside model span (an entry is missing)")
         return coords
 
     # -------------------------------------------------------------- triples
@@ -193,54 +203,68 @@ class GradedModel:
     @cached_property
     def triples(self) -> list[SL2Triple]:
         out = []
+        r0, c0 = (0, self.block_size) if self.spec.nbar_upper else (self.block_size, 0)
         for j in range(1, self.n + 1):
-            y = self._y_matrix(j)
-            x = -self.theta(y)
-            h = self.bracket(x, y)
-            out.append(SL2Triple(j, x, y, h))
+            y = self._coords_of({(r0 + r, c0 + c): val for r, c, val in self.spec.y_entries(j)})
+            x = {k: -c for k, c in self.theta(y).items()}
+            out.append(SL2Triple(j, x, y, self.bracket(x, y)))
         return out
 
-    def _y_matrix(self, j: int) -> np.ndarray:
-        block = ratlin.rzeros((self.block_size, self.block_size))
-        for r, c, val in self.spec.y_entries(j):
-            block[r, c] = val
-        return self.embed(block, -1)
-
     @property
-    def grading_element(self) -> np.ndarray:
-        h = self.zero()
-        for t in self.triples:
-            h = h + t.h
-        return h
+    def grading_element(self) -> dict:
+        return combine(*((1, t.h) for t in self.triples))
 
     # ------------------------------------------------------------ theta/perm
 
     @cached_property
     def theta_perm(self) -> list[tuple[int, int]]:
-        """theta basis-to-basis: theta(e_k) = sign * e_target."""
+        """theta basis-to-basis, theta(x) = -x^T: theta(e_k) = sign * e_target."""
         perm = []
-        for k in range(self.dim):
-            nz = list(self.coords(self.theta(self.basis[k])).items())
+        for sp in self._sparse:
+            nz = list(self._coords_of({(c, r): -v for (r, c), v in sp}).items())
             if len(nz) != 1 or abs(nz[0][1]) != 1:
                 raise ModelInvariantError("theta is not signed-permutation on this basis")
             perm.append(nz[0])
         return perm
+
+    def theta(self, x: dict) -> dict:
+        perm = self.theta_perm
+        return {perm[k][0]: perm[k][1] * c for k, c in x.items()}
 
     # ----------------------------------------------------------- form tables
 
     @cached_property
     def trace_gram(self) -> np.ndarray:
         """Integer Gram matrix tr(e_i e_j); the form is form_scale times it."""
-        at: dict = {}
-        for j, sp in enumerate(self._sparse):
-            for pos, w in sp:
-                at.setdefault(pos, []).append((j, w))
         g = ratlin.rzeros((self.dim, self.dim))
         for i, sp in enumerate(self._sparse):
             for (r, c), v in sp:
-                for j, w in at.get((c, r), ()):
+                j, w = self._owner.get((c, r), (None, 0))
+                if w:
                     g[i, j] += v * w
         return g
+
+    def trace(self, x: dict, y: dict):
+        """tr(x y) for sparse coordinates x and y; an int on integer ones."""
+        total = 0
+        for i, a in x.items():
+            for (r, c), v in self._sparse[i]:
+                j, w = self._owner.get((c, r), (None, 0))
+                b = y.get(j)
+                if b:
+                    total += a * b * v * w
+        return total
+
+    @cached_property
+    def form_scale(self) -> Fraction:
+        t = self.triples[0]
+        tr = self.trace(t.x, t.y)
+        if tr == 0:
+            raise ModelInvariantError("degenerate normalization trace")
+        return Fraction(1, tr)
+
+    def pair(self, x: dict, y: dict) -> Fraction:
+        return self.form_scale * self.trace(x, y)
 
     @cached_property
     def l_gram(self) -> np.ndarray:
@@ -259,11 +283,6 @@ class GradedModel:
             tj, sj = self.theta_perm[j]
             out[:, b] = -sj * self.trace_gram[idx, tj]
         return out
-
-    @cached_property
-    def l_basis_flat(self) -> np.ndarray:
-        """The l basis matrices as the flattened rows of one integer matrix."""
-        return np.array([self.basis[k].ravel() for k in self.l_indices], dtype=object)
 
     @cached_property
     def table(self) -> dict:
@@ -285,7 +304,7 @@ class GradedModel:
     def table_entry(self, i: int, j: int) -> dict:
         return self.ad[i].get(j, {})
 
-    def bracket_coords(self, x: dict, y: dict) -> dict:
+    def bracket(self, x: dict, y: dict) -> dict:
         """Sparse coordinates of [x, y] for sparse coordinates x and y."""
         out: dict = {}
         ad = self.ad
@@ -309,15 +328,14 @@ class GradedModel:
     def crown_tensor(self) -> np.ndarray:
         """T[a, k, l] = <e_a, [[theta e_k, y_1], e_l]> for e_a in n and e_k,
         e_l in nbar: <x, [[theta y, y_1], y]> = c^T (sum_a x_a T[a]) c."""
-        y1 = self.coords(self.triples[0].y)
+        y1 = self.triples[0].y
         nbar = self.nbar_indices
         place = {k: kk for kk, k in enumerate(nbar)}
         out = ratlin.rzeros((len(self.n_indices), len(nbar), len(nbar)))
         for kk, k in enumerate(nbar):
-            tk, sk = self.theta_perm[k]
-            inner = self.bracket_coords({tk: sk}, y1)
+            inner = self.bracket(self.theta({k: 1}), y1)
             for ll, l in enumerate(nbar):
-                for j, cj in self.bracket_coords(inner, {l: 1}).items():
+                for j, cj in self.bracket(inner, {l: 1}).items():
                     out[:, kk, ll] += cj * self.nbar_pairing[:, place[j]]
         return out
 
@@ -339,9 +357,9 @@ class GradedModel:
 
     @cached_property
     def nilpotent_l(self) -> list[int]:
-        """The l-basis elements E with E^2 = 0, checked exactly."""
-        return [a for a in self.l_indices
-                if ratlin.is_zero_matrix(ratlin.matmul(self.basis[a], self.basis[a]))]
+        """The l-basis elements E with E^2 = 0, checked exactly on their
+        entries."""
+        return [a for a in self.l_indices if _squares_to_zero(self._sparse[a])]
 
     @cached_property
     def _torus_support(self) -> dict:
@@ -353,10 +371,10 @@ class GradedModel:
     def unipotent_act(self, a: int, t: Fraction, y: dict) -> dict:
         """Ad(1 + t e_a) y = y + t [e_a, y] + (t^2 / 2) [e_a, [e_a, y]] on
         sparse coordinates, for a in nilpotent_l (so e_a^2 = 0)."""
-        once = self.bracket_coords({a: 1}, y)
+        once = self.bracket({a: 1}, y)
         out = dict(y)
         _acc_coeff(out, once, t)
-        _acc_coeff(out, self.bracket_coords({a: 1}, once), t * t / 2)
+        _acc_coeff(out, self.bracket({a: 1}, once), t * t / 2)
         return out
 
     def torus_act(self, s: list, y: dict) -> dict:
@@ -393,23 +411,19 @@ class GradedModel:
             return y
         return act
 
-    def element(self, coords: dict) -> np.ndarray:
-        """The exact matrix with sparse coordinates {k: c}; inverse of coords."""
-        out = self.zero()
-        for k, c in coords.items():
-            for pos, val in self._sparse[k]:
-                out[pos] += c * val
-        return out
+
+def combine(*terms) -> dict:
+    """sum_i c_i x_i over the terms (c_i, x_i), x_i sparse coordinates;
+    zero coefficients are dropped."""
+    out: dict = {}
+    for c, x in terms:
+        _acc_coeff(out, x, c)
+    return out
 
 
 # ------------------------------------------------------------------ sparse
 
 _EMPTY: dict = {}   # read-only stand-in for a missing sparse column
-
-
-def _to_sparse(mat: np.ndarray):
-    rows, cols = np.nonzero(mat)
-    return list(zip(zip(rows.tolist(), cols.tolist()), mat[rows, cols].tolist()))
 
 
 def _sparse_bracket(a, b) -> dict:
@@ -425,59 +439,36 @@ def _sparse_bracket(a, b) -> dict:
     return {k: v for k, v in out.items() if v != 0}
 
 
+def _squares_to_zero(a) -> bool:
+    """The matrix with entries a squares to zero."""
+    out: dict = {}
+    for (r1, c1), v1 in a:
+        for (r2, c2), v2 in a:
+            if c1 == r2:
+                out[r1, c2] = out.get((r1, c2), 0) + v1 * v2
+    return not any(out.values())
+
+
 # ---------------------------------------------------------- family specs
 
 def _orthogonal_basis(m: int):
-    """Split so(2m, 2m): nbar upper-right skew, l = gl_m, n lower-left skew."""
-    basis, grades = [], []
+    """Split so(2m, 2m): nbar upper-right skew, l = gl_m, n lower-left skew.
+    Each basis element is its entries [((r, c), +-1)] in row-major order."""
     nbar_pairs = [(r, c) for r in range(m) for c in range(r + 1, m)]
-    for r, c in nbar_pairs:
-        mat = ratlin.rzeros((2 * m, 2 * m))
-        mat[r, m + c] = 1
-        mat[c, m + r] = -1
-        basis.append(mat)
-        grades.append(-1)
-    for i in range(m):
-        for j in range(m):
-            mat = ratlin.rzeros((2 * m, 2 * m))
-            mat[i, j] += 1
-            mat[m + j, m + i] -= 1
-            basis.append(mat)
-            grades.append(0)
-    for r, c in nbar_pairs:
-        mat = ratlin.rzeros((2 * m, 2 * m))
-        mat[m + r, c] = 1
-        mat[m + c, r] = -1
-        basis.append(mat)
-        grades.append(1)
-    return basis, grades
+    nbar = [[((r, m + c), 1), ((c, m + r), -1)] for r, c in nbar_pairs]
+    levi = [[((i, j), 1), ((m + j, m + i), -1)] for i in range(m) for j in range(m)]
+    n_part = [[((m + r, c), 1), ((m + c, r), -1)] for r, c in nbar_pairs]
+    return nbar + levi + n_part, [-1] * len(nbar) + [0] * len(levi) + [1] * len(n_part)
 
 
 def _general_linear_basis(n: int):
-    """gl_2n: nbar lower-left, l = gl_n + gl_n (blocks A, D), n upper-right."""
-    basis, grades = [], []
-    nbar_pairs = [(i, j) for i in range(n) for j in range(n)]
-    for i, j in nbar_pairs:
-        mat = ratlin.rzeros((2 * n, 2 * n))
-        mat[n + i, j] = 1
-        basis.append(mat)
-        grades.append(-1)
-    l_pairs = [("A", i, j) for i in range(n) for j in range(n)]
-    l_pairs += [("D", i, j) for i in range(n) for j in range(n)]
-    for tag, i, j in l_pairs:
-        mat = ratlin.rzeros((2 * n, 2 * n))
-        if tag == "A":
-            mat[i, j] = 1
-        else:
-            mat[n + i, n + j] = 1
-        basis.append(mat)
-        grades.append(0)
-    for i, j in nbar_pairs:
-        mat = ratlin.rzeros((2 * n, 2 * n))
-        mat[i, n + j] = 1
-        basis.append(mat)
-        grades.append(1)
-    return basis, grades
+    """gl_2n: nbar lower-left, l = gl_n + gl_n (blocks A, D), n upper-right.
+    Each basis element is its one entry [((r, c), 1)]."""
+    pairs = [(i, j) for i in range(n) for j in range(n)]
+    nbar = [[((n + i, j), 1)] for i, j in pairs]
+    levi = [[((i, j), 1)] for i, j in pairs] + [[((n + i, n + j), 1)] for i, j in pairs]
+    n_part = [[((i, n + j), 1)] for i, j in pairs]
+    return nbar + levi + n_part, [-1] * len(nbar) + [0] * len(levi) + [1] * len(n_part)
 
 
 def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -519,7 +510,7 @@ class ModelSpec:
     derives from the basis.
     """
 
-    basis: Callable            # block size -> (basis, grades): nbar, l, n
+    basis: Callable            # block size -> (entries, grades): nbar, l, n
     block_per_rank: int
     nbar_upper: bool
     nu_weights: tuple          # nu = w0 tr(upper-left) + w1 tr(lower-right)
@@ -560,24 +551,25 @@ def build_model(family: Family | str, n: int) -> GradedModel:
 
 # ------------------------------------------------------ module operations
 
-def norm_nbar_sq(m: GradedModel, y: np.ndarray) -> Fraction:
-    if any(m.grades[k] != -1 for k in m.coords(y)):
+def norm_nbar_sq(m: GradedModel, y: dict) -> Fraction:
+    """-<y, theta y> for y in nbar, given by its sparse coordinates."""
+    if any(m.grades[k] != -1 for k in y):
         raise ValueError("element is not in nbar")
     radicand = -m.pair(y, m.theta(y))
     if radicand < 0:
         raise ModelInvariantError(f"negative radicand {radicand} on nbar")
     return radicand
 
-def norm_nbar(m: GradedModel, y: np.ndarray) -> float:
+def norm_nbar(m: GradedModel, y: dict) -> float:
     """|y| = sqrt(-<y, theta y>) for y in nbar."""
     return math.sqrt(float(norm_nbar_sq(m, y)))
 
 
-def nu(m: GradedModel, l_elt: np.ndarray) -> Fraction:
-    coords = m.coords(l_elt)
-    if any(m.grades[k] != 0 for k in coords):
+def nu(m: GradedModel, l_elt: dict) -> Fraction:
+    """nu of the l element with sparse coordinates l_elt."""
+    if any(m.grades[k] != 0 for k in l_elt):
         raise ValueError("element is not in l")
-    return sum((m.nu_covector[k] * c for k, c in coords.items()), ZERO)
+    return sum((m.nu_covector[k] * c for k, c in l_elt.items()), ZERO)
 
 
 def theta_eigenbasis_of_l(m: GradedModel):
@@ -633,7 +625,7 @@ def casimir_omega_scalar(m: GradedModel) -> Fraction:
     for k in m.n_indices:
         acc: dict = {}
         for v, w in zip(vectors, weights):
-            _acc_coeff(acc, m.bracket_coords(v, m.bracket_coords(v, {k: 1})), w)
+            _acc_coeff(acc, m.bracket(v, m.bracket(v, {k: 1})), w)
         if acc.keys() - {k}:
             raise ModelInvariantError("Casimir-type operator is not scalar on n")
         ratio = Fraction(acc.get(k, 0), den)
@@ -661,11 +653,8 @@ class LSubspace:
         return ratlin.Echelon.of(self.coords)
 
     def matrices(self) -> list[np.ndarray]:
-        if not self.coords:
-            return []
-        m = self.model
-        flat = ratlin.matmul(np.array(self.coords, dtype=object), m.l_basis_flat)
-        return list(flat.reshape(self.dim, m.dim_ambient, m.dim_ambient))
+        """Dense views of the basis vectors."""
+        return [self.model.element(s) for s in self.sparse]
 
     @cached_property
     def sparse(self) -> list[dict]:
@@ -673,7 +662,7 @@ class LSubspace:
         l_idx = self.model.l_indices
         return [{l_idx[i]: c for i, c in enumerate(row) if c} for row in self.coords]
 
-    def contains_coords(self, coords: dict) -> bool:
+    def contains(self, coords: dict) -> bool:
         """The element with sparse model coordinates coords lies in the
         subspace: no coordinate off l, and its l-part in the span."""
         m = self.model
@@ -681,23 +670,19 @@ class LSubspace:
             return False
         return self.echelon.contains([coords.get(k, 0) for k in m.l_indices])
 
-    def contains(self, elt: np.ndarray) -> bool:
-        """The matrix elt lies in the subspace."""
-        return self.contains_coords(self.model.coords(elt))
 
-
-def l_bracket_map(m: GradedModel, y: np.ndarray) -> np.ndarray:
-    """Integer matrix of h -> [h, y] on l: column a holds the coordinates
-    of [e, y] for the a-th basis element e of l."""
-    yc = m.coords(y)
+def l_bracket_map(m: GradedModel, y: dict) -> np.ndarray:
+    """Integer matrix of h -> [h, y] on l for y given by sparse coordinates:
+    column a holds the coordinates of [e, y] for the a-th basis element e
+    of l."""
     out = ratlin.rzeros((m.dim, m.dim_l))
     for col, a in enumerate(m.l_indices):
-        for k, c in m.bracket_coords({a: 1}, yc).items():
+        for k, c in m.bracket({a: 1}, y).items():
             out[k, col] = c
     return out
 
 
-def stabilizer_algebra(m: GradedModel, y: np.ndarray) -> LSubspace:
+def stabilizer_algebra(m: GradedModel, y: dict) -> LSubspace:
     """Exact kernel {h in l : [h, y] = 0}."""
     return LSubspace(m, ratlin.nullspace(l_bracket_map(m, y)))
 
@@ -725,10 +710,9 @@ def modular_character_check(m: GradedModel) -> VerificationReport:
         if not s1.contains(a):
             report.add(f"h_{t.j} in s1", False, detail="expected h_j in stabilizer")
             continue
-        ac = m.coords(a)
         trace = 0
         for row, pc in zip(ech.rows, ech.pivots):
-            img = m.bracket_coords(ac, {l_idx[i]: v for i, v in enumerate(row) if v})
+            img = m.bracket(a, {l_idx[i]: v for i, v in enumerate(row) if v})
             vec = [img.get(k, 0) for k in l_idx]
             if not ech.contains(vec):
                 report.add(f"ad(h_{t.j}) preserves s1", False)
@@ -749,7 +733,9 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
 
     Jacobi and invariance run on the sparse integer ad tables, as
     ad[e_i, e_j] = [ad e_i, ad e_j] and ad(e_z)^T G + G ad(e_z) = 0 with G
-    the integer trace Gram.
+    the integer trace Gram; the sl2 and grading-element checks run on
+    coordinates through the same bracket.  Only the matrix-sample Jacobi
+    bypasses the tables: it brackets the basis matrices as a @ b - b @ a.
     """
     report = VerificationReport("structural", meta={
         "family": m.family.value, "n": m.n,
@@ -774,15 +760,18 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     report.add("jacobi identity (all basis triples)", bad == 0, residual=bad,
                detail=f"{dim * dim * (dim - 1) // 2} triples")
 
-    # independent matrix-level sample, bypassing the structure table
+    # independent matrix-level sample, bypassing the structure table; int64
+    # is exact: the entries of the basis matrices are 0 or +-1, so no entry
+    # of the sum below exceeds 12 N^2 for N = dim_ambient <= 24
     rand = random.Random(rand_seed)
     count = 200 if dim <= 30 else 100
+    stack = np.array(m.basis, dtype=np.int64)
     bad = 0
     for _ in range(count):
-        a, b, c = (m.basis[rand.randrange(dim)] for _ in range(3))
-        jac = (m.bracket(a, m.bracket(b, c))
-               + m.bracket(b, m.bracket(c, a))
-               + m.bracket(c, m.bracket(a, b)))
+        a, b, c = (stack[rand.randrange(dim)] for _ in range(3))
+        jac = (_matrix_bracket(a, _matrix_bracket(b, c))
+               + _matrix_bracket(b, _matrix_bracket(c, a))
+               + _matrix_bracket(c, _matrix_bracket(a, b)))
         if not ratlin.is_zero_matrix(jac):
             bad += 1
     report.add("jacobi identity (matrix sample)", bad == 0, residual=bad, samples=count)
@@ -829,13 +818,14 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     report.add("n x nbar pairing nondegenerate", sub_rank == len(nn),
                residual=len(nn) - sub_rank)
 
+    # coordinate dicts hold no zero coefficient, so == is exact equality
     bad = []
     for t in m.triples:
-        if not ratlin.is_zero_matrix(m.bracket(t.h, t.x) - 2 * t.x):
+        if m.bracket(t.h, t.x) != combine((2, t.x)):
             bad.append(f"[h,x] j={t.j}")
-        if not ratlin.is_zero_matrix(m.bracket(t.h, t.y) + 2 * t.y):
+        if m.bracket(t.h, t.y) != combine((-2, t.y)):
             bad.append(f"[h,y] j={t.j}")
-        if not ratlin.is_zero_matrix(m.bracket(t.x, t.y) - t.h):
+        if m.bracket(t.x, t.y) != t.h:
             bad.append(f"[x,y] j={t.j}")
     for a in m.triples:
         for b in m.triples:
@@ -843,7 +833,7 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
                 continue
             for u in (a.x, a.y, a.h):
                 for v in (b.x, b.y, b.h):
-                    if not ratlin.is_zero_matrix(m.bracket(u, v)):
+                    if m.bracket(u, v):
                         bad.append(f"triples {a.j},{b.j} do not commute")
     report.add("sl2 triple relations", not bad, residual=len(bad),
                detail="; ".join(bad[:3]))
@@ -851,10 +841,10 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     h = m.grading_element
     bad = 0
     for k in nbar:
-        if not ratlin.is_zero_matrix(m.bracket(h, m.basis[k]) + 2 * m.basis[k]):
+        if m.bracket(h, {k: 1}) != {k: -2}:
             bad += 1
     for k in nn:
-        if not ratlin.is_zero_matrix(m.bracket(h, m.basis[k]) - 2 * m.basis[k]):
+        if m.bracket(h, {k: 1}) != {k: 2}:
             bad += 1
     report.add("(ad h) = -2 on nbar, +2 on n", bad == 0, residual=bad)
 
@@ -927,6 +917,10 @@ def _invariance_defects(m: GradedModel) -> int:
     return bad
 
 
+def _matrix_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return a @ b - b @ a
+
+
 def _acc_coeff(acc: dict, entry: dict, scale):
     for k, c in entry.items():
         v = acc.get(k, 0) + scale * c
@@ -946,8 +940,8 @@ def model_dump(m: GradedModel) -> dict:
         return [[frac_str(mat[r, c]) for c in range(m.dim_ambient)]
                 for r in range(m.dim_ambient)]
 
-    def coords_map(mat: np.ndarray) -> dict:
-        return {str(k): frac_str(c) for k, c in sorted(m.coords(mat).items())}
+    def coords_map(coords: dict) -> dict:
+        return {str(k): frac_str(c) for k, c in sorted(coords.items())}
 
     return {
         "family": m.family.value,

@@ -32,7 +32,11 @@ elements l, and the work that depends on neither is done once per stream:
   each diagonal l pays only for one matrix-vector product.
 
 A sample is kept as the nbar coordinates c of its unit part; every pairing,
-radius and torus action is a form in c built exactly from the model.
+radius and torus action is a form in c built exactly from the model.  The
+exact orbit points of sample_orbit_rational are sparse nbar coordinates
+too, and their membership residual runs through the model's integer
+bracket and trace tables; only the float points of sample_base are
+matrices.
 
 The measure checks and the spherical grid never form an integrand over the
 whole stream.  They evaluate it on contiguous slices of CHUNK samples, small
@@ -49,6 +53,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 from typing import Callable
 
@@ -63,27 +68,32 @@ from .reports import QuadratureError, VerificationReport
 
 @dataclass
 class OrbitPoint:
-    """A point of O_1: the matrix and its radius."""
+    """A point of O_1 and its radius: y is the point's sparse nbar
+    coordinates {k: c} when exact, its float matrix otherwise."""
 
-    y: np.ndarray
+    y: dict | np.ndarray
     radius: float
     exact: bool
 
     def membership_residual(self, m: liealg.GradedModel):
         """[[y, theta y], y] - 2 <y, theta y> y; exactly zero on O_1.
 
-        Exact points are written y = Y / den with Y integer, and the
-        residual is formed on Y over the common denominator
-        den^3 * denominator(form_scale), then divided once.
+        Exact points are written y = Y / den with Y integer coordinates,
+        and the residual is formed on Y through the integer tables over the
+        common denominator den^3 * denominator(form_scale), then divided
+        once; it is returned as sparse coordinates, empty on O_1.  Float
+        points give the float matrix residual.
         """
         y = self.y
         if self.exact:
-            yi, den, _ = ratlin.integer_matrix(y)
+            ints, den = ratlin.clear_denominators(list(y.values()))
+            yi = dict(zip(y, ints))
             th = m.theta(yi)
             p, q = m.form_scale.numerator, m.form_scale.denominator
-            lhs = q * m.bracket(m.bracket(yi, th), yi)
-            rhs = 2 * p * ratlin.trace_product(yi, th) * yi
-            return ratlin.divide(lhs - rhs, q * den ** 3)
+            res = liealg.combine((q, m.bracket(m.bracket(yi, th), yi)),
+                                 (-2 * p * m.trace(yi, th), yi))
+            scale = q * den ** 3
+            return {k: Fraction(v, scale) for k, v in res.items()}
         th = -y.T
         lhs = _fbracket(_fbracket(y, th), y)
         rhs = 2.0 * _fpair(m, y, th) * y
@@ -118,16 +128,16 @@ def radial_measure(m: liealg.GradedModel) -> RadialMeasure:
 def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
     """Exact rational orbit points Ad(g) y_1; the first point is y_1 itself.
 
-    Each g is an m.random_l_action on nbar coordinates c; a point is the
-    matrix of its c, of radius sqrt(sum c_k^2) (the nbar basis is orthonormal).
+    Each g is an m.random_l_action on nbar coordinates c; a point keeps its
+    c, of radius sqrt(sum c_k^2) (the nbar basis is orthonormal).
     """
     rand = random.Random(seed)
-    y1 = m.coords(m.triples[0].y)
+    y1 = m.triples[0].y
     points = []
     for i in range(count):
         coords = y1 if i == 0 else m.random_l_action(rand)(y1)
         radius = math.sqrt(float(sum(c * c for c in coords.values())))
-        points.append(OrbitPoint(y=m.element(coords), radius=radius, exact=True))
+        points.append(OrbitPoint(y=coords, radius=radius, exact=True))
     return points
 
 
@@ -153,7 +163,7 @@ class FloatBackend:
         # c_k = sum val u_r v_c over the entries (r, c, val = +-1) of e_k's block
         self._unit_entries = [(k, r, col, np.add if b[r, col] > 0 else np.subtract)
                               for k, b in enumerate(nbar_blocks) for r, col in zip(*np.nonzero(b))]
-        self.theta_y1_block = m.block(m.theta(m.triples[0].y), 1).astype(float)
+        self.theta_y1_block = m.block(m.element(m.theta(m.triples[0].y)), 1).astype(float)
 
     # -- sampling
 
@@ -280,7 +290,8 @@ class FloatBackend:
 
     def ray_blocks(self):
         """Three unit rays in n: the x_1 direction, x_2, and a mixture."""
-        b1, b2 = (self.model.block(t.x, 1).astype(float) for t in self.model.triples[:2])
+        m = self.model
+        b1, b2 = (m.block(m.element(t.x), 1).astype(float) for t in m.triples[:2])
         return {"e1": b1, "e2": b2, "mix": (b1 + b2) / math.sqrt(2.0)}
 
 

@@ -78,24 +78,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return divide(_product(ai, bi, ma * mb * ai.shape[-1]), da * db)
 
 
-def commutator(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Exact x @ y - y @ x: one common denominator, integer products, one
-    division."""
-    xi, dx, mx = integer_matrix(x)
-    yi, dy, my = integer_matrix(y)
-    bound = 2 * mx * my * xi.shape[-1]   # also caps the difference
-    return divide(_product(xi, yi, bound) - _product(yi, xi, bound), dx * dy)
-
-
-def trace_product(x: np.ndarray, y: np.ndarray):
-    """Exact tr(x @ y) without forming the product."""
-    xi, dx, _ = integer_matrix(x)
-    yi, dy, _ = integer_matrix(y)
-    total = int((xi * yi.T).sum())
-    den = dx * dy
-    return total if den == 1 else Fraction(total, den)
-
-
 # ------------------------------------------------------ fraction-free core
 
 def _integer_rows(mat) -> list[list[int]]:

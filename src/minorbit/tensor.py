@@ -9,11 +9,12 @@ the reductive elements annihilating every rank-k root space.  Dimensions of
 g_k and h_k then follow by subtraction and are audited against the closed
 forms of the catalog dual pairs.
 
-The structural invariants of a decomposition bracket basis vectors on their
-sparse l-coordinates through the integer ad table (bracket_coords), and test
-membership against each subspace's cached echelon form; no ambient matrix is
-formed.  The dense matrix commutator stays the oracle for these brackets in
-the tests.
+Everything runs on sparse coordinates: the bracket maps and the invariants
+bracket basis vectors through the integer ad table (GradedModel.bracket)
+and test membership against each subspace's cached echelon form, and the
+rank-k frame support and the split along it are read off the basis
+entries, whose supports are pairwise disjoint.  No ambient matrix is
+formed; the tests keep a dense oracle for the brackets and the split.
 
 Only dimensions are identified; no isomorphism testing is attempted, and the
 induction/Plancherel content behind the tensor-power decomposition is
@@ -104,18 +105,24 @@ def _b_orthocomplement(m: GradedModel, sub: LSubspace, inside: LSubspace) -> LSu
 
 
 def _triple_support(m: GradedModel, k: int) -> set[int]:
-    """Ambient coordinates touched by the rank-k triple data."""
+    """Ambient rows and columns touched by the rank-k triple data: the
+    entries of the basis elements in their coordinates, since disjoint
+    supports never cancel."""
     support: set[int] = set()
     for t in m.triples[:k]:
-        for mat in (t.x, t.y, t.h):
-            rows, cols = np.nonzero(mat)
-            support.update(rows.tolist())
-            support.update(cols.tolist())
+        for coords in (t.x, t.y, t.h):
+            for a in coords:
+                for r, c in m.positions(a):
+                    support.update((r, c))
     return support
 
 
 def _support_split(m: GradedModel, sub: LSubspace, support: set[int]):
     """Split a subspace into the parts supported inside and off the support.
+
+    The entry of a vector of sub at position p is +-1 times its coordinate
+    on the one basis element whose support holds p, so that element's
+    coordinate column constrains each part that must vanish at p.
 
     Returns (inside, outside); callers must check the split is direct, which
     certifies that the reductive part really is block-aligned with the
@@ -123,18 +130,15 @@ def _support_split(m: GradedModel, sub: LSubspace, support: set[int]):
     """
     if not sub.coords:
         return sub, sub
-    # column p holds entry p of each basis matrix
-    flat = np.array(sub.matrices(), dtype=object).reshape(sub.dim, -1)
-    amb = m.dim_ambient
     inside_rows, outside_rows = [], []
-    for p in range(flat.shape[1]):
-        col = flat[:, p]
-        if not np.any(col):
+    for i, a in enumerate(m.l_indices):
+        col = [row[i] for row in sub.coords]
+        if not any(col):
             continue
-        r, c = divmod(p, amb)
-        if r in support and c in support:
+        framed = [r in support and c in support for r, c in m.positions(a)]
+        if any(framed):
             outside_rows.append(col)      # must vanish for the outside part
-        else:
+        if not all(framed):
             inside_rows.append(col)       # must vanish for the inside part
     inside = _constrained(m, sub, inside_rows)
     outside = _constrained(m, sub, outside_rows)
@@ -192,7 +196,7 @@ def _bracket_defects(m: GradedModel, left: LSubspace, right: LSubspace,
                      target: LSubspace) -> int:
     """Number of basis pairs (a, b) of left x right whose bracket [a, b]
     lies outside target."""
-    return sum(not target.contains_coords(m.bracket_coords(a, b))
+    return sum(not target.contains(m.bracket(a, b))
                for a in left.sparse for b in right.sparse)
 
 
@@ -200,10 +204,9 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
     """Structural facts: direct sum, ideal property, isotropy, containments.
 
     Brackets run on the sparse l-coordinates of the basis vectors through
-    the integer ad table (GradedModel.bracket_coords), and membership is
-    read off each subspace's cached echelon form, with any coordinate off
-    l counting as outside; the tests keep the dense matrix commutator as
-    the oracle for these brackets.
+    the integer ad table (GradedModel.bracket), and membership is read off
+    each subspace's cached echelon form, with any coordinate off l counting
+    as outside; the tests keep a dense matrix bracket as the oracle.
     """
     report = VerificationReport("stabilizer_structure", meta={
         "family": m.family.value, "n": m.n, "k": dec.k, **dec.dims()})

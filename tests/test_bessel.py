@@ -84,8 +84,10 @@ def test_radial_operator_annihilates_phi():
 
 
 def test_radial_operator_on_constant():
-    f = bessel.constant_radial(1.0)
+    # D 1 = -1: the constant profile has value 1 and no derivatives
+    f = bessel.RadialFunction(0, lambda z: (1.0, 0.0, 0.0))
     assert bessel.apply_D(0.5, f, 2.3) == -1.0
+    assert bessel.d_residual(0.5, 2.3, 1.0, 0.0, 0.0) == -1.0
 
 
 def test_coefficient_identity():

@@ -125,9 +125,16 @@ def test_tensor_audit_cli(capsys, tmp_path):
 
 
 def test_tensor_audit_k_range(capsys):
+    # at n = 2 the range 2 <= k < n is empty, and the one-line diagnostic
+    # says so instead of naming the empty range [2, 2)
     code, _, err = run_cli(capsys, "tensor", "audit", "--model", "o2n2n",
                            "--n", "2", "--k", "2")
     assert code == cli.EXIT_USAGE
+    assert err.strip() == "tensor audit needs 2 <= k < n, so n=2 admits no k"
+    code, _, err = run_cli(capsys, "tensor", "audit", "--model", "o2n2n",
+                           "--n", "3", "--k", "3")
+    assert code == cli.EXIT_USAGE
+    assert err.strip() == "tensor audit needs 2 <= k < n, and k=3 is outside [2, 3)"
 
 
 def test_fourier_csv_decays_along_ray(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -7,7 +8,13 @@ import pytest
 
 from minorbit import liealg, ratlin
 from minorbit.catalog import Family
-from minorbit.reports import SpanError
+from minorbit.reports import ModelInvariantError, SpanError
+
+
+def _matrix_bracket(m, x, y):
+    """Dense oracle: the matrix a @ b - b @ a of two coordinate vectors."""
+    a, b = m.element(x), m.element(y)
+    return a @ b - b @ a
 
 
 def test_orthogonal_model_dimensions(o2):
@@ -36,7 +43,7 @@ def test_build_model_rejects_bad_input():
 
 
 def test_y1_block_matches_reference_matrix(o2):
-    y1 = o2.triples[0].y
+    y1 = o2.element(o2.triples[0].y)
     block = o2.block(y1, -1)
     expect = ratlin.rzeros((4, 4))
     expect[0, 1] = Fraction(-1)
@@ -46,13 +53,16 @@ def test_y1_block_matches_reference_matrix(o2):
 
 def test_sl2_bracket_examples(o2):
     t = o2.triples
-    assert ratlin.is_zero_matrix(o2.bracket(t[0].x, t[0].y) - t[0].h)
-    assert ratlin.is_zero_matrix(o2.bracket(t[0].h, t[0].x) - 2 * t[0].x)
-    assert ratlin.is_zero_matrix(o2.bracket(t[0].x, t[1].x))
+    assert o2.bracket(t[0].x, t[0].y) == t[0].h
+    assert o2.bracket(t[0].h, t[0].x) == liealg.combine((2, t[0].x))
+    assert o2.bracket(t[0].x, t[1].x) == {}
+    # against the dense matrix bracket
+    for u, v in ((t[0].x, t[0].y), (t[0].h, t[0].x), (t[0].x, t[1].x)):
+        assert o2.coords(_matrix_bracket(o2, u, v)) == o2.bracket(u, v)
 
 
 def test_bracket_outside_span_raises(o2):
-    bad = o2.zero()
+    bad = o2.element({})
     bad[0, 4] = Fraction(1)  # upper-right block must be skew
     with pytest.raises(SpanError):
         o2.coords(bad)
@@ -60,13 +70,17 @@ def test_bracket_outside_span_raises(o2):
 
 def test_theta_examples(o2):
     t1 = o2.triples[0]
-    assert ratlin.is_zero_matrix(o2.theta(t1.y) + t1.x)
-    assert ratlin.is_zero_matrix(o2.theta(t1.h) + t1.h)
+    assert o2.theta(t1.y) == liealg.combine((-1, t1.x))
+    assert o2.theta(t1.h) == liealg.combine((-1, t1.h))
     # skew gl-block elements lie in k and are fixed by theta
-    skew = o2.zero()
+    skew = o2.element({})
     skew[0, 1], skew[1, 0] = Fraction(1), Fraction(-1)
     skew[4 + 1, 4 + 0], skew[4 + 0, 4 + 1] = Fraction(-1), Fraction(1)
-    assert ratlin.is_zero_matrix(o2.theta(skew) - skew)
+    skew = o2.coords(skew)
+    assert o2.theta(skew) == skew
+    # theta is x -> -x^T on every basis matrix
+    for k in range(o2.dim):
+        assert o2.coords(-o2.basis[k].T) == o2.theta({k: 1})
 
 
 def test_pair_examples(o2):
@@ -79,8 +93,8 @@ def test_pair_examples(o2):
 def test_norm_nbar(o2):
     y1 = o2.triples[0].y
     assert liealg.norm_nbar(o2, y1) == 1.0
-    assert liealg.norm_nbar(o2, o2.zero()) == 0.0
-    assert liealg.norm_nbar(o2, 3 * y1) == 3.0
+    assert liealg.norm_nbar(o2, {}) == 0.0
+    assert liealg.norm_nbar(o2, liealg.combine((3, y1))) == 3.0
     with pytest.raises(ValueError):
         liealg.norm_nbar(o2, o2.triples[0].x)
 
@@ -89,13 +103,14 @@ def test_nu(o2, gl2):
     for m in (o2, gl2):
         # the character weights of the torus that equivariance_check draws
         for a, chi in zip(m.torus.indices, m.torus.character):
-            assert isinstance(chi, Fraction) and chi == 2 * m.d * liealg.nu(m, m.basis[a])
+            assert isinstance(chi, Fraction) and chi == 2 * m.d * liealg.nu(m, {a: 1})
         for t in m.triples:
             assert liealg.nu(m, t.h) == 1
+            assert liealg.nu(m, t.h) == m.nu_from_traces(m.element(t.h))
     # vanishes on brackets of l elements
-    l_mats = [o2.basis[i] for i in o2.l_indices[:6]]
-    for a in l_mats:
-        for b in l_mats:
+    l_elts = [{i: 1} for i in o2.l_indices[:6]]
+    for a in l_elts:
+        for b in l_elts:
             assert liealg.nu(o2, o2.bracket(a, b)) == 0
 
 
@@ -116,7 +131,7 @@ def test_stabilizer_dimensions(o2, gl2):
     assert s1gl.dim == 5
     # orbit dimension cross-check: dim O_1 = dim l - dim s_1
     assert gl2.dim_l - s1gl.dim == 2 * gl2.n - 1
-    everything = liealg.stabilizer_algebra(o2, o2.zero())
+    everything = liealg.stabilizer_algebra(o2, {})
     assert everything.dim == o2.dim_l
 
 
@@ -127,13 +142,13 @@ def test_subspace_contains_rejects_elements_outside_l(o2):
     s1 = liealg.stabilizer_algebra(o2, y1)
     assert s1.contains(h2)
     assert not s1.contains(y1)
-    assert not s1.contains(h2 + y1)
+    assert not s1.contains(liealg.combine((1, h2), (1, y1)))
 
 
 def test_stabilizer_scale_invariant(o2):
     y1 = o2.triples[0].y
     s1 = liealg.stabilizer_algebra(o2, y1)
-    s1_scaled = liealg.stabilizer_algebra(o2, 5 * y1)
+    s1_scaled = liealg.stabilizer_algebra(o2, liealg.combine((5, y1)))
     assert s1.dim == s1_scaled.dim
     assert ratlin.span_intersection_dim(s1.coords, s1_scaled.coords) == s1.dim
 
@@ -168,7 +183,7 @@ def test_k1_linear_identity_on_basis(all_models):
     for m in all_models:
         ty1 = m.theta(m.triples[0].y)
         for k in m.nbar_indices:
-            y = m.basis[k]
+            y = {k: 1}
             assert liealg.nu(m, m.bracket(ty1, y)) == m.pair(ty1, y)
 
 
@@ -178,14 +193,15 @@ def test_kprime_identity_on_rational_orbit(o3, gl3):
     rank4 = [liealg.build_model(f, 4) for f in (Family.O2N2N, Family.GL2N_R)]
     for m in (o3, gl3, *rank4):
         for p in orbit.sample_orbit_rational(m, 25, seed=11):
-            assert ratlin.is_zero_matrix(p.membership_residual(m))
+            assert not p.membership_residual(m)
 
 
 def test_grading_element_eigenvalues(o2):
     h = o2.grading_element
     for k in o2.nbar_indices:
+        assert o2.bracket(h, {k: 1}) == {k: -2}
         e = o2.basis[k]
-        assert ratlin.is_zero_matrix(o2.bracket(h, e) + 2 * e)
+        assert ratlin.is_zero_matrix(_matrix_bracket(o2, h, {k: 1}) + 2 * e)
 
 
 def _theta_fixed_dim(m):
@@ -257,3 +273,34 @@ def test_torus_act_is_ambient_conjugation(all_models):
                                     for r in range(m.dim_ambient)], dtype=object)
                 image = m.element(m.torus_act(s, {k: 1}))
                 assert ratlin.is_zero_matrix(image - ambient), (m.family, s, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_basis_supports_pairwise_disjoint(family, n):
+    # every entry position belongs to at most one basis element, so the
+    # support of an element is the union of its coordinates' supports
+    m = liealg.build_model(family, n)
+    seen = {}
+    for k in range(m.dim):
+        for pos in m.positions(k):
+            assert pos not in seen, (k, seen.get(pos), pos)
+            seen[pos] = k
+        assert np.count_nonzero(m.basis[k]) == len(m.positions(k))
+
+
+def test_overlapping_basis_supports_are_rejected(monkeypatch):
+    # a gl_4 basis whose first A-block element also covers the second one's
+    # entry: still a basis, but the supports overlap
+    spec = liealg.SPECS[Family.GL2N_R]
+
+    def overlapping(n):
+        entries, grades = spec.basis(n)
+        first = grades.index(0)
+        entries[first] = entries[first] + entries[first + 1]
+        return entries, grades
+
+    monkeypatch.setitem(liealg.SPECS, Family.GL2N_R,
+                        dataclasses.replace(spec, basis=overlapping))
+    with pytest.raises(ModelInvariantError, match="share the entry"):
+        liealg.build_model(Family.GL2N_R, 2)

@@ -16,13 +16,27 @@ def _tofloat(mat):
     return np.array([[float(v) for v in row] for row in mat])
 
 
+def _dense_bracket(a, b):
+    return a @ b - b @ a
+
+
+def _dense_pair(m, a, b):
+    """The form <a, b> = form_scale tr(a b) on exact matrices."""
+    return m.form_scale * np.trace(a @ b)
+
+
 def test_rational_orbit_points_exact(o2, gl2):
     for m in (o2, gl2):
         pts = orbit.sample_orbit_rational(m, 30, seed=5)
-        assert all((pts[0].y == m.triples[0].y).flat)
+        assert pts[0].y == m.triples[0].y
         for p in pts:
             assert p.exact
-            assert ratlin.is_zero_matrix(p.membership_residual(m))
+            assert p.membership_residual(m) == {}
+            # the same identity on the exact matrix, bypassing the tables
+            y = m.element(p.y)
+            th = -y.T
+            resid = _dense_bracket(_dense_bracket(y, th), y) - 2 * _dense_pair(m, y, th) * y
+            assert ratlin.is_zero_matrix(resid)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -35,7 +49,7 @@ def test_kprime_points_span_nbar(family, n):
     m = liealg.build_model(family, n)
     rows = []
     for p in orbit.sample_orbit_rational(m, samples, seed):
-        coords = m.coords(p.y)
+        coords = p.y
         assert all(m.grades[k] == -1 for k in coords)
         rows.append([coords.get(k, 0) for k in m.nbar_indices])
     assert ratlin.rank(np.array(rows, dtype=object)) == m.dim_nbar
@@ -45,12 +59,12 @@ def test_rational_orbit_determinism(o2):
     a = orbit.sample_orbit_rational(o2, 10, seed=42)
     b = orbit.sample_orbit_rational(o2, 10, seed=42)
     for p, q in zip(a, b):
-        assert all((p.y == q.y).flat)
+        assert p.y == q.y
 
 
 def test_scaled_point_radius(o2):
     p = orbit.sample_orbit_rational(o2, 3, seed=1)[2]
-    doubled = 2 * p.y
+    doubled = {k: 2 * c for k, c in p.y.items()}
     assert liealg.norm_nbar(o2, doubled) == pytest.approx(2 * p.radius, rel=1e-12)
 
 
@@ -90,36 +104,35 @@ def test_base_sampler_m_invariance_two_sample(o2, gl2):
 @pytest.mark.parametrize("family,n", [(f.value, n) for f in liealg.SPECS for n in (2, 3)])
 def test_forms_certified_on_rational_orbit_points(family, n):
     # the forms the float backend evaluates, in exact arithmetic against the
-    # trace form on exact orbit points: every residual is exactly 0
+    # trace form of the exact matrices of orbit points: every residual is
+    # exactly 0
     m = liealg.build_model(family, n)
     nbar, torus = m.nbar_indices, m.torus
-    y1 = m.triples[0].y
-    mixed = m.zero()
-    for a, k in enumerate(m.n_indices):
-        mixed = mixed + Fraction((-1) ** a * (a + 1), 3) * m.basis[k]
-    xs = [t.x for t in m.triples] + [m.theta(y1), mixed]
+    y1 = m.element(m.triples[0].y)
+    mixed = {k: Fraction((-1) ** a * (a + 1), 3) for a, k in enumerate(m.n_indices)}
+    xs = [t.x for t in m.triples] + [m.theta(m.triples[0].y), mixed]
     forms = []
     for x in xs:
-        xn = [m.coords(x).get(k, 0) for k in m.n_indices]
+        xn = [x.get(k, 0) for k in m.n_indices]
         g = [sum(xa * m.nbar_pairing[a, k] for a, xa in enumerate(xn))
              for k in range(len(nbar))]
         t_x = sum(xa * m.crown_tensor[a] for a, xa in enumerate(xn))
-        forms.append((x, g, t_x))
+        forms.append((m.element(x), g, t_x))
     for p in orbit.sample_orbit_rational(m, 8, seed=3):
-        y = p.y
-        coords = m.coords(y)
+        coords = p.y
         assert all(m.grades[k] == -1 for k in coords)
         c = [coords.get(k, 0) for k in nbar]
-        assert sum(ck * ck for ck in c) + m.pair(y, m.theta(y)) == 0
-        crown = m.bracket(m.bracket(m.theta(y), y1), y)
-        weighted = [m.bracket(m.basis[h], y) for h in torus.indices]
+        y = m.element(coords)
+        assert sum(ck * ck for ck in c) + _dense_pair(m, y, -y.T) == 0
+        crown = _dense_bracket(_dense_bracket(-y.T, y1), y)
+        weighted = [_dense_bracket(m.basis[h], y) for h in torus.indices]
         for x, g, t_x in forms:
-            assert sum(gk * ck for gk, ck in zip(g, c)) - m.pair(x, y) == 0
+            assert sum(gk * ck for gk, ck in zip(g, c)) - _dense_pair(m, x, y) == 0
             quad = sum(c[k] * t_x[k, l] * c[l] for k in range(len(c)) for l in range(len(c)))
-            assert quad - m.pair(x, crown) == 0
+            assert quad - _dense_pair(m, x, crown) == 0
             for alpha, hy in zip(torus.weights, weighted):
                 lhs = sum(int(ak) * gk * ck for ak, gk, ck in zip(alpha, g, c))
-                assert lhs - m.pair(x, hy) == 0
+                assert lhs - _dense_pair(m, x, hy) == 0
 
 
 def test_backend_pairings_match_exact_model(all_models):
@@ -129,8 +142,8 @@ def test_backend_pairings_match_exact_model(all_models):
         w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
         mats = be.matrices(c, w)
         scale = float(m.form_scale)
-        y1 = _tofloat(m.triples[0].y)
-        th_y1 = _tofloat(m.theta(m.triples[0].y))
+        y1 = _tofloat(m.element(m.triples[0].y))
+        th_y1 = _tofloat(m.element(m.theta(m.triples[0].y)))
         xb = be.ray_blocks()["mix"]
         x_full = m.embed(xb, 1)
         for i in range(5):
@@ -155,12 +168,12 @@ def test_pairing_forms_match_exact_model(all_models):
         w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
         mats = be.matrices(c, w)
         scale = float(m.form_scale)
-        y1 = _tofloat(m.triples[0].y)
+        y1 = _tofloat(m.element(m.triples[0].y))
         mix = be.ray_blocks()["mix"]
         rotated = be.m_rotation_x()(1.5 * mix)
         assert np.count_nonzero(rotated) > np.count_nonzero(mix)
         forms = orbit.PairingForms(be, c, w)
-        for xb in (mix, rotated, _tofloat(m.block(m.theta(m.triples[0].y), 1))):
+        for xb in (mix, rotated, _tofloat(m.block(m.element(m.theta(m.triples[0].y)), 1))):
             x_full = m.embed(xb, 1)
             phase, crown_pair = forms.pair_x(xb), forms.crown_pair(xb)
             for i in range(5):
@@ -281,7 +294,7 @@ def test_fourier_decay_trend(o2):
 
 
 def test_fourier_accepts_exact_n_elements(o2):
-    x1 = o2.triples[0].x
+    x1 = o2.element(o2.triples[0].x)
     est = orbit.fourier_phi(o2, x1, samples=10 ** 5, seed=3)
     assert est.value.real > 0
 
@@ -289,7 +302,7 @@ def test_fourier_accepts_exact_n_elements(o2):
 def test_fourier_rejects_x_outside_n(o2, gl2):
     for m in (o2, gl2):
         with pytest.raises(ValueError, match="not in n"):
-            orbit.fourier_phi(m, m.triples[0].y, samples=10 ** 4)
+            orbit.fourier_phi(m, m.element(m.triples[0].y), samples=10 ** 4)
     off_skew = np.zeros((4, 4))
     off_skew[0, 1] = 1.0   # an n-side block of o2n2n must be skew
     with pytest.raises(SpanError):
@@ -301,7 +314,7 @@ def test_fourier_phi_many_matches_fourier_phi(o2, gl2):
         be = orbit.FloatBackend(m)
         rays = be.ray_blocks()
         xs = [0.0 * rays["e1"], 1.5 * rays["e2"], be.m_rotation_x()(2.0 * rays["mix"]),
-              m.triples[0].x]
+              m.element(m.triples[0].x)]
         many = orbit.fourier_phi_many(m, xs, samples=4 * 10 ** 4, seed=9)
         for x, est in zip(xs, many):
             one = orbit.fourier_phi(m, x, samples=4 * 10 ** 4, seed=9)

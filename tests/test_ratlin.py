@@ -73,21 +73,23 @@ def test_echelon_membership_matches_rank(rows, data):
 def test_products_past_the_int64_bound_use_python_ints(gl2):
     # entries of 2**40 push max|x| max|y| * dim past 2**63, so the guard
     # routes the product to Python ints; the result must scale exactly
-    x, y = gl2.triples[0].x, gl2.triples[0].y
+    x, y = (gl2.element(c) for c in (gl2.triples[0].x, gl2.triples[0].y))
     big = 2 ** 40
-    assert 2 * big * big * gl2.dim_ambient > ratlin.INT64_MAX
-    small = ratlin.commutator(x, y)
-    assert list(small.flat) == list((x.dot(y) - y.dot(x)).flat)
-    large = ratlin.commutator(big * x, big * y)
+    assert big * big * gl2.dim_ambient > ratlin.INT64_MAX
+    small = ratlin.matmul(x, y)
+    assert list(small.flat) == list(x.dot(y).flat)
+    large = ratlin.matmul(big * x, big * y)
     assert all(type(v) is int for v in large.flat)
     assert list(large.flat) == [big * big * v for v in small.flat]
-    prod = ratlin.matmul(big * x, big * y)
-    assert list(prod.flat) == [big * big * v for v in ratlin.matmul(x, y).flat]
 
 
 def test_rational_products_divide_once(o2):
-    y = o2.triples[0].y * Fraction(2, 3)
-    th = o2.theta(y)
-    assert list(ratlin.commutator(y, th).flat) == list((y.dot(th) - th.dot(y)).flat)
-    assert ratlin.trace_product(y, th) == sum(y.dot(th).diagonal())
+    # one common denominator, integer products, one division: integral
+    # entries come back as ints, the others as reduced Fractions
+    y = o2.element(o2.triples[0].y) * Fraction(2, 3)
+    th = -y.T
+    prod = ratlin.matmul(y, th)
+    assert list(prod.flat) == list(y.dot(th).flat)
+    assert all(type(v) is int or v.denominator > 1 for v in prod.flat)
+    assert any(type(v) is Fraction for v in prod.flat)
 

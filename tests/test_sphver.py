@@ -57,7 +57,7 @@ def test_action_translation(o2):
 
 
 def test_action_linear_on_constant(o2):
-    h1 = np.array([[float(v) for v in row] for row in o2.triples[0].h])
+    h1 = np.array([[float(v) for v in row] for row in o2.element(o2.triples[0].h)])
     op = sphver.ActionOperator(o2, "linear", h1, o2.d)
     f = lambda x: 1.0
     be = orbit.FloatBackend(o2)
@@ -67,7 +67,7 @@ def test_action_linear_on_constant(o2):
 
 
 def test_action_quadratic_character_factor(gl2):
-    y1 = np.array([[float(v) for v in row] for row in gl2.triples[0].y])
+    y1 = np.array([[float(v) for v in row] for row in gl2.element(gl2.triples[0].y)])
     op = sphver.ActionOperator(gl2, "quadratic", y1, gl2.d)
     f = lambda x: 1.0
     be = orbit.FloatBackend(gl2)
@@ -81,7 +81,7 @@ def test_action_quadratic_character_factor(gl2):
 def test_action_commutation_x_y_gives_h(o2):
     # [pi(x_1), pi(y_1)] must act like pi(h_1) on smooth functions
     tofloat = lambda mat: np.array([[float(v) for v in row] for row in mat])
-    x1, y1, h1 = (tofloat(getattr(o2.triples[0], a)) for a in ("x", "y", "h"))
+    x1, y1, h1 = (tofloat(o2.element(getattr(o2.triples[0], a))) for a in ("x", "y", "h"))
     op_x = sphver.ActionOperator(o2, "translation", x1, o2.d)
     op_y = sphver.ActionOperator(o2, "quadratic", y1, o2.d)
     op_h = sphver.ActionOperator(o2, "linear", h1, o2.d)

@@ -3,6 +3,7 @@ import itertools
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from minorbit import liealg, ratlin, tensor
@@ -93,7 +94,7 @@ def _unclosed_pair(m, sub):
     """Two basis vectors of sub whose bracket leaves their span."""
     for a, b in itertools.combinations(sub.coords, 2):
         pair = liealg.LSubspace(m, [a, b])
-        if not pair.contains_coords(m.bracket_coords(*pair.sparse)):
+        if not pair.contains(m.bracket(*pair.sparse)):
             return pair
     raise AssertionError("every pair of basis vectors closes")
 
@@ -118,8 +119,8 @@ def _random_l_element(m, rand):
 
 @pytest.mark.parametrize("fixture", ["o3", "gl3"])
 def test_bracket_coords_match_dense_commutator(fixture, request):
-    # the dense matrix commutator is the oracle for the coordinate brackets
-    # that decomposition_invariants runs on
+    # the dense matrix bracket A @ B - B @ A on exact object arrays is the
+    # oracle for the coordinate brackets that decomposition_invariants runs on
     m = request.getfixturevalue(fixture)
     dec = tensor.stabilizer_sk(m, 2)
     rand = random.Random(7)
@@ -127,5 +128,50 @@ def test_bracket_coords_match_dense_commutator(fixture, request):
     pairs += [(a, b) for a in dec.levi.sparse for b in dec.levi.sparse]
     pairs += [(_random_l_element(m, rand), _random_l_element(m, rand)) for _ in range(20)]
     for a, b in pairs:
-        dense = ratlin.commutator(m.element(a), m.element(b))
-        assert m.coords(dense) == m.bracket_coords(a, b)
+        mat_a, mat_b = m.element(a), m.element(b)
+        assert m.coords(mat_a @ mat_b - mat_b @ mat_a) == m.bracket(a, b)
+
+
+def _dense_support_split(m, sub, k):
+    """Reference split of sub along the rank-k frame on dense matrices: the
+    frame's rows and columns are the nonzero ones of the triple matrices,
+    and every nonzero entry of the basis matrices of sub constrains the part
+    that must vanish there."""
+    frame = set()
+    for t in m.triples[:k]:
+        for coords in (t.x, t.y, t.h):
+            rows, cols = np.nonzero(m.element(coords))
+            frame.update(rows.tolist() + cols.tolist())
+    if not sub.coords:
+        return [], []
+    l_flat = np.array([m.basis[a].ravel() for a in m.l_indices], dtype=object)
+    flat = ratlin.matmul(np.array(sub.coords, dtype=object), l_flat)
+    inside_rows, outside_rows = [], []
+    for p in range(flat.shape[1]):
+        col = flat[:, p]
+        if np.any(col):
+            r, c = divmod(p, m.dim_ambient)
+            (outside_rows if r in frame and c in frame else inside_rows).append(col)
+
+    def kernel(rows):
+        if not rows:
+            return [list(v) for v in sub.coords]
+        return [list(v) for v in tensor._lift(
+            m, ratlin.nullspace(np.array(rows, dtype=object)),
+            np.array(sub.coords, dtype=object)).coords]
+    return kernel(inside_rows), kernel(outside_rows)
+
+
+@pytest.mark.parametrize("family,n", [("o2n2n", 3), ("o2n2n", 4),
+                                      ("gl2nR", 3), ("gl2nR", 4), ("gl2nR", 5)])
+def test_support_split_matches_dense_reference(family, n):
+    # the split read off the sparse basis entries gives the very coords of
+    # the split read off dense matrices, at every depth k
+    m = liealg.build_model(family, n)
+    for k in range(1, n):
+        dec = tensor.stabilizer_sk(m, k)
+        g_k, l_k = _dense_support_split(m, dec.levi, k)
+        h_k, _ = _dense_support_split(m, dec.levi_prime, k)
+        assert [list(v) for v in dec.g_k.coords] == g_k, k
+        assert [list(v) for v in dec.h_k.coords] == h_k, k
+        assert [list(v) for v in dec.l_k.coords] == l_k, k
