@@ -124,7 +124,7 @@ def _audit_fast_path(tau) -> bool:
     return ok
 
 
-def _certify(tau) -> None:
+def certify(tau) -> None:
     """Refuse an order whose kernel values failed the quadrature audit."""
     if not _audit_fast_path(tau):
         raise QuadratureError(
@@ -153,7 +153,7 @@ def bessel_k(tau, z, method: str = "auto"):
             raise ValueError(f"K_tau needs z > 0, got {z}")
     elif np.any(z <= 0):
         raise ValueError("K_tau needs z > 0")
-    _certify(t)
+    certify(t)
     return k_ladder(t, z)[0]
 
 
@@ -163,21 +163,28 @@ def k_half_closed_form(z):
     return np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
 
 
-def phi_tau(tau, z: float) -> tuple[float, float, float]:
+def phi_tau(tau, z) -> tuple:
     """(phi, phi', phi'') at z > 0, from one kernel evaluation.
 
     Derivatives come from the order-shift identities
     phi_tau' = -phi_{tau+1}/2 and phi_tau'' = phi_{tau+2}/4, which follow
-    from K_nu'(w) = nu K_nu / w - K_{nu+1}.
+    from K_nu'(w) = nu K_nu / w - K_{nu+1}.  As for k_ladder, a scalar z
+    gives Python floats and an array gives arrays, with bit-identical
+    values.  The orders tau, tau + 1 and tau + 2 are certified before any
+    point is evaluated, and any z below _MIN_Z raises ValueError.
     """
-    if z < _MIN_Z:
+    scalar = isinstance(z, (float, int)) or np.ndim(z) == 0
+    z = float(z) if scalar else np.asarray(z, dtype=float)
+    if np.any(z < _MIN_Z):
         raise ValueError(f"phi evaluation refused below z={_MIN_Z:g} (singular endpoint)")
     t = float(tau)
     for j in range(3):
-        _certify(t + j)
-    w = math.sqrt(z)
+        certify(t + j)
+    w = math.sqrt(z) if scalar else np.sqrt(z)
     k0, k1, k2 = k_ladder(t, w, 3)
-    p = w ** t
+    # w ** t point by point in Python floats: numpy's array power differs
+    # from it in the last bit at some points
+    p = w ** t if scalar else np.array([v ** t for v in w.ravel().tolist()]).reshape(w.shape)
     return k0 / p, -0.5 * k1 / (p * w), 0.25 * k2 / (p * w * w)
 
 
@@ -248,7 +255,7 @@ def radial_profile_at(tau, w: np.ndarray) -> np.ndarray:
     evaluated; a failed audit raises QuadratureError.
     """
     t = float(tau)
-    _certify(t)
+    certify(t)
     w = np.asarray(w, dtype=float)
     return k_ladder(t, w)[0] / w ** t
 

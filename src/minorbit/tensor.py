@@ -86,10 +86,23 @@ def _lift(m: GradedModel, kernel: list[np.ndarray], basis: np.ndarray) -> LSubsp
     return LSubspace(m, list(ratlin.matmul(np.array(kernel, dtype=object), basis)))
 
 
+def _pairing(gram: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """left @ gram @ right.T for a Gram matrix on the l-basis.
+
+    Both Gram matrices pair each basis element with exactly one basis
+    element, so gram has one nonzero per row, g_i at column c_i, and the
+    product is the single matmul of left scaled by g against the columns
+    c of right.  ModelInvariantError when gram has another shape.
+    """
+    rows, cols = np.nonzero(gram)
+    if rows.tolist() != list(range(len(gram))):
+        raise liealg.ModelInvariantError("Gram matrix on l has not one nonzero per row")
+    return ratlin.matmul(left * gram[rows, cols], right[:, cols].T)
+
+
 def _form_radical(m: GradedModel, sub: LSubspace) -> LSubspace:
     basis = np.array(sub.coords, dtype=object)
-    gram = ratlin.matmul(ratlin.matmul(basis, m.l_gram), basis.T)
-    return _lift(m, ratlin.nullspace(gram), basis)
+    return _lift(m, ratlin.nullspace(_pairing(m.l_gram, basis, basis)), basis)
 
 
 def _b_orthocomplement(m: GradedModel, sub: LSubspace, inside: LSubspace) -> LSubspace:
@@ -98,9 +111,7 @@ def _b_orthocomplement(m: GradedModel, sub: LSubspace, inside: LSubspace) -> LSu
         return inside
     inside_mat = np.array(inside.coords, dtype=object)
     # row u holds B(u, w) over the basis vectors w of inside
-    constraints = ratlin.matmul(
-        ratlin.matmul(np.array(sub.coords, dtype=object), m.l_gram_b.T),
-        inside_mat.T)
+    constraints = _pairing(m.l_gram_b.T, np.array(sub.coords, dtype=object), inside_mat)
     return _lift(m, ratlin.nullspace(constraints), inside_mat)
 
 
@@ -223,8 +234,7 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
     bad = 0
     if dec.nilradical.coords:
         u = np.array(dec.nilradical.coords, dtype=object)
-        pairings = ratlin.matmul(ratlin.matmul(u, m.l_gram), u.T)
-        bad = int(np.count_nonzero(pairings))
+        bad = int(np.count_nonzero(_pairing(m.l_gram, u, u)))
     report.add("nilradical is isotropic for the form", bad == 0, residual=bad)
 
     sprime_in_s = all(dec.s_k.echelon.contains(v) for v in dec.s_k_prime.coords)

@@ -188,6 +188,32 @@ def test_kernel_scalar_and_array_bit_identical():
             assert [k[i] for k in arrays] == list(scalars), (tau, wi)
 
 
+def test_phi_scalar_and_array_bit_identical():
+    z = np.random.default_rng(7).gamma(4.0, 1.0, 300) ** 2
+    for tau in KERNEL_ORDERS:
+        arrays = bessel.phi_tau(tau, z)
+        for i, zi in enumerate(z.tolist()):
+            scalars = bessel.phi_tau(tau, zi)
+            assert all(type(v) is float for v in scalars)
+            assert [v[i] for v in arrays] == list(scalars), (tau, zi)
+
+
+def test_phi_array_certifies_three_orders(monkeypatch):
+    monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
+    bessel.phi_tau(0.5, np.array([0.5, 2.0]))
+    assert bessel._FAST_PATH_OK == {0.5: True, 1.5: True, 2.5: True}
+
+
+def test_phi_array_refuses_points_below_min_z(monkeypatch):
+    monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
+    z = np.array([1.0, 2.0, bessel._MIN_Z / 2, 3.0])
+    with pytest.raises(ValueError, match="singular endpoint"):
+        bessel.phi_tau(0.5, z)
+    assert bessel._FAST_PATH_OK == {}      # refused before any order is audited
+    phi = bessel.phi_tau(0.5, np.array([bessel._MIN_Z]))[0]
+    assert phi[0] == bessel.phi_tau(0.5, bessel._MIN_Z)[0]
+
+
 def test_vector_profile_certifies_its_order(monkeypatch):
     monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
     bessel.radial_profile_at(Fraction(1, 2), np.array([0.5, 2.0]))

@@ -83,6 +83,39 @@ def test_bessel_out_closes_file(capsys, tmp_path, monkeypatch):
     assert len(rows) == 6 and rows[-1]["z"] == "3"
 
 
+def _scalar_bessel_table(tau, zs):
+    """The bessel table composed row by row from scalar calls."""
+    lines = ["z,K_tau,phi_tau,D_residual"]
+    for z in zs:
+        k = cli.bessel.bessel_k(tau, z)
+        phi, d1, d2 = cli.bessel.phi_tau(tau, z)
+        resid = cli.bessel.d_residual(tau, z, phi, d1, d2)
+        lines.append(f"{z:.12g},{k:.12e},{phi:.12e},{resid:.3e}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("tau", ["-0.5", "0", "1.5", "7.5", "33"])
+def test_bessel_table_equals_scalar_rows(capsys, tau):
+    # longer than one block; at tau = 33 K overflows at small z
+    steps = cli.TABLE_BLOCK + 100
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "bessel", "--tau", tau, "--zmin", "1e-8",
+                                 "--zmax", "40", "--steps", str(steps))
+    assert code == cli.EXIT_PASS and err == ""
+    zs = cli.np.linspace(1e-8, 40.0, steps).tolist()
+    assert out == _scalar_bessel_table(float(tau), zs)
+    assert ("inf" in out) == (tau == "33")
+
+
+def test_bessel_below_min_z_is_one_line_usage_error(capsys):
+    code, out, err = run_cli(capsys, "bessel", "--tau", "0.5", "--zmin", "1e-9",
+                             "--zmax", "2", "--steps", str(cli.TABLE_BLOCK + 1))
+    assert code == cli.EXIT_USAGE and out == ""
+    assert err == ("--tau 0.5 cannot be tabulated: phi evaluation refused below "
+                   "z=1e-08 (singular endpoint)\n")
+
+
 def test_bessel_usage_error(capsys):
     code, _, err = run_cli(capsys, "bessel", "--tau", "0", "--zmin", "-1",
                            "--zmax", "2", "--steps", "5")

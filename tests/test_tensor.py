@@ -118,6 +118,31 @@ def _random_l_element(m, rand):
 
 
 @pytest.mark.parametrize("fixture", ["o3", "gl3"])
+@pytest.mark.parametrize("gram", ["l_gram", "l_gram_b"])
+def test_pairing_matches_dense_products(fixture, gram, request):
+    m = request.getfixturevalue(fixture)
+    g = getattr(m, gram)
+    rand = random.Random(3)
+    left = np.array([[Fraction(rand.randint(-4, 4), rand.randint(1, 3))
+                      for _ in range(m.dim_l)] for _ in range(5)], dtype=object)
+    right = np.array([[rand.randint(-4, 4) for _ in range(m.dim_l)] for _ in range(7)],
+                     dtype=object)
+    dense = ratlin.matmul(ratlin.matmul(left, g), right.T)
+    assert np.array_equal(tensor._pairing(g, left, right), dense)
+    assert np.array_equal(tensor._pairing(g.T, right, left), dense.T)
+
+
+def test_pairing_refuses_gram_without_one_nonzero_per_row(o3):
+    left = np.ones((1, o3.dim_l), dtype=object)
+    extra, empty = o3.l_gram.copy(), o3.l_gram.copy()
+    extra[0, next(c for c in range(o3.dim_l) if not extra[0, c])] = 1
+    empty[2] = 0
+    for g in (extra, empty):
+        with pytest.raises(liealg.ModelInvariantError, match="one nonzero per row"):
+            tensor._pairing(g, left, left)
+
+
+@pytest.mark.parametrize("fixture", ["o3", "gl3"])
 def test_bracket_coords_match_dense_commutator(fixture, request):
     # the dense matrix bracket A @ B - B @ A on exact object arrays is the
     # oracle for the coordinate brackets that decomposition_invariants runs on
