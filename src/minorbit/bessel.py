@@ -6,8 +6,8 @@ phi_tau(z) = K_tau(sqrt z) / (sqrt z)^tau solves
 
 and its derivatives close under the shift phi_tau' = -phi_{tau+1} / 2.
 Evaluation goes through one kernel, k_ladder (closed forms, k0/k1 and the
-upward recurrence), certified order by order against adaptive quadrature
-of the integral representation
+upward recurrence) and one phi on it (profile_ladder), certified order by
+order against adaptive quadrature of the integral representation
 
     K_tau(z) = integral_0^inf exp(-z cosh t) cosh(tau t) dt.
 """
@@ -111,24 +111,17 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
     return tuple(ladder[round(a - base)] for a in orders)
 
 
-def _audit_fast_path(tau) -> bool:
-    """Certify k_ladder at order |tau| against the quadrature oracle, once."""
+def certify(tau) -> None:
+    """Audit k_ladder at order |tau| against the quadrature oracle, once, and
+    refuse an order whose kernel values failed the audit."""
     a = abs(float(tau))
-    ok = _FAST_PATH_OK.get(a)
-    if ok is None:
+    if a not in _FAST_PATH_OK:
         with np.errstate(over="ignore", invalid="ignore"):
             fast = k_ladder(a, np.array(_AUDIT_GRID))[0]
-        ok = all(math.isclose(k, bessel_k_integral(a, z), rel_tol=_AUDIT_RTOL)
-                 for k, z in zip(fast.tolist(), _AUDIT_GRID))
-        _FAST_PATH_OK[a] = ok
-    return ok
-
-
-def certify(tau) -> None:
-    """Refuse an order whose kernel values failed the quadrature audit."""
-    if not _audit_fast_path(tau):
-        raise QuadratureError(
-            f"K kernel disagrees with the quadrature oracle at order {abs(float(tau))}")
+        _FAST_PATH_OK[a] = all(math.isclose(k, bessel_k_integral(a, z), rel_tol=_AUDIT_RTOL)
+                               for k, z in zip(fast.tolist(), _AUDIT_GRID))
+    if not _FAST_PATH_OK[a]:
+        raise QuadratureError(f"K kernel disagrees with the quadrature oracle at order {a}")
 
 
 def bessel_k(tau, z, method: str = "auto"):
@@ -163,8 +156,26 @@ def k_half_closed_form(z):
     return np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
 
 
+def profile_ladder(tau, w, count: int = 1) -> tuple:
+    """(phi_tau, phi_{tau+1}, ...) at z = w^2, K_{tau+j}(w) / w^(tau+j) for
+    j < count, with the orders certified before any point is evaluated.
+
+    The power is numpy's array power, which Python's ** and numpy's scalar
+    power miss by one bit at some points, so a float w goes through a
+    1-element array: Python floats with the array's bits, silently inf or nan."""
+    t = float(tau)
+    for j in range(count):
+        certify(t + j)
+    ladder = k_ladder(t, w, count)
+    if not isinstance(w, (float, int)):
+        return tuple(k / w ** (t + j) for j, k in enumerate(ladder))
+    one = np.array([float(w)])
+    with np.errstate(all="ignore"):
+        return tuple((k / one ** (t + j)).item() for j, k in enumerate(ladder))
+
+
 def phi_tau(tau, z) -> tuple:
-    """(phi, phi', phi'') at z > 0, from one kernel evaluation.
+    """(phi, phi', phi'') at z > 0, from one profile ladder at sqrt(z).
 
     Derivatives come from the order-shift identities
     phi_tau' = -phi_{tau+1}/2 and phi_tau'' = phi_{tau+2}/4, which follow
@@ -177,15 +188,8 @@ def phi_tau(tau, z) -> tuple:
     z = float(z) if scalar else np.asarray(z, dtype=float)
     if np.any(z < _MIN_Z):
         raise ValueError(f"phi evaluation refused below z={_MIN_Z:g} (singular endpoint)")
-    t = float(tau)
-    for j in range(3):
-        certify(t + j)
-    w = math.sqrt(z) if scalar else np.sqrt(z)
-    k0, k1, k2 = k_ladder(t, w, 3)
-    # w ** t point by point in Python floats: numpy's array power differs
-    # from it in the last bit at some points
-    p = w ** t if scalar else np.array([v ** t for v in w.ravel().tolist()]).reshape(w.shape)
-    return k0 / p, -0.5 * k1 / (p * w), 0.25 * k2 / (p * w * w)
+    p0, p1, p2 = profile_ladder(tau, math.sqrt(z) if scalar else np.sqrt(z), 3)
+    return p0, -0.5 * p1, 0.25 * p2
 
 
 @dataclass
@@ -249,15 +253,9 @@ def phi_derivative_crosscheck(tau, z: float, tol: float = 1e-6) -> tuple[bool, f
 # ------------------------------------------------------------- fast vectors
 
 def radial_profile_at(tau, w: np.ndarray) -> np.ndarray:
-    """phi_tau evaluated at z = w^2, i.e. K_tau(w) / w^tau, vectorized.
-
-    The order is certified by the quadrature audit before any point is
-    evaluated; a failed audit raises QuadratureError.
-    """
-    t = float(tau)
-    certify(t)
-    w = np.asarray(w, dtype=float)
-    return k_ladder(t, w)[0] / w ** t
+    """phi_tau at z = w^2, i.e. K_tau(w) / w^tau, vectorized: profile_ladder
+    at one order, which refuses an uncertified order with QuadratureError."""
+    return profile_ladder(tau, np.asarray(w, dtype=float))[0]
 
 
 def radial_profile_d1_at(tau, w: np.ndarray) -> np.ndarray:

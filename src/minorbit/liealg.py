@@ -1,7 +1,7 @@
 """Exact-arithmetic graded matrix models g = nbar + l + n.
 
-Each explicit family is one `ModelSpec` in `SPECS`, which holds its block
-layout and its unit sampler:
+Each explicit family is one `ModelSpec` in `SPECS`, which holds its basis
+entries (they alone fix the block layout) and its unit sampler:
 
 * split orthogonal model: 4n x 4n matrices preserving the split symmetric
   form, with l the diagonal GL_2n block, n the lower-left skew block and
@@ -86,20 +86,20 @@ class GradedModel:
         self.e = mult.e
         self.tau = catalog.tau(mult)
 
-        self.block_size = self.spec.block_per_rank * n
-        self.dim_ambient = 2 * self.block_size
-        self._sparse, self.grades = self.spec.basis(self.block_size)
+        self._sparse, self.grades = self.spec.basis(n)
         self.dim = len(self._sparse)
         self.nbar_indices = [i for i, g in enumerate(self.grades) if g == -1]
         self.l_indices = [i for i, g in enumerate(self.grades) if g == 0]
         self.n_indices = [i for i, g in enumerate(self.grades) if g == 1]
         self._owner = self._build_owner_map()
+        self._blocks = self._build_blocks()
+        self.block_size = len(self._blocks[-1][0])
+        self.dim_ambient = self.block_size + len(self._blocks[1][0])
         # nu_from_traces on the entries: a diagonal entry weighs nu_weights[0]
-        # in the upper-left block and nu_weights[1] in the lower-right one
-        weights = self.spec.nu_weights
-        b = self.block_size
+        # in a row of the nbar block and nu_weights[1] in a row of the n block
+        weights, in_n = self.spec.nu_weights, set(self._blocks[1][0].tolist())
         self.nu_covector = np.array(
-            [sum((weights[r >= b] * v for (r, c), v in sp if r == c), ZERO)
+            [sum((weights[r in in_n] * v for (r, c), v in sp if r == c), ZERO)
              for sp in self._sparse], dtype=object)
 
     def _build_owner_map(self) -> dict:
@@ -119,32 +119,42 @@ class GradedModel:
 
     # -------------------------------------------------------------- layout
 
-    def _off_diagonal(self, grade: int) -> tuple[slice, slice]:
-        head, tail = slice(None, self.block_size), slice(self.block_size, None)
-        upper = (grade == -1) == self.spec.nbar_upper
-        return (head, tail) if upper else (tail, head)
+    def _build_blocks(self) -> dict:
+        """grade -> (rows, cols) touched by the entries of grade -1 (nbar) or +1
+        (n); ModelInvariantError unless the two blocks sit in transposed
+        places whose rows partition the ambient indices."""
+        blocks = {}
+        for grade in (-1, 1):
+            pos = [p for sp, g in zip(self._sparse, self.grades) if g == grade for p, _ in sp]
+            blocks[grade] = [sorted({p[i] for p in pos}) for i in (0, 1)]
+        (rows, cols), (n_rows, n_cols) = blocks[-1], blocks[1]
+        if rows != n_cols or cols != n_rows or sorted(rows + cols) != list(range(len(rows + cols))):
+            raise ModelInvariantError("nbar and n are not two transposed off-diagonal blocks "
+                                      "whose rows partition the ambient indices")
+        return {g: tuple(np.array(ix) for ix in b) for g, b in blocks.items()}
 
     def block(self, mat: np.ndarray, grade: int) -> np.ndarray:
         """The off-diagonal block of grade -1 (nbar) or +1 (n) of mat, or of
         each matrix of a stack."""
-        rows, cols = self._off_diagonal(grade)
-        return mat[..., rows, cols]
+        rows, cols = self._blocks[grade]
+        return mat[..., rows[:, None], cols]
 
     def embed(self, block: np.ndarray, grade: int) -> np.ndarray:
         """The ambient matrix, or stack, holding block in the place of grade
         -1 (nbar) or +1 (n); exact blocks give exact matrices."""
         shape = block.shape[:-2] + (self.dim_ambient, self.dim_ambient)
         out = ratlin.rzeros(shape) if block.dtype == object else np.zeros(shape)
-        rows, cols = self._off_diagonal(grade)
-        out[..., rows, cols] = block
+        rows, cols = self._blocks[grade]
+        out[..., rows[:, None], cols] = block
         return out
 
     def nu_from_traces(self, mat: np.ndarray):
-        """nu of an l element as weighted traces of its diagonal blocks;
-        Fraction for exact matrices, float for float ones."""
-        b = self.block_size
-        top, bottom = self.spec.nu_weights
-        return top * np.trace(mat[:b, :b]) + bottom * np.trace(mat[b:, b:])
+        """nu of an l element as weighted traces of its diagonal blocks on the
+        rows of nbar and of n; Fraction for exact matrices, float for float ones."""
+        (top, _), (bottom, _) = self._blocks[-1], self._blocks[1]
+        w_top, w_bottom = self.spec.nu_weights
+        return (w_top * np.trace(mat[np.ix_(top, top)])
+                + w_bottom * np.trace(mat[np.ix_(bottom, bottom)]))
 
     # ------------------------------------------------------------- indexing
 
@@ -203,9 +213,9 @@ class GradedModel:
     @cached_property
     def triples(self) -> list[SL2Triple]:
         out = []
-        r0, c0 = (0, self.block_size) if self.spec.nbar_upper else (self.block_size, 0)
+        rows, cols = (ix.tolist() for ix in self._blocks[-1])
         for j in range(1, self.n + 1):
-            y = self._coords_of({(r0 + r, c0 + c): val for r, c, val in self.spec.y_entries(j)})
+            y = self._coords_of({(rows[r], cols[c]): val for r, c, val in self.spec.y_entries(j)})
             x = {k: -c for k, c in self.theta(y).items()}
             out.append(SL2Triple(j, x, y, self.bracket(x, y)))
         return out
@@ -451,9 +461,10 @@ def _squares_to_zero(a) -> bool:
 
 # ---------------------------------------------------------- family specs
 
-def _orthogonal_basis(m: int):
-    """Split so(2m, 2m): nbar upper-right skew, l = gl_m, n lower-left skew.
-    Each basis element is its entries [((r, c), +-1)] in row-major order."""
+def _orthogonal_basis(n: int):
+    """Split so(2m, 2m), m = 2n: nbar upper-right skew, l = gl_m, n lower-left
+    skew.  Each basis element is its entries [((r, c), +-1)] in row-major order."""
+    m = 2 * n
     nbar_pairs = [(r, c) for r in range(m) for c in range(r + 1, m)]
     nbar = [[((r, m + c), 1), ((c, m + r), -1)] for r, c in nbar_pairs]
     levi = [[((i, j), 1), ((m + j, m + i), -1)] for i in range(m) for j in range(m)]
@@ -499,9 +510,9 @@ def _unit_pairs(rng: np.random.Generator, count: int, m: int):
 class ModelSpec:
     """Everything that one explicit family knows about its matrices.
 
-    Layout: the two diagonal blocks, of size block_per_rank * n, carry l;
-    nbar sits in the upper-right block when nbar_upper, else lower-left, and
-    n in the other off-diagonal block.
+    Layout: basis(n) gives the entries and grades, which alone place the
+    nbar and n blocks (GradedModel._build_blocks); the diagonal blocks on
+    their rows carry l, and nu_weights weigh the traces there.
 
     Sampling: sample_units draws unit rows (u, v) of the invariant measure
     on O', whose point has nbar coordinates c_k = sum val u_r v_c over the
@@ -510,10 +521,8 @@ class ModelSpec:
     derives from the basis.
     """
 
-    basis: Callable            # block size -> (entries, grades): nbar, l, n
-    block_per_rank: int
-    nbar_upper: bool
-    nu_weights: tuple          # nu = w0 tr(upper-left) + w1 tr(lower-right)
+    basis: Callable            # n -> (entries, grades): nbar, l, n
+    nu_weights: tuple          # nu = w0 tr(on nbar rows) + w1 tr(on n rows)
     y_entries: Callable        # j -> ((row, col, value), ...) in y_j's nbar block
     sample_units: Callable     # (rng, count, block size) -> rows (u, v)
     m_rotation_pair: Callable  # (r, r2) -> rotations acting on u and on v
@@ -521,19 +530,19 @@ class ModelSpec:
 
 SPECS = {
     Family.O2N2N: ModelSpec(
-        basis=_orthogonal_basis, block_per_rank=2, nbar_upper=True,
-        # nu = (1/2) tr of the lower-right GL_2n block, i.e. -(1/2) tr of the
-        # upper-left block; this is the unique character with nu(h_j) = 1
+        basis=_orthogonal_basis,
+        # nu = -(1/2) tr on the nbar rows, i.e. (1/2) tr on the n rows; this
+        # is the unique character with nu(h_j) = 1
         nu_weights=(Fraction(-1, 2), ZERO),
         # y_j has nbar block B_j = [[0, -1], [1, 0]] at rows/columns 2j-2, 2j-1
         y_entries=lambda j: ((2 * j - 2, 2 * j - 1, -1), (2 * j - 1, 2 * j - 2, 1)),
         sample_units=_orthonormal_pairs,
         m_rotation_pair=lambda r, r2: (r, r)),
     Family.GL2N_R: ModelSpec(
-        basis=_general_linear_basis, block_per_rank=1, nbar_upper=False,
-        # nu = (tr A - tr D)/2 on l = gl_n + gl_n; this is the extension of
-        # the torus data pinned by the rank-one measure pushforward
-        nu_weights=(Fraction(1, 2), Fraction(-1, 2)),
+        basis=_general_linear_basis,
+        # nu = (tr A - tr D)/2 on l = gl_n + gl_n, D on the nbar rows; the
+        # extension of the torus data pinned by the rank-one measure pushforward
+        nu_weights=(Fraction(-1, 2), Fraction(1, 2)),
         y_entries=lambda j: ((j - 1, j - 1, 1),),
         sample_units=_unit_pairs,
         # l = (P, Q) moves n-side blocks as B -> P B Q^T
@@ -933,21 +942,18 @@ def _acc_coeff(acc: dict, entry: dict, scale):
 # ----------------------------------------------------------------- dumping
 
 def model_dump(m: GradedModel) -> dict:
-    def frac_str(x: Fraction) -> str:
-        return str(x)
-
     def mat_strs(mat: np.ndarray) -> list[list[str]]:
-        return [[frac_str(mat[r, c]) for c in range(m.dim_ambient)]
+        return [[str(mat[r, c]) for c in range(m.dim_ambient)]
                 for r in range(m.dim_ambient)]
 
     def coords_map(coords: dict) -> dict:
-        return {str(k): frac_str(c) for k, c in sorted(coords.items())}
+        return {str(k): str(c) for k, c in sorted(coords.items())}
 
     return {
         "family": m.family.value,
         "n": m.n,
         "dim_ambient": m.dim_ambient,
-        "form_scale": frac_str(m.form_scale),
+        "form_scale": str(m.form_scale),
         "basis": [
             {"grade": m.grades[k], "matrix": mat_strs(m.basis[k])}
             for k in range(m.dim)
@@ -956,7 +962,7 @@ def model_dump(m: GradedModel) -> dict:
             {"j": t.j, "x": coords_map(t.x), "y": coords_map(t.y), "h": coords_map(t.h)}
             for t in m.triples
         ],
-        "nu_on_l": {str(k): frac_str(c) for k, c in enumerate(m.nu_covector) if c != 0},
+        "nu_on_l": {str(k): str(c) for k, c in enumerate(m.nu_covector) if c != 0},
     }
 
 

@@ -95,17 +95,9 @@ class OrbitPoint:
             scale = q * den ** 3
             return {k: Fraction(v, scale) for k, v in res.items()}
         th = -y.T
-        lhs = _fbracket(_fbracket(y, th), y)
-        rhs = 2.0 * _fpair(m, y, th) * y
-        return lhs - rhs
-
-
-def _fbracket(a, b):
-    return a @ b - b @ a
-
-
-def _fpair(m: liealg.GradedModel, a, b) -> float:
-    return float(m.form_scale) * float(np.trace(a @ b))
+        bracket = y @ th - th @ y
+        pair = float(m.form_scale) * float(np.trace(y @ th))
+        return (bracket @ y - y @ bracket) - 2.0 * pair * y
 
 
 @dataclass

@@ -145,14 +145,17 @@ def test_positivity_and_evenness_property(tau, z):
 
 
 def test_vectorized_profiles_match_scalar():
-    w = np.array([0.4, 1.1, 2.5, 7.0])
-    for tau in (0.5, 0.0, -0.5, 1.0):
-        prof = bessel.radial_profile_at(tau, w)
-        d1 = bessel.radial_profile_d1_at(tau, w)
-        for i, wi in enumerate(w):
+    # one profile behind both spellings of phi: phi_tau at z = w^2 and the
+    # vectorized profiles at w agree bit for bit, on scalars and on arrays
+    w = np.random.default_rng(3).gamma(4.0, 1.0, 300)
+    for tau in (-0.5, 0.0, 0.5, 1.0, 1.5):
+        v0, v1, _ = bessel.phi_tau(tau, w * w)
+        assert np.array_equal(bessel.radial_profile_at(tau, w), v0), tau
+        assert np.array_equal(bessel.radial_profile_d1_at(tau, w), v1), tau
+        for wi in w.tolist():
             v0, v1, _ = bessel.phi_tau(tau, wi * wi)
-            assert math.isclose(prof[i], v0, rel_tol=1e-12)
-            assert math.isclose(d1[i], v1, rel_tol=1e-12)
+            assert bessel.radial_profile_at(tau, wi) == v0, (tau, wi)
+            assert bessel.radial_profile_d1_at(tau, wi) == v1, (tau, wi)
 
 
 KERNEL_ORDERS = (-0.5, 0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0)

@@ -108,6 +108,15 @@ def test_bessel_table_equals_scalar_rows(capsys, tau):
     assert ("inf" in out) == (tau == "33")
 
 
+def test_bessel_at_huge_z_prints_zero_phi(capsys):
+    # w^tau overflows to inf at z = 5e299 and 1e300, where K is 0: phi is 0
+    code, out, err = run_cli(capsys, "bessel", "--tau", "3", "--zmin", "1",
+                             "--zmax", "1e300", "--steps", "3")
+    assert code == cli.EXIT_PASS and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [(float(r["phi_tau"]), float(r["D_residual"])) for r in rows[1:]] == [(0.0, 0.0)] * 2
+
+
 def test_bessel_below_min_z_is_one_line_usage_error(capsys):
     code, out, err = run_cli(capsys, "bessel", "--tau", "0.5", "--zmin", "1e-9",
                              "--zmax", "2", "--steps", str(cli.TABLE_BLOCK + 1))

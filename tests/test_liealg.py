@@ -289,6 +289,35 @@ def test_basis_supports_pairwise_disjoint(family, n):
         assert np.count_nonzero(m.basis[k]) == len(m.positions(k))
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_blocks_hold_every_graded_element(family, n):
+    # the blocks read off the entries hold each nbar and n basis element
+    # whole, and the traces on their rows give nu on every l-basis element
+    m = liealg.build_model(family, n)
+    for k in m.nbar_indices + m.n_indices:
+        x = m.element({k: 1})
+        assert (m.embed(m.block(x, m.grades[k]), m.grades[k]) == x).all(), k
+    for a in m.l_indices:
+        assert m.nu_from_traces(m.element({a: 1})) == liealg.nu(m, {a: 1}), a
+
+
+def test_nbar_entry_in_a_row_of_the_n_block_is_rejected(monkeypatch):
+    # an so(4, 4) basis whose first nbar element also covers the free
+    # lower-left diagonal entry (m, 0): still disjoint supports, but the
+    # nbar rows reach into the rows of the n block
+    spec = liealg.SPECS[Family.O2N2N]
+
+    def stray(n):
+        entries, grades = spec.basis(n)
+        entries[0] = entries[0] + [((2 * n, 0), 1)]
+        return entries, grades
+
+    monkeypatch.setitem(liealg.SPECS, Family.O2N2N, dataclasses.replace(spec, basis=stray))
+    with pytest.raises(ModelInvariantError, match="off-diagonal blocks"):
+        liealg.build_model(Family.O2N2N, 2)
+
+
 def test_overlapping_basis_supports_are_rejected(monkeypatch):
     # a gl_4 basis whose first A-block element also covers the second one's
     # entry: still a basis, but the supports overlap
