@@ -2,6 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 verification failure, 2 usage error,
 3 Monte Carlo inconclusive (error bars too wide to decide).
+
+A usage error, the argument parser's included, is raised as UsageError;
+main prints it once, as one line on stderr, and exits 2.
 """
 
 from __future__ import annotations
@@ -32,86 +35,85 @@ EXIT_INCONCLUSIVE = 3
 TABLE_BLOCK = 16384
 
 
-def _resolve_model(args) -> tuple[Family, int] | str:
-    """Map CLI model flags to a concrete family and rank, or a diagnostic."""
+class UsageError(Exception):
+    """A one-line diagnostic for arguments the CLI refuses (exit code 2)."""
+
+
+def _resolve_model(args) -> tuple[Family, int]:
+    """Map CLI model flags to a concrete family and rank."""
     name = args.model.lower()
     if name in ("opq", "o(p,q)"):
         if args.p is None or args.q is None:
-            return "model opq requires --p and --q"
+            raise UsageError("model opq requires --p and --q")
         ok, diag = catalog.validate_admissible(OpqDescriptor(args.p, args.q))
         if not ok:
-            return diag
+            raise UsageError(diag)
         if args.p % 2 == 0:
             n = args.p // 2
             if n < 2:
-                return f"O({args.p},{args.q}): rank below 2, no model"
+                raise UsageError(f"O({args.p},{args.q}): rank below 2, no model")
             if args.n is not None and args.n != n:
-                return f"--n {args.n} contradicts O({args.p},{args.q}), whose rank is p/2 = {n}"
+                raise UsageError(
+                    f"--n {args.n} contradicts O({args.p},{args.q}), whose rank is p/2 = {n}")
             return Family.O2N2N, n
-        return f"O({args.p},{args.p}) admissible (rank-2 family), but no matrix model is built"
+        raise UsageError(
+            f"O({args.p},{args.p}) admissible (rank-2 family), but no matrix model is built")
     aliases = {
         "o2n2n": Family.O2N2N,
         "gl2n": Family.GL2N_R,
         "gl2nr": Family.GL2N_R,
     }
     if name not in aliases:
-        return f"unknown model {args.model!r} (choose o2n2n, gl2n, or opq)"
+        raise UsageError(f"unknown model {args.model!r} (choose o2n2n, gl2n, or opq)")
     if args.n is None:
-        return "missing --n"
+        raise UsageError("missing --n")
     return aliases[name], args.n
 
 
-def _build_model(args) -> liealg.GradedModel | str:
-    """Build the model the CLI flags name, or return a one-line diagnostic."""
-    resolved = _resolve_model(args)
-    if isinstance(resolved, str):
-        return resolved
+def _build_model(args) -> liealg.GradedModel:
+    """Build the model the CLI flags name; a rank it refuses is a usage error."""
     try:
-        return liealg.build_model(*resolved)
+        return liealg.build_model(*_resolve_model(args))
     except ValueError as ex:
-        return str(ex)
+        raise UsageError(str(ex)) from None
 
 
-def _unwritable(path: str | None) -> str | None:
-    """Why an output file cannot be written at path, or None.
+def _check_writable(path: str | None) -> None:
+    """Refuse an output file that cannot be written at path.
 
     Probed before any work by opening path for appending; a file that the
     probe created is removed again, so a refused run leaves nothing behind.
     """
     if path is None:
-        return None
+        return
     existed = os.path.lexists(path)
     try:
         with open(path, "a", encoding="utf-8"):
             pass
     except OSError as ex:
-        return f"cannot write {path}: {ex.strerror or ex}"
+        raise UsageError(f"cannot write {path}: {ex.strerror or ex}") from None
     if not existed:
         os.remove(path)
-    return None
 
 
-def _write_file(path: str, text: str) -> str | None:
+def _write_file(path: str, text: str) -> None:
     """Write text to path in one piece; on failure remove what was written
-    and return the diagnostic."""
+    and refuse."""
     try:
         with open(path, "w", newline="", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as ex:
         if os.path.isfile(path):
             os.remove(path)
-        return f"cannot write {path}: {ex.strerror or ex}"
-    return None
+        raise UsageError(f"cannot write {path}: {ex.strerror or ex}") from None
 
 
-def _nonfinite(args, names: tuple[str, ...]) -> str | None:
-    """A diagnostic for the first of the float options names that is nan or
-    infinite, or None."""
+def _check_finite(args, names: tuple[str, ...]) -> None:
+    """Refuse the first of the float options names that is nan or infinite."""
     for name in names:
         value = getattr(args, name)
         if not math.isfinite(value):
-            return f"--{name} must be finite, got {value}"
-    return None
+            raise UsageError(f"--{name} must be finite, got {value}")
 
 
 def _emit_reports(reports: list[VerificationReport], json_path: str | None,
@@ -130,10 +132,7 @@ def _emit_reports(reports: list[VerificationReport], json_path: str | None,
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     if json_path:
-        error = _write_file(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
-        if error:
-            print(error, file=sys.stderr)
-            return EXIT_USAGE
+        _write_file(json_path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if hard_failed:
         return EXIT_FAIL
     if inconclusive:
@@ -150,8 +149,7 @@ def cmd_table(args) -> int:
             display = catalog.get_class(args.family).display
         except (KeyError, ValueError):
             tags = ", ".join(f.value for f in Family)
-            print(f"unknown family {args.family!r} (choose from {tags})", file=sys.stderr)
-            return EXIT_USAGE
+            raise UsageError(f"unknown family {args.family!r} (choose from {tags})") from None
         rows = [r for r in rows if r["family"] == display]
     if args.format == "csv":
         sys.stdout.write(catalog.to_csv(rows))
@@ -174,30 +172,20 @@ _SUITES = ("structural", "constants", "modular", "crown", "orbit", "spherical", 
 
 def cmd_verify(args) -> int:
     model = _build_model(args)
-    if isinstance(model, str):
-        print(model, file=sys.stderr)
-        return EXIT_USAGE
     seed, samples = args.seed, args.samples
     # the orbit suites draw `samples` radii; spherical also runs fourier_phi
     least = {"orbit": 1, "spherical": orbit.MIN_FOURIER_SAMPLES,
              "all": orbit.MIN_FOURIER_SAMPLES}.get(args.suite)
     if least is not None and samples < least:
-        print(f"--samples must be at least {least} for verify {args.suite}, "
-              f"got {samples}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--samples must be at least {least} for verify {args.suite}, "
+                         f"got {samples}")
     if least is not None and samples > orbit.MAX_SAMPLES:
-        print(f"--samples must be at most {orbit.MAX_SAMPLES} for verify {args.suite}, "
-              f"got {samples}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--samples must be at most {orbit.MAX_SAMPLES} for verify "
+                         f"{args.suite}, got {samples}")
     # the Monte Carlo suites seed numpy generators, which take seeds >= 0
     if least is not None and seed < 0:
-        print(f"--seed must be non-negative for verify {args.suite}, got {seed}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    error = _unwritable(args.json)
-    if error:
-        print(error, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--seed must be non-negative for verify {args.suite}, got {seed}")
+    _check_writable(args.json)
     reports: list[VerificationReport] = []
     suite = args.suite
     if suite in ("structural", "all"):
@@ -228,37 +216,24 @@ def cmd_verify(args) -> int:
 # ------------------------------------------------------------------ bessel
 
 def cmd_bessel(args) -> int:
-    error = _nonfinite(args, ("tau", "zmin", "zmax"))
-    if error:
-        print(error, file=sys.stderr)
-        return EXIT_USAGE
+    _check_finite(args, ("tau", "zmin", "zmax"))
     if args.zmin <= 0 or args.zmax <= args.zmin or args.steps < 1:
-        print("need 0 < zmin < zmax and steps >= 1", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError("need 0 < zmin < zmax and steps >= 1")
     if args.steps > orbit.MAX_STEPS:
-        print(f"--steps must be at most {orbit.MAX_STEPS}, got {args.steps}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--steps must be at most {orbit.MAX_STEPS}, got {args.steps}")
     tau = Fraction(args.tau).limit_denominator(2)
     if abs(float(tau) - args.tau) > 1e-12:
-        print(f"tau must be a half-integer, got {args.tau}", file=sys.stderr)
-        return EXIT_USAGE
-    error = _unwritable(args.out)
-    if error:
-        print(error, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"tau must be a half-integer, got {args.tau}")
+    _check_writable(args.out)
     zs = np.linspace(args.zmin, args.zmax, args.steps)
     # the whole table is formed before any of it is written
     table = io.StringIO()
     try:
         _write_bessel_table(table, float(tau), zs)
     except (ValueError, QuadratureError) as ex:
-        print(f"--tau {args.tau:g} cannot be tabulated: {ex}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--tau {args.tau:g} cannot be tabulated: {ex}") from None
     if args.out:
-        error = _write_file(args.out, table.getvalue())
-        if error:
-            print(error, file=sys.stderr)
-            return EXIT_USAGE
+        _write_file(args.out, table.getvalue())
     else:
         sys.stdout.write(table.getvalue())
     return EXIT_PASS
@@ -290,28 +265,17 @@ def _write_bessel_table(fh, tau: float, zs: np.ndarray) -> None:
 def cmd_fourier(args) -> int:
     """Transform estimates along a coordinate ray, as CSV or JSON."""
     model = _build_model(args)
-    if isinstance(model, str):
-        print(model, file=sys.stderr)
-        return EXIT_USAGE
     if not orbit.MIN_FOURIER_SAMPLES <= args.samples <= orbit.MAX_SAMPLES:
-        print(f"--samples must be between {orbit.MIN_FOURIER_SAMPLES} and "
-              f"{orbit.MAX_SAMPLES}, got {args.samples}", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--samples must be between {orbit.MIN_FOURIER_SAMPLES} and "
+                         f"{orbit.MAX_SAMPLES}, got {args.samples}")
     if not 1 <= args.steps <= orbit.MAX_STEPS:
-        print(f"--steps must be between 1 and {orbit.MAX_STEPS}, got {args.steps}",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--steps must be between 1 and {orbit.MAX_STEPS}, got {args.steps}")
     if args.seed < 0:
-        print(f"--seed must be non-negative, got {args.seed}", file=sys.stderr)
-        return EXIT_USAGE
-    error = _nonfinite(args, ("tmin", "tmax"))
-    if error:
-        print(error, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"--seed must be non-negative, got {args.seed}")
+    _check_finite(args, ("tmin", "tmax"))
     rays = orbit.FloatBackend(model).ray_blocks()
     if args.ray not in rays:
-        print(f"unknown ray {args.ray!r} (choose from {sorted(rays)})", file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"unknown ray {args.ray!r} (choose from {sorted(rays)})")
     block = rays[args.ray]
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     estimates = []
@@ -334,22 +298,12 @@ def cmd_fourier(args) -> int:
 # ------------------------------------------------------------------ tensor
 
 def cmd_tensor(args) -> int:
-    if args.action != "audit":
-        print(f"unknown tensor action {args.action!r}", file=sys.stderr)
-        return EXIT_USAGE
     model = _build_model(args)
-    if isinstance(model, str):
-        print(model, file=sys.stderr)
-        return EXIT_USAGE
     family, n = model.family, model.n
     if not 2 <= args.k < n:
         reason = "so n=2 admits no k" if n == 2 else f"and k={args.k} is outside [2, {n})"
-        print(f"tensor audit needs 2 <= k < n, {reason}", file=sys.stderr)
-        return EXIT_USAGE
-    error = _unwritable(args.json)
-    if error:
-        print(error, file=sys.stderr)
-        return EXIT_USAGE
+        raise UsageError(f"tensor audit needs 2 <= k < n, {reason}")
+    _check_writable(args.json)
     rep = tensor.audit_dual_pair(model, args.k)
     config = {"model": family.value, "n": n, "k": args.k}
     return _emit_reports([rep], args.json, "tensor audit", config)
@@ -362,7 +316,7 @@ _NEGATIVE_NUMBER = re.compile(
 
 
 class _Parser(argparse.ArgumentParser):
-    """Reports a usage error as the one line `minorbit <cmd>: error: ...`.
+    """Raises a usage error as the one line `minorbit <cmd>: error: ...`.
 
     A negative number is an option value in every form float() reads, not
     only as -12 or -1.5: argparse's own pattern takes -1e3 and -inf for
@@ -374,7 +328,14 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = _NEGATIVE_NUMBER
 
     def error(self, message):
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+        raise UsageError(f"{self.prog}: error: {message}")
+
+
+def _add_model_flags(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--model", required=True, help="o2n2n, gl2n, or opq (with --p/--q)")
+    parser.add_argument("--n", type=int)
+    parser.add_argument("--p", type=int)
+    parser.add_argument("--q", type=int)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -391,11 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", choices=_SUITES)
-    p_verify.add_argument("--model", required=True,
-                          help="o2n2n, gl2n, or opq (with --p/--q)")
-    p_verify.add_argument("--n", type=int)
-    p_verify.add_argument("--p", type=int)
-    p_verify.add_argument("--q", type=int)
+    _add_model_flags(p_verify)
     p_verify.add_argument("--samples", type=int, default=10 ** 6)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", help="write the full JSON report here")
@@ -410,10 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bessel.set_defaults(func=cmd_bessel)
 
     p_fourier = sub.add_parser("fourier", help="transform estimates along a ray")
-    p_fourier.add_argument("--model", required=True)
-    p_fourier.add_argument("--n", type=int)
-    p_fourier.add_argument("--p", type=int)
-    p_fourier.add_argument("--q", type=int)
+    _add_model_flags(p_fourier)
     p_fourier.add_argument("--ray", default="e1")
     p_fourier.add_argument("--tmin", type=float, default=0.0)
     p_fourier.add_argument("--tmax", type=float, default=5.0)
@@ -425,10 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tensor = sub.add_parser("tensor", help="stabilizer and dual-pair audits")
     p_tensor.add_argument("action", choices=("audit",))
-    p_tensor.add_argument("--model", required=True)
-    p_tensor.add_argument("--n", type=int)
-    p_tensor.add_argument("--p", type=int)
-    p_tensor.add_argument("--q", type=int)
+    _add_model_flags(p_tensor)
     p_tensor.add_argument("--k", type=int, required=True)
     p_tensor.add_argument("--json")
     p_tensor.set_defaults(func=cmd_tensor)
@@ -437,12 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as ex:
-        return EXIT_USAGE if ex.code not in (0, None) else 0
-    return args.func(args)
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit:  # raised by --help only, after it printed the help text
+            return EXIT_PASS
+        return args.func(args)
+    except UsageError as ex:
+        print(ex, file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

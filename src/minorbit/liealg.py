@@ -548,7 +548,6 @@ SPECS = {
         # l = (P, Q) moves n-side blocks as B -> P B Q^T
         m_rotation_pair=lambda r, r2: (r, r2)),
 }
-MODEL_FAMILIES = tuple(SPECS)
 
 
 # ----------------------------------------------------------------- factory
@@ -601,11 +600,10 @@ def theta_eigenbasis_of_l(m: GradedModel):
             vectors.append({a: 1, target: sign})
             vectors.append({a: 1, target: -sign})
             done.update((a, target))
-    gram = m.trace_gram
+    gram, pos = m.l_gram_b, {a: i for i, a in enumerate(m.l_indices)}
 
     def b_int(u, v):   # -tr(u theta v) on sparse coordinates
-        return -sum(cu * cv * perm[k][1] * gram[i, perm[k][0]]
-                    for i, cu in u.items() for k, cv in v.items())
+        return sum(cu * cv * gram[pos[i], pos[k]] for i, cu in u.items() for k, cv in v.items())
 
     for i, v in enumerate(vectors):
         for w in vectors[i + 1:]:

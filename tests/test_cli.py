@@ -1,3 +1,4 @@
+import ast
 import csv
 import gc
 import io
@@ -5,6 +6,7 @@ import json
 import math
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -442,3 +444,116 @@ def test_step_count_at_the_cap_is_accepted(capsys, monkeypatch, argv):
     assert capsys.readouterr().err == ""
     if argv[0] == "bessel":
         assert len(grids[0]) == cli.orbit.MAX_STEPS
+
+
+_FAMILY_TAGS = "gl2nR, o2n2n, e77, op2p2, spnC, gl2nC, o4nC, e7C, op4C, spnn, gl2nH"
+_V2 = ("verify", "all", "--model", "o2n2n", "--n", "2")
+_F2 = ("fourier", "--model", "o2n2n", "--n", "2", "--samples", "10000")
+
+
+def _bessel(tau, zmin="1", zmax="2", steps="3"):
+    return ("bessel", "--tau", tau, "--zmin", zmin, "--zmax", zmax, "--steps", steps)
+
+
+@pytest.mark.parametrize("argv,line", [
+    (("table", "--family", "bogus"), f"unknown family 'bogus' (choose from {_FAMILY_TAGS})"),
+    (("verify", "all", "--model", "nope", "--n", "2"),
+     "unknown model 'nope' (choose o2n2n, gl2n, or opq)"),
+    (("verify", "constants", "--model", "o2n2n"), "missing --n"),
+    (("verify", "constants", "--model", "o2n2n", "--n", "9"),
+     "rank n=9 outside supported range [2, 6]"),
+    (("fourier", "--model", "gl2n", "--n", "1"), "rank n=1 outside supported range [2, 6]"),
+    (("verify", "all", "--model", "opq", "--p", "3", "--q", "5"),
+     "O(3,5) excluded: rank-2 unequal multiplicities (p != q), "
+     "the spherical-vector identities fail"),
+    (("verify", "all", "--model", "opq", "--p", "4"), "model opq requires --p and --q"),
+    (("verify", "all", "--model", "opq", "--q", "4"), "model opq requires --p and --q"),
+    (("verify", "all", "--model", "opq", "--p", "3", "--q", "3"),
+     "O(3,3) admissible (rank-2 family), but no matrix model is built"),
+    (("verify", "all", "--model", "opq", "--p", "2", "--q", "2"),
+     "O(2,2): rank below 2, no model"),
+    (("tensor", "audit", "--model", "opq", "--p", "4", "--q", "4", "--n", "3", "--k", "2"),
+     "--n 3 contradicts O(4,4), whose rank is p/2 = 2"),
+    (("verify", "constants", "--model", "opq", "--p", "14", "--q", "14"),
+     "rank n=7 outside supported range [2, 6]"),
+    (("verify", "orbit", "--model", "o2n2n", "--n", "2", "--samples", "0"),
+     "--samples must be at least 1 for verify orbit, got 0"),
+    (("verify", "spherical", "--model", "o2n2n", "--n", "2", "--samples", "10"),
+     "--samples must be at least 10000 for verify spherical, got 10"),
+    (_V2 + ("--samples", "-1"), "--samples must be at least 10000 for verify all, got -1"),
+    (_V2 + ("--samples", "10000001"),
+     "--samples must be at most 10000000 for verify all, got 10000001"),
+    (("verify", "orbit", "--model", "o2n2n", "--n", "2", "--seed", "-1"),
+     "--seed must be non-negative for verify orbit, got -1"),
+    (("fourier", "--model", "o2n2n", "--n", "2", "--samples", "100"),
+     "--samples must be between 10000 and 10000000, got 100"),
+    (_F2 + ("--steps", "0"), "--steps must be between 1 and 1000000, got 0"),
+    (_F2 + ("--steps", "1000001"), "--steps must be between 1 and 1000000, got 1000001"),
+    (_F2 + ("--seed", "-2"), "--seed must be non-negative, got -2"),
+    (_F2 + ("--tmin", "-NaN"), "--tmin must be finite, got nan"),
+    (_F2 + ("--tmax", "inf"), "--tmax must be finite, got inf"),
+    (_F2 + ("--ray", "zz"), "unknown ray 'zz' (choose from ['e1', 'e2', 'mix'])"),
+    (_bessel("-inf"), "--tau must be finite, got -inf"),
+    (_bessel("0", zmin="nan"), "--zmin must be finite, got nan"),
+    (_bessel("0", zmax="inf"), "--zmax must be finite, got inf"),
+    (_bessel("0", zmin="-1"), "need 0 < zmin < zmax and steps >= 1"),
+    (_bessel("0", zmin="3"), "need 0 < zmin < zmax and steps >= 1"),
+    (_bessel("0", steps="0"), "need 0 < zmin < zmax and steps >= 1"),
+    (_bessel("0", steps="1000001"), "--steps must be at most 1000000, got 1000001"),
+    (_bessel("0.3"), "tau must be a half-integer, got 0.3"),
+    (_bessel("-1e3"),
+     "--tau -1000 cannot be tabulated: K integral overflows at tau=1000.0, z=0.1"),
+    (_bessel("1e300"), "--tau 1e+300 cannot be tabulated: K at order 1e+300 needs more "
+                       "than 1000 recurrence steps"),
+    (_bessel("0.5", zmin="1e-9", steps=str(cli.TABLE_BLOCK + 1)),
+     "--tau 0.5 cannot be tabulated: phi evaluation refused below z=1e-08 "
+     "(singular endpoint)"),
+    (("tensor", "audit", "--model", "o2n2n", "--n", "2", "--k", "2"),
+     "tensor audit needs 2 <= k < n, so n=2 admits no k"),
+    (("tensor", "audit", "--model", "gl2n", "--n", "3", "--k", "3"),
+     "tensor audit needs 2 <= k < n, and k=3 is outside [2, 3)"),
+    (("tensor", "bogus", "--model", "o2n2n", "--n", "3", "--k", "2"),
+     "minorbit tensor: error: argument action: invalid choice: 'bogus' "
+     "(choose from 'audit')"),
+    (("fourier", "--n", "2"),
+     "minorbit fourier: error: the following arguments are required: --model"),
+    (("table", "--extra"), "minorbit: error: unrecognized arguments: --extra")])
+def test_usage_error_prints_its_exact_line(capsys, argv, line):
+    assert run_cli(capsys, *argv) == (cli.EXIT_USAGE, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (("verify", "constants", "--model", "o2n2n", "--n", "2"), "--json"),
+    (("tensor", "audit", "--model", "o2n2n", "--n", "3", "--k", "2"), "--json"),
+    (_bessel("0"), "--out")])
+def test_unwritable_output_prints_its_exact_line(capsys, tmp_path, argv, flag):
+    missing = tmp_path / "missing" / "out.json"
+    for path, why in ((missing, "No such file or directory"), (tmp_path, "Is a directory")):
+        assert run_cli(capsys, *argv, flag, str(path)) == (
+            cli.EXIT_USAGE, "", f"cannot write {path}: {why}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_help_exits_zero(capsys):
+    code, out, err = run_cli(capsys, "fourier", "--help")
+    assert code == cli.EXIT_PASS and err == ""
+    assert "o2n2n, gl2n, or opq (with --p/--q)" in out
+
+
+def test_usage_errors_leave_only_through_main():
+    # commands and helpers raise cli.UsageError; main alone prints it and
+    # returns EXIT_USAGE, so no command grows a usage-error path of its own
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    main = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    in_main = {id(node) for node in ast.walk(main)}
+    stderr = [node for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+              and node.attr == "stderr" and isinstance(node.value, ast.Name)
+              and node.value.id == "sys"]
+    assert stderr and all(id(node) in in_main for node in stderr)
+    usage = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Name) and node.id == "EXIT_USAGE"]
+    stores = [node for node in usage if isinstance(node.ctx, ast.Store)]
+    assert len(stores) == 1
+    assert all(id(node) in in_main for node in usage if node not in stores)
+    assert any(id(node) in in_main for node in usage)
