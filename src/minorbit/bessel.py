@@ -10,6 +10,13 @@ upward recurrence) and one phi on it (profile_ladder), certified order by
 order against adaptive quadrature of the integral representation
 
     K_tau(z) = integral_0^inf exp(-z cosh t) cosh(tau t) dt.
+
+The module imports the scipy package only; scipy loads scipy.special and
+scipy.integrate on the first K evaluation or quadrature, so the exact
+layer, which imports this module but evaluates no K, never loads them.
+Calls spell scipy.special.kv and scipy.integrate.quad in full: after the
+first use each is a plain attribute lookup, where an import inside a
+function would cost every scalar k_ladder call.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import integrate, special
+import scipy
 
 from . import catalog
 from .reports import QuadratureError
@@ -54,7 +61,7 @@ def bessel_k_integral(tau, z: float) -> float:
     # cosh(tau u) growth; quad gets a finite interval
     upper = math.acosh(1.0 + 720.0 / z) + 1.0
     try:
-        val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=300)
+        val, err = scipy.integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=300)
     except OverflowError:
         raise QuadratureError(f"K integral overflows at tau={t}, z={z}") from None
     if not math.isfinite(val) or err > 1e-10 * abs(val):
@@ -90,7 +97,7 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
         w = float(w)
     base = min(orders) % 1.0
     if base not in (0.0, 0.5):
-        return tuple(float(special.kv(a, w)) if scalar else special.kv(a, w)
+        return tuple(float(scipy.special.kv(a, w)) if scalar else scipy.special.kv(a, w)
                      for a in orders)
     steps = round(max(orders) - base)
     if steps > MAX_LADDER_STEPS:
@@ -101,9 +108,9 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
         ladder = [k, k * (1.0 + 1.0 / w)] if steps else [k]
     else:
         # a request for K_1 alone skips k0
-        ladder = [special.k0(w) if steps != 1 or min(orders) == 0.0 else None]
+        ladder = [scipy.special.k0(w) if steps != 1 or min(orders) == 0.0 else None]
         if steps:
-            ladder.append(special.k1(w))
+            ladder.append(scipy.special.k1(w))
     if scalar:
         ladder = [None if k is None else float(k) for k in ladder]
     for j in range(1, steps):

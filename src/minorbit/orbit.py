@@ -46,6 +46,10 @@ sample's value is the one the whole-stream formula gives, bit for bit; only
 the order of the summation depends on CHUNK, so an estimate moves with it by
 rounding alone.  fourier_phi_many reduces with whole-stream np.mean and
 np.std.
+
+l2_radial_integral is the one quadrature here; it calls
+scipy.integrate.quad through the scipy package, so scipy's quadrature code
+loads on its first call and not on import (see bessel).
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy import integrate
+import scipy
 
 from . import bessel, liealg, ratlin
 from .reports import QuadratureError, VerificationReport
@@ -517,8 +521,8 @@ def l2_radial_integral(tau, radial_exp: int) -> float:
         k = bessel.k_ladder(t, w)[0]
         return k * k * w ** power
 
-    near, err1 = integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
-    far, err2 = integrate.quad(integrand, 1.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
+    near, err1 = scipy.integrate.quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
+    far, err2 = scipy.integrate.quad(integrand, 1.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=200)
     total = near + far
     if not math.isfinite(total) or (err1 + err2) > max(1e-8 * abs(total), 1e-12):
         raise QuadratureError(f"radial quadrature did not converge (err={err1 + err2})")
