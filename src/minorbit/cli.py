@@ -276,11 +276,11 @@ def cmd_fourier(args) -> int:
     rays = orbit.FloatBackend(model).ray_blocks()
     if args.ray not in rays:
         raise UsageError(f"unknown ray {args.ray!r} (choose from {sorted(rays)})")
-    block = rays[args.ray]
+    ray = rays[args.ray]
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     estimates = []
     for i, t in enumerate(ts):
-        est = orbit.fourier_phi(model, float(t) * block, samples=args.samples,
+        est = orbit.fourier_phi(model, float(t) * ray, samples=args.samples,
                                 seed=args.seed + i)
         estimates.append((float(t), est))
     if args.format == "json":

@@ -1,7 +1,7 @@
 """Exact-arithmetic graded matrix models g = nbar + l + n.
 
-Each explicit family is one `ModelSpec` in `SPECS`, which holds its basis
-entries (they alone fix the block layout) and its unit sampler:
+Each explicit family is one `ModelSpec` in `SPECS`, which holds exact data
+only; its basis entries alone fix the block layout:
 
 * split orthogonal model: 4n x 4n matrices preserving the split symmetric
   form, with l the diagonal GL_2n block, n the lower-left skew block and
@@ -10,16 +10,17 @@ entries (they alone fix the block layout) and its unit sampler:
   n the upper-right block and nbar the lower-left block.
 
 A family is its sparse basis entries ((r, c), +-1) on pairwise disjoint
-supports, its grades and its y_j entries.  Every exact computation runs on
-sparse coordinates {k: c} through integer tables built from the entries
-(ad, trace_gram, theta_perm); the form is an integer trace times
-form_scale, and every identity asserted here has residual exactly 0.
-Dense matrices are views (`element`, and `coords` back) for model_dump,
-the matrix-sample Jacobi and the float layer.  The Monte Carlo layer in `orbit`
+supports, its grades, its y_j entries and its M planes.  Every exact
+computation runs on sparse coordinates {k: c} through integer tables built
+from the entries (ad, trace_gram, theta_perm); the form is an integer trace
+times form_scale, and every identity asserted here has residual exactly 0.
+Dense matrices are views (`element`, and `coords` back) for model_dump, the
+matrix-sample Jacobi and the float layer.  The Monte Carlo layer in `orbit`
 evaluates the exact forms nbar_pairing, crown_tensor and torus on the nbar
 coordinates of samples.  The exact L action (random_l_action) is read off
 the same tables for every family: unipotent factors 1 + tE from the
 l-basis elements with E^2 = 0, and torus factors from the torus weights.
+The M = K cap L rotation of the float layer is exact too (m_rotation).
 """
 
 from __future__ import annotations
@@ -421,6 +422,33 @@ class GradedModel:
             return y
         return act
 
+    @cached_property
+    def m_generator(self) -> dict:
+        """X = sum (E_ji - E_ij) over the spec's m_planes (i, j), so that
+        X^T = -X and theta X = X; ModelInvariantError unless X lies in l
+        with X^3 = -X, checked exactly."""
+        x = self._coords_of({p: v for i, j in self.spec.m_planes(self.n)
+                             for p, v in (((j, i), 1), ((i, j), -1))})
+        mat = np.array(self.element(x), dtype=np.int64)
+        if any(self.grades[k] != 0 for k in x) or (mat @ mat @ mat != -mat).any():
+            raise ModelInvariantError("the M generator is not an X in l with X^3 = -X")
+        return x
+
+    @cached_property
+    def m_rotation(self) -> np.ndarray:
+        """Ad(g) on n-coordinates, exact, for the M = K cap L element
+        g = 1 + (4/5) X + (2/5) X^2 = exp(tX), cos t = 3/5, X = m_generator:
+        column a holds the n-coordinates of g e_a g^T (g is orthogonal),
+        formed on the integer matrix 25 g."""
+        x = np.array(self.element(self.m_generator), dtype=np.int64)
+        g = 25 * np.eye(self.dim_ambient, dtype=np.int64) + 20 * x + 10 * (x @ x)
+        out = ratlin.rzeros((len(self.n_indices),) * 2)
+        for a, k in enumerate(self.n_indices):
+            coords = self.coords(g @ np.array(self.element({k: 1}), dtype=np.int64) @ g.T)
+            out[:, a] = [Fraction(coords.pop(j, 0), 625) for j in self.n_indices]
+            if coords:
+                raise ModelInvariantError("Ad(g) does not map n into n")
+        return out
 
 def combine(*terms) -> dict:
     """sum_i c_i x_i over the terms (c_i, x_i), x_i sparse coordinates;
@@ -482,50 +510,23 @@ def _general_linear_basis(n: int):
     return nbar + levi + n_part, [-1] * len(nbar) + [0] * len(levi) + [1] * len(n_part)
 
 
-def rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Row-wise dot product sum_i a[n, i] b[n, i]."""
-    return np.einsum("ni,ni->n", a, b)
-
-
-def _normalize_rows(a: np.ndarray) -> np.ndarray:
-    a /= np.sqrt(rowdot(a, a))[:, None]
-    return a
-
-
-def _orthonormal_pairs(rng: np.random.Generator, count: int, m: int):
-    u = _normalize_rows(rng.standard_normal((count, m)))
-    v = rng.standard_normal((count, m))
-    proj = rowdot(v, u)
-    for j in range(m):   # a column at a time: no temporary of v's size
-        v[:, j] -= proj * u[:, j]
-    return u, _normalize_rows(v)
-
-
-def _unit_pairs(rng: np.random.Generator, count: int, m: int):
-    u = _normalize_rows(rng.standard_normal((count, m)))
-    return u, _normalize_rows(rng.standard_normal((count, m)))
-
-
 @dataclass(frozen=True)
 class ModelSpec:
-    """Everything that one explicit family knows about its matrices.
+    """Everything that one explicit family knows about its matrices, as
+    exact data.
 
     Layout: basis(n) gives the entries and grades, which alone place the
     nbar and n blocks (GradedModel._build_blocks); the diagonal blocks on
-    their rows carry l, and nu_weights weigh the traces there.
-
-    Sampling: sample_units draws unit rows (u, v) of the invariant measure
-    on O', whose point has nbar coordinates c_k = sum val u_r v_c over the
-    entries (r, c, val) of e_k's nbar block; M = K cap L acts on u and v.
-    Everything else, the exact L action and the forms included, GradedModel
-    derives from the basis.
+    their rows carry l, and nu_weights weigh the traces there.  m_planes
+    give the generator of the fixed M = K cap L rotation
+    (GradedModel.m_generator).  Everything else, the exact L action, the
+    forms and the float layer's unit sampler included, comes from the basis.
     """
 
-    basis: Callable            # n -> (entries, grades): nbar, l, n
-    nu_weights: tuple          # nu = w0 tr(on nbar rows) + w1 tr(on n rows)
-    y_entries: Callable        # j -> ((row, col, value), ...) in y_j's nbar block
-    sample_units: Callable     # (rng, count, block size) -> rows (u, v)
-    m_rotation_pair: Callable  # (r, r2) -> rotations acting on u and on v
+    basis: Callable       # n -> (entries, grades): nbar, l, n
+    nu_weights: tuple     # nu = w0 tr(on nbar rows) + w1 tr(on n rows)
+    y_entries: Callable   # j -> ((row, col, value), ...) in y_j's nbar block
+    m_planes: Callable    # n -> ((i, j), ...): X = sum E_ji - E_ij, ambient
 
 
 SPECS = {
@@ -536,17 +537,16 @@ SPECS = {
         nu_weights=(Fraction(-1, 2), ZERO),
         # y_j has nbar block B_j = [[0, -1], [1, 0]] at rows/columns 2j-2, 2j-1
         y_entries=lambda j: ((2 * j - 2, 2 * j - 1, -1), (2 * j - 1, 2 * j - 2, 1)),
-        sample_units=_orthonormal_pairs,
-        m_rotation_pair=lambda r, r2: (r, r)),
+        # X rotates rows 1, 2 of l = gl_2n, on the nbar rows and the n rows
+        m_planes=lambda n: ((1, 2), (2 * n + 1, 2 * n + 2))),
     Family.GL2N_R: ModelSpec(
         basis=_general_linear_basis,
         # nu = (tr A - tr D)/2 on l = gl_n + gl_n, D on the nbar rows; the
         # extension of the torus data pinned by the rank-one measure pushforward
         nu_weights=(Fraction(-1, 2), Fraction(1, 2)),
         y_entries=lambda j: ((j - 1, j - 1, 1),),
-        sample_units=_unit_pairs,
-        # l = (P, Q) moves n-side blocks as B -> P B Q^T
-        m_rotation_pair=lambda r, r2: (r, r2)),
+        # X rotates rows 0, 1 of A and rows 1, 2 of D (rows 0, 1 at n = 2)
+        m_planes=lambda n: ((0, 1), (n + 1, n + 2) if n >= 3 else (n, n + 1))),
 }
 
 

@@ -31,12 +31,13 @@ elements l, and the work that depends on neither is done once per stream:
 * equivariance_check squares the nbar coordinates of the unit points once;
   each diagonal l pays only for one matrix-vector product.
 
-A sample is kept as the nbar coordinates c of its unit part; every pairing,
-radius and torus action is a form in c built exactly from the model.  The
+A sample is kept as the nbar coordinates c of its unit part, drawn alike
+for every family (FloatBackend.sample_units), and a point x of n as its
+dense n-coordinates; every pairing, radius and torus action is a form in c
+built exactly from the model, as is the M rotation of x (m_rotation).  The
 exact orbit points of sample_orbit_rational are sparse nbar coordinates
-too, and their membership residual runs through the model's integer
-bracket and trace tables; only the float points of sample_base are
-matrices.
+too, and their membership residual runs through the model's integer bracket
+and trace tables; only the float points of sample_base are matrices.
 
 The measure checks and the spherical grid never form an integrand over the
 whole stream.  They evaluate it on contiguous slices of CHUNK samples, small
@@ -143,35 +144,48 @@ class FloatBackend:
     """Vectorized sampling and the float forms of one model.
 
     A sample is kept as its radius w and the nbar coordinates c of its unit
-    part, y = w * sum_k c_k e_k.  The family's spec draws the unit rows
-    (u, v), which are mapped to c at once; every pairing, crown pairing and
+    part, y = w * sum_k c_k e_k; a point x = sum_a x_a e_a of n is the dense
+    float vector of its n-coordinates x_a.  Every pairing, crown pairing and
     torus action is a form in c, read off the exact model and converted to
     float here.
     """
 
     def __init__(self, m: liealg.GradedModel):
         self.model = m
-        self.spec = m.spec
         self.block = m.block_size
         self.dn = m.d * m.n
         nbar_blocks = [m.block(m.basis[k], -1) for k in m.nbar_indices]
         self._nbar_flat = np.array(nbar_blocks, dtype=float).reshape(len(nbar_blocks), -1)
-        # c_k = sum val u_r v_c over the entries (r, c, val = +-1) of e_k's block
+        # c_k = sum val g_r h_c over the entries (r, c, val = +-1) of e_k's block
         self._unit_entries = [(k, r, col, np.add if b[r, col] > 0 else np.subtract)
                               for k, b in enumerate(nbar_blocks) for r, col in zip(*np.nonzero(b))]
-        self.theta_y1_block = m.block(m.element(m.theta(m.triples[0].y)), 1).astype(float)
+        self.theta_y1 = self.n_vector(m.theta(m.triples[0].y))
+
+    def n_vector(self, x: dict) -> np.ndarray:
+        """Sparse coordinates x as dense n-coordinates; ValueError off n."""
+        m = self.model
+        if any(m.grades[k] != 1 for k in x):
+            raise ValueError("x is not in n")
+        return np.array([x.get(k, 0) for k in m.n_indices], dtype=float)
 
     # -- sampling
 
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The nbar coordinates c of count unit points of O': the family's
-        rows (u, v) mapped at once, a slice at a time into one array."""
-        u, v = self.spec.sample_units(rng, count, self.block)
+        """The nbar coordinates c of count unit points of O', for every
+        family: c_k = sum val g_r h_c over the entries (r, c, val) of e_k's
+        nbar block for Gaussian rows g, h, divided by |c|, a slice at a time.
+        On skew blocks (o2n2n) c is g ^ h = r11 r22 (u ^ v) for the
+        Gram-Schmidt frame (u, v) of (g, h) (Bartlett decomposition), on
+        full ones (gl2nR) g h^T = |g| |h| u v^T: the unit point is the
+        frame's, of M-invariant law."""
+        g = rng.standard_normal((count, self.block))
+        h = rng.standard_normal((count, self.block))
         c = np.zeros((count, self.model.dim_nbar))
         for s in chunks(count):
-            us, vs, cs = u[s], v[s], c[s]
+            gs, hs, cs = g[s], h[s], c[s]
             for k, r, col, op in self._unit_entries:
-                op(cs[:, k], us[:, r] * vs[:, col], out=cs[:, k])
+                op(cs[:, k], gs[:, r] * hs[:, col], out=cs[:, k])
+            cs /= np.sqrt(np.einsum("ni,ni->n", cs, cs))[:, None]
         return c
 
     def sample_radii(self, rng: np.random.Generator, count: int):
@@ -209,26 +223,19 @@ class FloatBackend:
     def _crown(self) -> np.ndarray:
         return self.model.crown_tensor.astype(float)
 
-    def _x_coords(self, x) -> np.ndarray:
-        """The n-coordinates of x, given as an n-side block or an ambient
-        matrix, exact or float; ValueError when x is not in n."""
-        x = np.asarray(x)
-        if x.shape == (self.block, self.block):
-            x = self.model.embed(x, 1)
-        elif x.shape != (self.model.dim_ambient, self.model.dim_ambient):
-            raise ValueError(f"cannot interpret x of shape {x.shape}")
-        coords = self.model.coords(x)
-        if any(self.model.grades[k] != 1 for k in coords):
-            raise ValueError("x is not in n")
-        return np.array([coords.get(k, 0) for k in self.model.n_indices], dtype=float)
+    def _n_coords(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape != self._pairing.shape[:1]:
+            raise ValueError(f"x must be {len(self._pairing)} n-coordinates, got shape {x.shape}")
+        return x
 
     def linear_form(self, x) -> np.ndarray:
         """g_x, with <x, w * sum_k c_k e_k> = w (c . g_x)."""
-        return self._x_coords(x) @ self._pairing
+        return self._n_coords(x) @ self._pairing
 
     def crown_matrix(self, x) -> np.ndarray:
         """T_x = sum_a x_a T[a], with <x, [[theta y, y_1], y]> = w^2 c^T T_x c."""
-        return np.tensordot(self._x_coords(x), self._crown, 1)
+        return np.tensordot(self._n_coords(x), self._crown, 1)
 
     # -- pairings against a fixed x in n, views of PairingForms
 
@@ -237,7 +244,7 @@ class FloatBackend:
         return PairingForms(self, c, w).pair_x(x)
 
     def pair_theta_y1(self, c, w):
-        return PairingForms(self, c, w).pair_x(self.theta_y1_block)
+        return PairingForms(self, c, w).pair_x(self.theta_y1)
 
     def crown_pair(self, x, c, w):
         """<x, [[theta y, y_1], y]> at y = w * sum_k c_k e_k, bilinear in y."""
@@ -253,19 +260,6 @@ class FloatBackend:
         return self.model.embed(self.blocks(c, w), -1)
 
     # -- group actions
-
-    def m_rotation_x(self):
-        """A fixed M = K cap L element acting on n-side blocks: the family's
-        rotations (ru, rv) of the unit rows move a block x to rv x ru^T."""
-        mdim = self.block
-        c, s = 0.6, 0.8
-        i, j = (1, 2) if mdim >= 3 else (0, 1)
-        r = np.eye(mdim)
-        r[i, i], r[i, j], r[j, i], r[j, j] = c, -s, s, c
-        r2 = np.eye(mdim)
-        r2[0, 0], r2[0, 1], r2[1, 0], r2[1, 1] = c, -s, s, c
-        ru, rv = self.spec.m_rotation_pair(r, r2)
-        return lambda cblk: rv @ cblk @ ru.T
 
     def random_diag_l(self, rand: random.Random):
         """A random diagonal l = exp(sum_i t_i H_i) over the model's torus,
@@ -285,10 +279,11 @@ class FloatBackend:
     # -- default grid rays
 
     def ray_blocks(self):
-        """Three unit rays in n: the x_1 direction, x_2, and a mixture."""
-        m = self.model
-        b1, b2 = (m.block(m.element(t.x), 1).astype(float) for t in m.triples[:2])
-        return {"e1": b1, "e2": b2, "mix": (b1 + b2) / math.sqrt(2.0)}
+        """Three unit rays in n as n-coordinates, like every x here: the
+        x_1 direction, x_2, and a mixture.  It keeps "blocks" in its name
+        because perfbench/tracing.py wraps FloatBackend.ray_blocks by name."""
+        v1, v2 = (self.n_vector(t.x) for t in self.model.triples[:2])
+        return {"e1": v1, "e2": v2, "mix": (v1 + v2) / math.sqrt(2.0)}
 
 
 def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
@@ -303,7 +298,8 @@ def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint
 class PairingForms:
     """The pairings of one sample stream as linear and quadratic forms in c.
 
-    At y = w * sum_k c_k e_k and x in n,
+    At y = w * sum_k c_k e_k and x = sum_a x_a e_a in n, given by its
+    n-coordinates,
 
         <x, y> = sum_k g_k (w c_k),
         <x, [[theta y, y_1], y]> = sum_{k <= l} S_kl (w^2 c_k c_l),
@@ -507,13 +503,15 @@ def mixture_weight(w, dn: int, counts) -> np.ndarray:
 def l2_radial_integral(tau, radial_exp: int) -> float:
     """integral_0^inf K_tau(w)^2 w^(radial_exp - 2 tau) dw.
 
-    Finite precisely when 4 tau < radial_exp; outside that range the
-    integrand has a non-integrable pole at 0 and the call raises.
+    For tau > 0, K_tau(w)^2 grows like w^(-2 tau) at 0, so the integrand
+    behaves like w^(radial_exp - 4 tau) there: the integral is finite
+    precisely when 4 tau < radial_exp + 1.  Outside that range the pole at
+    0 is not integrable and the call raises.
     """
     t = float(tau)
-    if 4 * t >= radial_exp:
+    if 4 * t >= radial_exp + 1:
         raise QuadratureError(
-            f"radial integral diverges: 4*tau = {4 * t} >= {radial_exp} = d*n - 1")
+            f"radial integral diverges: 4*tau = {4 * t} >= {radial_exp + 1} = radial_exp + 1")
     power = radial_exp - 2 * t
     bessel.certify(t)
 
@@ -569,7 +567,8 @@ class FourierEstimate:
 
 def fourier_phi(m: liealg.GradedModel, x, samples: int = 10 ** 5,
                 seed: int = 0) -> FourierEstimate:
-    """Monte Carlo estimate of the Fourier transform of g_tau d mu_1 at x.
+    """Monte Carlo estimate of the Fourier transform of g_tau d mu_1 at the
+    point of n with n-coordinates x.
 
     Antithetic y/-y pairing annihilates the imaginary part identically; the
     reported value is real with a standard error from the paired stream.

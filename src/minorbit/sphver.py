@@ -203,13 +203,12 @@ def _directional(f, x, direction, step):
 # ----------------------------------------------------- direct Monte Carlo
 
 def default_grid(m: liealg.GradedModel) -> list[tuple[str, np.ndarray]]:
-    """Zero plus nine radii on each of three rays in n."""
-    be = orbit.FloatBackend(m)
-    rays = be.ray_blocks()
+    """Zero plus nine radii on each of three rays in n, as n-coordinates."""
+    rays = orbit.FloatBackend(m).ray_blocks()
     grid: list[tuple[str, np.ndarray]] = [("origin", 0.0 * rays["e1"])]
-    for name, block in rays.items():
+    for name, ray in rays.items():
         for t in np.arange(0.5, 5.0, 0.5):
-            grid.append((f"{name}:{t:.1f}", float(t) * block))
+            grid.append((f"{name}:{t:.1f}", float(t) * ray))
     return grid
 
 
@@ -249,9 +248,9 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     amp = weight * bessel.radial_profile_at(tau, w)
     crown_factor = weight * bessel.radial_profile_d1_at(tau, w)
     mass = float(np.mean(amp))  # transform at 0, the scale anchor
-    theta_terms = orbit.PairingForms.linear_terms(be, be.theta_y1_block)
-    point_terms = [(orbit.PairingForms.linear_terms(be, x_block),
-                    orbit.PairingForms.crown_terms(be, x_block)) for _, x_block in grid]
+    theta_terms = orbit.PairingForms.linear_terms(be, be.theta_y1)
+    point_terms = [(orbit.PairingForms.linear_terms(be, x),
+                    orbit.PairingForms.crown_terms(be, x)) for _, x in grid]
     moments = [orbit.Moments() for _ in grid]
     for s in orbit.chunks(pairs):
         cols = orbit.PairingForms(be, c[s], w[s])
@@ -289,19 +288,18 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
 
 def m_invariance_check(m: liealg.GradedModel, samples: int = 4 * 10 ** 5,
                        seed: int = 0, sigma_gate: float = 3.0) -> VerificationReport:
-    """Transform values agree at x and at a fixed M-rotation of x.
+    """Transform values agree at x and at the M-rotation m.m_rotation x.
 
     The x side and the rotated side are two streams (seed + 1, seed + 2),
     each drawn once for all three rays by orbit.fourier_phi_many.
     """
     report = VerificationReport("m_invariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
-    be = orbit.FloatBackend(m)
-    rot = be.m_rotation_x()
-    rays = be.ray_blocks()
+    rot = m.m_rotation.astype(float)
+    rays = orbit.FloatBackend(m).ray_blocks()
     xs = [1.5 * base for base in rays.values()]
     side_a = orbit.fourier_phi_many(m, xs, samples=samples, seed=seed + 1)
-    side_b = orbit.fourier_phi_many(m, [rot(x) for x in xs], samples=samples, seed=seed + 2)
+    side_b = orbit.fourier_phi_many(m, [rot @ x for x in xs], samples=samples, seed=seed + 2)
     for name, a, b in zip(rays, side_a, side_b):
         gap = a.value.real - b.value.real
         diff = abs(gap)

@@ -333,3 +333,46 @@ def test_overlapping_basis_supports_are_rejected(monkeypatch):
                         dataclasses.replace(spec, basis=overlapping))
     with pytest.raises(ModelInvariantError, match="share the entry"):
         liealg.build_model(Family.GL2N_R, 2)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_m_element_is_an_exact_rotation_of_n(family, n):
+    # g = 1 + (4/5) X + (2/5) X^2 for a theta-fixed X in l with X^3 = -X is
+    # orthogonal, so Ad(g) Y = g Y g^T; on every basis element of n it stays
+    # in n, and m_rotation holds its n-coordinates, all exactly
+    m = liealg.build_model(family, n)
+    x_coords = m.m_generator
+    assert x_coords and all(m.grades[k] == 0 for k in x_coords)
+    assert m.theta(x_coords) == x_coords
+    x = m.element(x_coords)
+    assert ratlin.is_zero_matrix(x @ x @ x + x)
+    one = ratlin.rzeros(x.shape)
+    np.fill_diagonal(one, 1)
+    g = one + Fraction(4, 5) * x + Fraction(2, 5) * (x @ x)
+    assert ratlin.is_zero_matrix(g.T @ g - one)
+    rot = m.m_rotation
+    for a, k in enumerate(m.n_indices):
+        coords = m.coords(g @ m.basis[k] @ g.T)
+        assert all(m.grades[j] == 1 for j in coords), k
+        assert coords == {j: rot[b, a] for b, j in enumerate(m.n_indices) if rot[b, a]}, k
+    # Ad(g) = exp(t ad X) with e^(it), e^(2it) != 1 fixes exactly the kernel
+    # of ad X: it moves x_1 and x_2, and x_1 + x_2 unless X commutes with it
+    # (so it fixes the mix ray of gl2nR at n = 2, the identity of the n block)
+    x1, x2 = (t.x for t in m.triples[:2])
+    for ray in (x1, x2, liealg.combine((1, x1), (1, x2))):
+        v = np.array([ray.get(k, 0) for k in m.n_indices], dtype=object)
+        moved = any(rot.dot(v) != v)
+        assert moved == bool(m.bracket(x_coords, ray)), ray
+        assert moved or ray not in (x1, x2)
+
+
+@pytest.mark.parametrize("n,planes", [(3, ((0, 1), (1, 2))), (2, ((0, 2),))])
+def test_m_generator_off_l_or_with_x_cubed_not_minus_x_is_rejected(monkeypatch, n, planes):
+    # two planes of gl_3 sharing row 1 give X^3 = -2X; the plane of rows 0
+    # and 2 of gl_4 joins an n entry to an nbar entry
+    spec = liealg.SPECS[Family.GL2N_R]
+    monkeypatch.setitem(liealg.SPECS, Family.GL2N_R,
+                        dataclasses.replace(spec, m_planes=lambda n: planes))
+    with pytest.raises(ModelInvariantError, match="M generator"):
+        liealg.build_model(Family.GL2N_R, n).m_rotation

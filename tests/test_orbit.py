@@ -9,7 +9,8 @@ import pytest
 from scipy import integrate, stats
 
 from minorbit import bessel, liealg, orbit, ratlin, sphver
-from minorbit.reports import QuadratureError, SpanError
+from minorbit.catalog import Family
+from minorbit.reports import QuadratureError
 
 
 def _tofloat(mat):
@@ -23,6 +24,15 @@ def _dense_bracket(a, b):
 def _dense_pair(m, a, b):
     """The form <a, b> = form_scale tr(a b) on exact matrices."""
     return m.form_scale * np.trace(a @ b)
+
+
+def _n_matrix(m, x):
+    """The float ambient matrix of the point of n with n-coordinates x."""
+    return sum(xa * _tofloat(m.basis[k]) for xa, k in zip(x, m.n_indices))
+
+
+def _float_rotation(m):
+    return m.m_rotation.astype(float)
 
 
 def test_rational_orbit_points_exact(o2, gl2):
@@ -87,18 +97,87 @@ def test_base_sampler_mean_pairing(o2):
     assert np.allclose(vals, 1.0, atol=1e-12)
 
 
-def test_base_sampler_m_invariance_two_sample(o2, gl2):
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_base_sampler_m_invariance_two_sample(family):
     # <k x, y> = <x, k^-1 y> and the sampler is M-invariant, so the pairings
     # with theta y_1 and with its M-rotation have one law on one stream
-    for m in (o2, gl2):
-        be = orbit.FloatBackend(m)
-        c = be.sample_units(np.random.default_rng(17), 4000)
-        w = np.ones(4000)
-        x = be.theta_y1_block
-        rotated = be.m_rotation_x()(x)
-        assert not np.array_equal(rotated, x)
-        ks = stats.ks_2samp(be.pair_x(x, c, w), be.pair_x(rotated, c, w))
-        assert ks.pvalue > 1e-3, (m.family, ks)
+    m = liealg.build_model(family, 2)
+    be = orbit.FloatBackend(m)
+    c = be.sample_units(np.random.default_rng(17), 4000)
+    w = np.ones(4000)
+    x = be.theta_y1
+    rotated = _float_rotation(m) @ x
+    assert not np.array_equal(rotated, x)
+    ks = stats.ks_2samp(be.pair_x(x, c, w), be.pair_x(rotated, c, w))
+    assert ks.pvalue > 1e-3, (m.family, ks)
+
+
+def _unit(a):
+    return a / np.sqrt(np.einsum("ni,ni->n", a, a))[:, None]
+
+
+def _gram_schmidt_frame(g, h):
+    """Unit rows u = g / |g| and v, the unit part of h orthogonal to u."""
+    u = _unit(g)
+    return u, _unit(h - np.einsum("ni,ni->n", h, u)[:, None] * u)
+
+
+# Reference samplers of O': unit rows (u, v) of each family, whose point has
+# nbar coordinates c_k = sum val u_r v_c over the entries of e_k's block.
+REFERENCE_UNIT_ROWS = {Family.O2N2N: _gram_schmidt_frame,
+                       Family.GL2N_R: lambda g, h: (_unit(g), _unit(h))}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_sample_units_match_the_frame_reference(family, n):
+    # on the same Gaussian rows (g, h), the normalized c formed from (g, h)
+    # is the point of the family's unit frame (u, v): the wedge
+    # g ^ h = r11 r22 (u ^ v) on skew blocks (Bartlett), g h^T = |g| |h| u v^T
+    # on full ones; over two slices of the stream
+    m = liealg.build_model(family, n)
+    be = orbit.FloatBackend(m)
+    count = orbit.CHUNK + 1000
+    c = be.sample_units(np.random.default_rng(n), count)
+    rng = np.random.default_rng(n)
+    g, h = (rng.standard_normal((count, m.block_size)) for _ in range(2))
+    u, v = REFERENCE_UNIT_ROWS[family](g, h)
+    blocks = np.array([m.block(m.basis[k], -1) for k in m.nbar_indices], dtype=float)
+    reference = np.einsum("nr,krc,nc->nk", u, blocks, v, optimize=True)
+    assert np.max(np.abs(c - reference)) <= 1e-12
+    assert np.allclose(np.einsum("nk,nk->n", c, c), 1.0, rtol=0, atol=1e-14)
+
+
+def _plane_rotation(size, i, j):
+    r = np.eye(size)
+    r[i, i], r[i, j], r[j, i], r[j, j] = 0.6, -0.8, 0.8, 0.6
+    return r
+
+
+# Reference M rotations: from the plane rotations r (rows 1, 2, or 0, 1 for a
+# block of size 2) and r2 (rows 0, 1), the pair (ru, rv) that moves an n-side
+# block B to rv B ru^T.
+REFERENCE_ROTATION_PAIRS = {Family.O2N2N: lambda r, r2: (r, r),
+                            Family.GL2N_R: lambda r, r2: (r, r2)}
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_m_rotation_of_every_n_basis_element(family, n):
+    # every basis element of n rotates to a point of n whose forms the float
+    # layer evaluates, and m_rotation is the reference rotation to rounding
+    m = liealg.build_model(family, n)
+    be = orbit.FloatBackend(m)
+    size = m.block_size
+    ru, rv = REFERENCE_ROTATION_PAIRS[family](
+        _plane_rotation(size, *((1, 2) if size >= 3 else (0, 1))), _plane_rotation(size, 0, 1))
+    rot = _float_rotation(m)
+    n_blocks = [m.block(_tofloat(m.basis[k]), 1) for k in m.n_indices]
+    for a, block in enumerate(n_blocks):
+        x = rot[:, a]
+        assert np.isfinite(be.linear_form(x)).all() and np.isfinite(be.crown_matrix(x)).all()
+        moved = sum(xb * b for xb, b in zip(x, n_blocks))
+        assert np.max(np.abs(moved - rv @ block @ ru.T)) <= 2e-16, a
 
 
 @pytest.mark.parametrize("family,n", [(f.value, n) for f in liealg.SPECS for n in (2, 3)])
@@ -135,56 +214,58 @@ def test_forms_certified_on_rational_orbit_points(family, n):
                 assert lhs - _dense_pair(m, x, hy) == 0
 
 
-def test_backend_pairings_match_exact_model(all_models):
-    for m in all_models:
-        be = orbit.FloatBackend(m)
-        c = be.sample_units(np.random.default_rng(7), 5)
-        w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
-        mats = be.matrices(c, w)
-        scale = float(m.form_scale)
-        y1 = _tofloat(m.element(m.triples[0].y))
-        th_y1 = _tofloat(m.element(m.theta(m.triples[0].y)))
-        xb = be.ray_blocks()["mix"]
-        x_full = m.embed(xb, 1)
-        for i in range(5):
-            y = mats[i]
-            assert math.isclose(scale * np.trace(x_full @ y),
-                                be.pair_x(xb, c[i:i+1], w[i:i+1])[0], abs_tol=1e-12)
-            assert math.isclose(scale * np.trace(th_y1 @ y),
-                                be.pair_theta_y1(c[i:i+1], w[i:i+1])[0], abs_tol=1e-12)
-            th_y = -y.T
-            crown = (th_y @ y1 - y1 @ th_y)
-            crown = crown @ y - y @ crown
-            assert math.isclose(scale * np.trace(x_full @ crown),
-                                be.crown_pair(xb, c[i:i+1], w[i:i+1])[0], abs_tol=1e-11)
+@pytest.mark.parametrize("family,n", [(f.value, n) for f in liealg.SPECS for n in (2, 3)])
+def test_backend_pairings_match_exact_model(family, n):
+    m = liealg.build_model(family, n)
+    be = orbit.FloatBackend(m)
+    c = be.sample_units(np.random.default_rng(7), 5)
+    w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
+    mats = be.matrices(c, w)
+    scale = float(m.form_scale)
+    y1 = _tofloat(m.element(m.triples[0].y))
+    th_y1 = _tofloat(m.element(m.theta(m.triples[0].y)))
+    x = be.ray_blocks()["mix"]
+    x_full = _n_matrix(m, x)
+    for i in range(5):
+        y = mats[i]
+        assert math.isclose(scale * np.trace(x_full @ y),
+                            be.pair_x(x, c[i:i+1], w[i:i+1])[0], abs_tol=1e-12)
+        assert math.isclose(scale * np.trace(th_y1 @ y),
+                            be.pair_theta_y1(c[i:i+1], w[i:i+1])[0], abs_tol=1e-12)
+        th_y = -y.T
+        crown = (th_y @ y1 - y1 @ th_y)
+        crown = crown @ y - y @ crown
+        assert math.isclose(scale * np.trace(x_full @ crown),
+                            be.crown_pair(x, c[i:i+1], w[i:i+1])[0], abs_tol=1e-11)
 
 
-def test_pairing_forms_match_exact_model(all_models):
+@pytest.mark.parametrize("family,n", [(f.value, n) for f in liealg.SPECS for n in (2, 3)])
+def test_pairing_forms_match_exact_model(family, n):
     # one evaluator serves a sparse ray and the dense M-rotated x, sharing
     # its x-free columns; both pairings must agree with the trace form
-    for m in all_models:
-        be = orbit.FloatBackend(m)
-        c = be.sample_units(np.random.default_rng(7), 5)
-        w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
-        mats = be.matrices(c, w)
-        scale = float(m.form_scale)
-        y1 = _tofloat(m.element(m.triples[0].y))
-        mix = be.ray_blocks()["mix"]
-        rotated = be.m_rotation_x()(1.5 * mix)
-        assert np.count_nonzero(rotated) > np.count_nonzero(mix)
-        forms = orbit.PairingForms(be, c, w)
-        for xb in (mix, rotated, _tofloat(m.block(m.element(m.theta(m.triples[0].y)), 1))):
-            x_full = m.embed(xb, 1)
-            phase, crown_pair = forms.pair_x(xb), forms.crown_pair(xb)
-            for i in range(5):
-                y = mats[i]
-                th_y = -y.T
-                crown = th_y @ y1 - y1 @ th_y
-                crown = crown @ y - y @ crown
-                assert math.isclose(scale * np.trace(x_full @ y), phase[i],
-                                    rel_tol=1e-12, abs_tol=1e-12)
-                assert math.isclose(scale * np.trace(x_full @ crown), crown_pair[i],
-                                    rel_tol=1e-12, abs_tol=1e-12)
+    m = liealg.build_model(family, n)
+    be = orbit.FloatBackend(m)
+    c = be.sample_units(np.random.default_rng(7), 5)
+    w = np.array([0.7, 1.3, 2.1, 0.5, 3.3])
+    mats = be.matrices(c, w)
+    scale = float(m.form_scale)
+    y1 = _tofloat(m.element(m.triples[0].y))
+    rays = be.ray_blocks()
+    rotated = _float_rotation(m) @ (1.5 * rays["e1"])
+    assert np.count_nonzero(rotated) > np.count_nonzero(rays["e1"])
+    forms = orbit.PairingForms(be, c, w)
+    for x in (rays["mix"], rotated, be.theta_y1):
+        x_full = _n_matrix(m, x)
+        phase, crown_pair = forms.pair_x(x), forms.crown_pair(x)
+        for i in range(5):
+            y = mats[i]
+            th_y = -y.T
+            crown = th_y @ y1 - y1 @ th_y
+            crown = crown @ y - y @ crown
+            assert math.isclose(scale * np.trace(x_full @ y), phase[i],
+                                rel_tol=1e-12, abs_tol=1e-12)
+            assert math.isclose(scale * np.trace(x_full @ crown), crown_pair[i],
+                                rel_tol=1e-12, abs_tol=1e-12)
 
 
 def test_pairing_forms_value_depends_on_x_alone(gl2, o3):
@@ -197,7 +278,7 @@ def test_pairing_forms_value_depends_on_x_alone(gl2, o3):
         x = 2.5 * rays["mix"]
         shared = orbit.PairingForms(be, c, w)
         shared.pair_x(rays["e1"])
-        shared.crown_pair(be.m_rotation_x()(rays["e2"]))
+        shared.crown_pair(_float_rotation(m) @ rays["e2"])
         fresh = orbit.PairingForms(be, c, w)
         assert np.array_equal(shared.pair_x(x), fresh.pair_x(x))
         assert np.array_equal(shared.crown_pair(x), fresh.crown_pair(x))
@@ -242,6 +323,23 @@ def test_radial_integral_against_high_precision(gl2):
     assert math.isclose(val, ref, rel_tol=1e-6)
 
 
+@pytest.mark.parametrize("tau,radial_exp", [(Fraction(1, 2), 2), (1, 4), (Fraction(3, 2), 6),
+                                            (Fraction(5, 2), 10)])
+def test_radial_integral_on_the_divergence_boundary(tau, radial_exp):
+    # at 4 tau = radial_exp the integrand K_tau(w)^2 w^(radial_exp - 2 tau)
+    # stays bounded at 0; DLMF 10.43 gives the integral in closed form
+    mu = radial_exp - 2 * tau + 1
+    closed = (math.sqrt(math.pi) * math.gamma(mu / 2 + tau) * math.gamma(mu / 2)
+              * math.gamma(mu / 2 - tau) / (4 * math.gamma((1 + mu) / 2)))
+    assert math.isclose(orbit.l2_radial_integral(tau, radial_exp), closed, rel_tol=1e-12)
+
+
+def test_radial_integral_refused_just_past_the_boundary():
+    # 4 tau = radial_exp + 1: the integrand behaves like 1/w at 0
+    with pytest.raises(QuadratureError, match="diverges"):
+        orbit.l2_radial_integral(Fraction(1, 2), 1)
+
+
 def test_radial_integral_divergence_diagnostic():
     with pytest.raises(QuadratureError, match="diverges"):
         orbit.l2_radial_integral(Fraction(3, 2), 3)
@@ -278,10 +376,9 @@ def test_fourier_determinism(o2):
 
 def test_fourier_m_invariance(o2):
     be = orbit.FloatBackend(o2)
-    rot = be.m_rotation_x()
     x = 2.0 * be.ray_blocks()["mix"]
     a = orbit.fourier_phi(o2, x, samples=3 * 10 ** 5, seed=5)
-    b = orbit.fourier_phi(o2, rot(x), samples=3 * 10 ** 5, seed=6)
+    b = orbit.fourier_phi(o2, _float_rotation(o2) @ x, samples=3 * 10 ** 5, seed=6)
     assert abs(a.value.real - b.value.real) < 3 * math.hypot(a.stderr, b.stderr)
 
 
@@ -294,27 +391,35 @@ def test_fourier_decay_trend(o2):
 
 
 def test_fourier_accepts_exact_n_elements(o2):
-    x1 = o2.element(o2.triples[0].x)
+    # exact n-coordinates, as Fractions, are read as floats
+    x1 = [Fraction(o2.triples[0].x.get(k, 0)) for k in o2.n_indices]
     est = orbit.fourier_phi(o2, x1, samples=10 ** 5, seed=3)
     assert est.value.real > 0
+    be = orbit.FloatBackend(o2)
+    assert est == orbit.fourier_phi(o2, be.n_vector(o2.triples[0].x), samples=10 ** 5, seed=3)
 
 
 def test_fourier_rejects_x_outside_n(o2, gl2):
+    # x is a vector of n-coordinates: an element given by coordinates off n,
+    # a matrix (even one with as many rows as n has basis elements, as the
+    # 4 x 4 ambient matrices of gl2nR at n = 2 do) or a vector of the wrong
+    # length is refused
     for m in (o2, gl2):
+        be = orbit.FloatBackend(m)
         with pytest.raises(ValueError, match="not in n"):
-            orbit.fourier_phi(m, m.element(m.triples[0].y), samples=10 ** 4)
-    off_skew = np.zeros((4, 4))
-    off_skew[0, 1] = 1.0   # an n-side block of o2n2n must be skew
-    with pytest.raises(SpanError):
-        orbit.fourier_phi(o2, off_skew, samples=10 ** 4)
+            be.n_vector(m.triples[0].y)
+        for x in (_tofloat(m.element(m.triples[0].x)), np.ones(len(m.n_indices) + 1)):
+            with pytest.raises(ValueError, match="n-coordinates"):
+                orbit.fourier_phi(m, x, samples=10 ** 4)
+    assert len(gl2.n_indices) == gl2.dim_ambient
 
 
 def test_fourier_phi_many_matches_fourier_phi(o2, gl2):
     for m in (o2, gl2):
         be = orbit.FloatBackend(m)
         rays = be.ray_blocks()
-        xs = [0.0 * rays["e1"], 1.5 * rays["e2"], be.m_rotation_x()(2.0 * rays["mix"]),
-              m.element(m.triples[0].x)]
+        xs = [0.0 * rays["e1"], 1.5 * rays["e2"], _float_rotation(m) @ (2.0 * rays["mix"]),
+              [m.triples[0].x.get(k, 0) for k in m.n_indices]]
         many = orbit.fourier_phi_many(m, xs, samples=4 * 10 ** 4, seed=9)
         for x, est in zip(xs, many):
             one = orbit.fourier_phi(m, x, samples=4 * 10 ** 4, seed=9)

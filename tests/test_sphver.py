@@ -46,12 +46,20 @@ def _block_entry(i, j):
     return lambda x: x[i, j]
 
 
+def _ray_blocks(m):
+    """The backend's n-coordinate rays as n-side blocks, the points that
+    ActionOperator acts on."""
+    n_blocks = np.array([m.block(m.basis[k], 1) for k in m.n_indices], dtype=float)
+    return {name: np.tensordot(ray, n_blocks, 1)
+            for name, ray in orbit.FloatBackend(m).ray_blocks().items()}
+
+
 def test_action_translation(o2):
-    be = orbit.FloatBackend(o2)
-    x0 = be.ray_blocks()["e1"]
+    rays = _ray_blocks(o2)
+    x0 = rays["e1"]
     op = sphver.ActionOperator(o2, "translation", o2.embed(x0, 1), 2)
     f = _block_entry(1, 0)
-    x = 0.3 * be.ray_blocks()["mix"]
+    x = 0.3 * rays["mix"]
     val = op.apply(f, x)
     assert math.isclose(val, x0[1, 0], rel_tol=1e-8)
 
@@ -60,8 +68,7 @@ def test_action_linear_on_constant(o2):
     h1 = np.array([[float(v) for v in row] for row in o2.element(o2.triples[0].h)])
     op = sphver.ActionOperator(o2, "linear", h1, o2.d)
     f = lambda x: 1.0
-    be = orbit.FloatBackend(o2)
-    x = 0.7 * be.ray_blocks()["e2"]
+    x = 0.7 * _ray_blocks(o2)["e2"]
     # chi(h_0) = -(j d) nu(h_0) = -d for h_1
     assert math.isclose(op.apply(f, x), -float(o2.d), rel_tol=1e-10)
 
@@ -70,8 +77,7 @@ def test_action_quadratic_character_factor(gl2):
     y1 = np.array([[float(v) for v in row] for row in gl2.element(gl2.triples[0].y)])
     op = sphver.ActionOperator(gl2, "quadratic", y1, gl2.d)
     f = lambda x: 1.0
-    be = orbit.FloatBackend(gl2)
-    x = 1.2 * be.ray_blocks()["e1"]
+    x = 1.2 * _ray_blocks(gl2)["e1"]
     x_amb = gl2.embed(x, 1)
     h = x_amb @ y1 - y1 @ x_amb
     expected = -gl2.d * gl2.nu_from_traces(h)
@@ -89,8 +95,8 @@ def test_action_commutation_x_y_gives_h(o2):
     def f(x):
         return x[1, 0] ** 2 + 0.5 * x[3, 2] - 0.25 * x[1, 0] * x[3, 2]
 
-    be = orbit.FloatBackend(o2)
-    x = 0.4 * be.ray_blocks()["e1"] + 0.9 * be.ray_blocks()["e2"]
+    rays = _ray_blocks(o2)
+    x = 0.4 * rays["e1"] + 0.9 * rays["e2"]
     step = 1e-5
     xy = op_x.apply(lambda p: op_y.apply(f, p, step), x, step)
     yx = op_y.apply(lambda p: op_x.apply(f, p, step), x, step)
@@ -99,12 +105,11 @@ def test_action_commutation_x_y_gives_h(o2):
 
 
 def _short_grid(m, tmax=2.0):
-    be = orbit.FloatBackend(m)
-    rays = be.ray_blocks()
+    rays = orbit.FloatBackend(m).ray_blocks()
     grid = [("origin", 0.0 * rays["e1"])]
-    for name, block in rays.items():
+    for name, ray in rays.items():
         for t in np.arange(0.5, tmax + 0.25, 0.5):
-            grid.append((f"{name}:{t:.1f}", float(t) * block))
+            grid.append((f"{name}:{t:.1f}", float(t) * ray))
     return grid
 
 
@@ -142,13 +147,12 @@ def test_m_invariance_of_transform(o2):
 def test_m_invariance_matches_separate_fourier_calls(o2, gl2):
     for m in (o2, gl2):
         rep = sphver.m_invariance_check(m, samples=10 ** 5, seed=4)
-        be = orbit.FloatBackend(m)
-        rot = be.m_rotation_x()
-        rays = be.ray_blocks()
+        rot = m.m_rotation.astype(float)
+        rays = orbit.FloatBackend(m).ray_blocks()
         assert [c.name for c in rep.checks] == [f"ray {name}" for name in rays]
         for check, base in zip(rep.checks, rays.values()):
             a = orbit.fourier_phi(m, 1.5 * base, samples=10 ** 5, seed=5)
-            b = orbit.fourier_phi(m, rot(1.5 * base), samples=10 ** 5, seed=6)
+            b = orbit.fourier_phi(m, rot @ (1.5 * base), samples=10 ** 5, seed=6)
             sigma = math.hypot(a.stderr, b.stderr)
             assert check.estimate == a.value.real - b.value.real
             assert check.stderr == sigma
