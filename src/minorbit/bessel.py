@@ -169,16 +169,25 @@ def profile_ladder(tau, w, count: int = 1) -> tuple:
 
     The power is numpy's array power, which Python's ** and numpy's scalar
     power miss by one bit at some points, so a float w goes through a
-    1-element array: Python floats with the array's bits, silently inf or nan."""
+    1-element array: Python floats with the array's bits, silently inf or nan.
+    At a negative order tau + j, K and w^(tau + j) both underflow to 0 at
+    large w, where phi = K w^|tau + j| tends to 0; phi is 0 wherever K
+    underflowed there, not 0/0."""
     t = float(tau)
     for j in range(count):
         certify(t + j)
     ladder = k_ladder(t, w, count)
     if not isinstance(w, (float, int)):
-        return tuple(k / w ** (t + j) for j, k in enumerate(ladder))
+        return tuple(_k_over_power(k, w, t + j) for j, k in enumerate(ladder))
     one = np.array([float(w)])
     with np.errstate(all="ignore"):
-        return tuple((k / one ** (t + j)).item() for j, k in enumerate(ladder))
+        return tuple(_k_over_power(k, one, t + j).item() for j, k in enumerate(ladder))
+
+
+def _k_over_power(k, w: np.ndarray, order: float):
+    """k / w^order, and 0 where k underflowed at a negative order."""
+    p = k / w ** order
+    return np.where(np.equal(k, 0.0), 0.0, p)[()] if order < 0 else p
 
 
 def phi_tau(tau, z) -> tuple:

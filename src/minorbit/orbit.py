@@ -32,21 +32,26 @@ elements l, and the work that depends on neither is done once per stream:
   each diagonal l pays only for one matrix-vector product.
 
 A sample is kept as the nbar coordinates c of its unit part, drawn alike
-for every family (FloatBackend.sample_units), and a point x of n as its
+for every family (FloatBackend.units), and a point x of n as its
 dense n-coordinates; every pairing, radius and torus action is a form in c
 built exactly from the model, as is the M rotation of x (m_rotation).  The
 exact orbit points of sample_orbit_rational are sparse nbar coordinates
 too, and their membership residual runs through the model's integer bracket
 and trace tables; only the float points of sample_base are matrices.
 
-The measure checks and the spherical grid never form an integrand over the
-whole stream.  They evaluate it on contiguous slices of CHUNK samples, small
-enough that a slice's temporaries stay in the L2 cache, and reduce each
-estimate with a streaming mean and centred sum of squares (Moments).  Every
-sample's value is the one the whole-stream formula gives, bit for bit; only
-the order of the summation depends on CHUNK, so an estimate moves with it by
-rounding alone.  fourier_phi_many reduces with whole-stream np.mean and
-np.std.
+The measure checks and the spherical grid walk their streams once, in
+contiguous slices of CHUNK samples, small enough that a slice's temporaries
+stay in the L2 cache.  A slice's radii and weights are drawn when it is
+reached (radii_slices, mixture_slices), its unit coordinates c are formed
+from its rows of the Gaussian draws g, h, which alone are drawn whole
+(sample_slices), and the slice is fed at once to every estimate of the
+check, each reduced by a streaming mean and centred sum of squares
+(Moments).  numpy fills its arrays in draw order, so the slices join to the
+whole-array draws (sample_units, sample_radii, sample_radii_mixture) bit for
+bit, and every sample's value is the one the whole-stream formula gives;
+only the order of the summation depends on CHUNK, so an estimate moves with
+it by rounding alone.  fourier_phi_many draws whole arrays and reduces with
+whole-stream np.mean and np.std.
 
 l2_radial_integral is the one quadrature here; it calls
 scipy.integrate.quad through the scipy package, so scipy's quadrature code
@@ -170,22 +175,33 @@ class FloatBackend:
 
     # -- sampling
 
+    def unit_rows(self, rng: np.random.Generator, count: int):
+        """The Gaussian rows g, h of count unit points: the first two draws
+        of a stream that has unit points."""
+        return (rng.standard_normal((count, self.block)),
+                rng.standard_normal((count, self.block)))
+
+    def units(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """The nbar coordinates c of the unit points of O' with Gaussian
+        rows g, h, for every family: c_k = sum val g_r h_c over the entries
+        (r, c, val) of e_k's nbar block, divided by |c|.  On skew blocks
+        (o2n2n) c is g ^ h = r11 r22 (u ^ v) for the Gram-Schmidt frame
+        (u, v) of (g, h) (Bartlett decomposition), on full ones (gl2nR)
+        g h^T = |g| |h| u v^T: the unit point is the frame's, of M-invariant
+        law."""
+        c = np.zeros((len(g), self.model.dim_nbar))
+        for k, r, col, op in self._unit_entries:
+            op(c[:, k], g[:, r] * h[:, col], out=c[:, k])
+        c /= np.sqrt(np.einsum("ni,ni->n", c, c))[:, None]
+        return c
+
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The nbar coordinates c of count unit points of O', for every
-        family: c_k = sum val g_r h_c over the entries (r, c, val) of e_k's
-        nbar block for Gaussian rows g, h, divided by |c|, a slice at a time.
-        On skew blocks (o2n2n) c is g ^ h = r11 r22 (u ^ v) for the
-        Gram-Schmidt frame (u, v) of (g, h) (Bartlett decomposition), on
-        full ones (gl2nR) g h^T = |g| |h| u v^T: the unit point is the
-        frame's, of M-invariant law."""
-        g = rng.standard_normal((count, self.block))
-        h = rng.standard_normal((count, self.block))
-        c = np.zeros((count, self.model.dim_nbar))
+        """The nbar coordinates c of count unit points, whole: the rows
+        g, h are drawn at once and mapped by units a slice at a time."""
+        g, h = self.unit_rows(rng, count)
+        c = np.empty((count, self.model.dim_nbar))
         for s in chunks(count):
-            gs, hs, cs = g[s], h[s], c[s]
-            for k, r, col, op in self._unit_entries:
-                op(cs[:, k], gs[:, r] * hs[:, col], out=cs[:, k])
-            cs /= np.sqrt(np.einsum("ni,ni->n", cs, cs))[:, None]
+            c[s] = self.units(g[s], h[s])
         return c
 
     def sample_radii(self, rng: np.random.Generator, count: int):
@@ -194,24 +210,64 @@ class FloatBackend:
         log_weight = w + math.lgamma(self.dn)
         return w, np.exp(log_weight)
 
+    def radii_slices(self, rng: np.random.Generator, count: int):
+        """sample_radii(rng, count) as (w, weight) slices of CHUNK draws.
+        numpy fills a gamma array in draw order, so the slices join to the
+        whole-array draw bit for bit."""
+        for size in slice_sizes(count):
+            yield self.sample_radii(rng, size)
+
     def sample_radii_mixture(self, rng: np.random.Generator, count: int):
-        """Radii from the defensive mixture, with weights w^(dn-1) / q(w).
+        """Radii from the defensive mixture, with weights w^(dn-1) / q(w),
+        whole: mixture_slices joined."""
+        w, weight = np.empty(count), np.empty(count)
+        for s, (ws, weights) in zip(chunks(count), self.mixture_slices(rng, count)):
+            w[s], weight[s] = ws, weights
+        return w, weight
+
+    def mixture_slices(self, rng: np.random.Generator, count: int):
+        """The defensive mixture's (w, weight) as slices of CHUNK draws.
 
         The draws are stratified by component: component k gets counts[k] of
         them (count / K, the remainder spread over the first components), in
         the order Gamma(dn, 1) then s = 1/8 .. 4, and q mixes the components
-        in those same shares, so the weighted mean is unbiased.
+        in those same shares, so the weighted mean is unbiased.  A slice
+        draws its part of each component it meets, in that order, so a
+        component boundary may fall inside it.
         """
         counts = mixture_counts(count)
-        w0, _ = self.sample_radii(rng, counts[0])
-        parts = [w0]
-        for s, c in zip(MIXTURE_SCALES, counts[1:]):
-            parts.append(np.maximum(s * np.sqrt(rng.gamma(self.dn / 2, 1.0, size=c)), 1e-290))
-        w = np.concatenate(parts)
-        weight = np.empty_like(w)
-        for s in chunks(count):
-            weight[s] = mixture_weight(w[s], self.dn, counts)
-        return w, weight
+        lo = 0
+        for size in slice_sizes(count):
+            hi = lo + size
+            parts, start = [], 0
+            for k, n in enumerate(counts):
+                # the draws [a, b) of this slice fall in component k
+                a, b = max(lo, start), min(hi, start + n)
+                if a < b:
+                    parts.append(self._mixture_draws(rng, k, b - a))
+                start += n
+            w = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            yield w, mixture_weight(w, self.dn, counts)
+            lo = hi
+
+    def _mixture_draws(self, rng: np.random.Generator, k: int, size: int) -> np.ndarray:
+        """size radii of mixture component k."""
+        if k == 0:
+            return self.sample_radii(rng, size)[0]
+        s = MIXTURE_SCALES[k - 1]
+        return np.maximum(s * np.sqrt(rng.gamma(self.dn / 2, 1.0, size=size)), 1e-290)
+
+    def sample_slices(self, rng: np.random.Generator, count: int, radii):
+        """A stream of count samples as (c, w, weight) slices of CHUNK.
+
+        The draws are those of sample_units then radii (radii_slices or
+        mixture_slices) on rng: the rows g, h are drawn whole first, and
+        each slice maps its rows to c and draws its radii when it is
+        reached, so no other array outlives its slice.
+        """
+        g, h = self.unit_rows(rng, count)
+        for s, (w, weight) in zip(chunks(count), radii(rng, count)):
+            yield self.units(g[s], h[s]), w, weight
 
     # -- forms in c, built from the exact model
 
@@ -405,6 +461,11 @@ def chunks(count: int):
     return (slice(lo, lo + CHUNK) for lo in range(0, count, CHUNK))
 
 
+def slice_sizes(count: int):
+    """The lengths of the slices of chunks(count)."""
+    return (min(CHUNK, count - lo) for lo in range(0, count, CHUNK))
+
+
 class Moments:
     """Streaming mean and centred sum of squares of a sample.
 
@@ -445,16 +506,6 @@ class Moments:
         over-estimates the variance of the mean, so the error bar it gives
         is conservative."""
         return self.std / math.sqrt(self.count)
-
-
-def sliced_mean(f: Callable, *arrays) -> tuple[float, float]:
-    """Mean and standard error of f(*arrays), with f evaluated on the
-    successive CHUNK-row slices of the arrays (equal length along axis 0)
-    and reduced by Moments; f must return a new float array."""
-    acc = Moments()
-    for s in chunks(len(arrays[0])):
-        acc.add(f(*(a[s] for a in arrays)))
-    return acc.mean, acc.stderr
 
 
 # ------------------------------------------------ defensive radial mixture
@@ -537,12 +588,15 @@ def l2_norm_g_tau(m: liealg.GradedModel) -> float:
 
 MIN_FOURIER_SAMPLES = 10 ** 4
 
-# The largest sample count the CLI accepts.  The draws of a Monte Carlo
-# suite are held at once (the integrands only a slice at a time): peak
-# memory grows by about 115 bytes per sample (197 MB at 1e6, 426 MB at 3e6
-# for verify orbit or all on o2n2n n = 2, where equivariance_check holds the
-# most: the unit rows while they are mapped to coordinates), so the cap
-# keeps a run under about 1.3 GB.
+# The largest sample count the CLI accepts.  The measure checks and the
+# spherical grid hold only the Gaussian rows g, h of their unit points
+# whole, 2 * block floats a sample, and everything else a slice at a time.
+# For verify orbit on o2n2n, where equivariance_check holds the most, peak
+# memory grows by about 61 bytes per sample at n = 2 (102 MB at 1e6, 346 MB
+# at 5e6) and 183 at n = 6 (256 MB at 1e6, 623 MB at 3e6), so the cap keeps
+# a run under about 0.7 GB at n = 2 and 2 GB at n = 6.  fourier draws whole
+# arrays (fourier_phi_many): about 61 bytes per sample at n = 2 and 343 at
+# n = 6 (452 MB at 1e6, 795 MB at 2e6), about 3.5 GB at the cap.
 MAX_SAMPLES = 10 ** 7
 
 # The largest --steps the bessel and fourier commands accept.  The grid and
@@ -632,34 +686,35 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     For diagonal l the transformed radius is computable in closed form, so
     both sides of the equivariance identity are plain radial Monte Carlo
     estimates on independent mixture streams; they must agree to rtol.
-    The squared coordinates c_k^2 of the unit points are formed once for
-    all l; each l costs one matrix-vector product with its squared torus
-    scales, and the radii, the test function and the weighted integrand are
-    formed a slice at a time (sliced_mean).
+    The l of every (test function, l) pair are drawn first, in report
+    order.  The two streams are then walked together a slice at a time,
+    and each slice feeds every estimate: the squared coordinates c_k^2 are
+    formed once for all l, and each l costs one matrix-vector product with
+    its squared torus scales.
     """
     report = VerificationReport("equivariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
     be = FloatBackend(m)
+    bank = _test_bank()
     rand = random.Random(seed)
-    rng_l = np.random.default_rng(seed + 1)
-    rng_r = np.random.default_rng(seed + 2)
-    c2 = be.sample_units(rng_l, samples)
-    np.square(c2, out=c2)
-    w1, weight1 = be.sample_radii_mixture(rng_l, samples)
-    w2, weight2 = be.sample_radii_mixture(rng_r, samples)
+    ls = [[be.random_diag_l(rand) for _ in range(l_samples)] for _ in bank]
+    base = [Moments() for _ in bank]
+    moved = [[Moments() for _ in row] for row in ls]
+    side_l = be.sample_slices(np.random.default_rng(seed + 1), samples, be.mixture_slices)
+    side_r = be.mixture_slices(np.random.default_rng(seed + 2), samples)
+    for (c, w1, weight1), (w2, weight2) in zip(side_l, side_r):
+        c2 = np.square(c, out=c)
+        for (_, g), acc, accs, row in zip(bank, base, moved, ls):
+            acc.add(weight2 * g(w2))
+            for acc_l, (lam2, _) in zip(accs, row):
+                acc_l.add(weight1 * g(be.radii_after_diag(c2, lam2, w1)))
 
-    for name, g in _test_bank():
-        base, base_se = sliced_mean(lambda w, weight: weight * g(w), w2, weight2)
+    for (name, _), acc, accs, row in zip(bank, base, moved, ls):
         report.add(f"identity ratio [{name}]", True, residual=0.0, exact=True,
                    detail="same-stream ratio is identically 1")
-        for li in range(l_samples):
-            lam2, char = be.random_diag_l(rand)
-
-            def transformed(w, weight, c2):
-                return weight * g(be.radii_after_diag(c2, lam2, w))
-            _add_ratio(report, f"diag l#{li} ratio [{name}]",
-                       sliced_mean(transformed, w1, weight1, c2),
-                       (char * base, char * base_se),
+        for li, (acc_l, (_, char)) in enumerate(zip(accs, row)):
+            _add_ratio(report, f"diag l#{li} ratio [{name}]", (acc_l.mean, acc_l.stderr),
+                       (char * acc.mean, char * acc.stderr),
                        rtol, samples, f"character factor {char:.6g}")
     return report
 
@@ -669,23 +724,28 @@ def scaling_check(m: liealg.GradedModel, z_values=(0.5, 2.0), samples: int = 10 
     """Pushforward law: integrating f(z y) against d mu_1 scales by z^{-dn}.
 
     The two sides use independent mixture streams, so this exercises the
-    sampler rather than restating its construction.  The integrands are
-    formed a slice at a time (sliced_mean).
+    sampler rather than restating its construction.  The streams are
+    walked together a slice at a time, and each slice feeds every estimate.
     """
     report = VerificationReport("measure_scaling", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
     be = FloatBackend(m)
     dn = m.d * m.n
-    rng_a = np.random.default_rng(seed + 11)
-    rng_b = np.random.default_rng(seed + 12)
-    wa, weight_a = be.sample_radii_mixture(rng_a, samples)
-    wb, weight_b = be.sample_radii_mixture(rng_b, samples)
-    for name, g in _test_bank():
-        base, base_se = sliced_mean(lambda w, weight: weight * g(w), wb, weight_b)
-        for z in z_values:
+    bank = _test_bank()
+    base = [Moments() for _ in bank]
+    moved = [[Moments() for _ in z_values] for _ in bank]
+    side_a = be.mixture_slices(np.random.default_rng(seed + 11), samples)
+    side_b = be.mixture_slices(np.random.default_rng(seed + 12), samples)
+    for (wa, weight_a), (wb, weight_b) in zip(side_a, side_b):
+        for (_, g), acc, accs in zip(bank, base, moved):
+            acc.add(weight_b * g(wb))
+            for acc_z, z in zip(accs, z_values):
+                acc_z.add(weight_a * g(z * wa))
+
+    for (name, _), acc, accs in zip(bank, base, moved):
+        for acc_z, z in zip(accs, z_values):
             factor = float(z) ** (-dn)
-            _add_ratio(report, f"z={z} [{name}]",
-                       sliced_mean(lambda w, weight: weight * g(z * w), wa, weight_a),
-                       (factor * base, factor * base_se), rtol, samples,
+            _add_ratio(report, f"z={z} [{name}]", (acc_z.mean, acc_z.stderr),
+                       (factor * acc.mean, factor * acc.stderr), rtol, samples,
                        f"z^-dn = {factor:.6g}")
     return report

@@ -218,12 +218,12 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     """Monte Carlo estimate of the compact-direction action on the transform.
 
     Both constituents, the gradient-term integral and the weighted transform,
-    are evaluated on one correlated sample stream, drawn once for the whole
-    grid.  The profile and the weights are formed once for the stream.  The
-    stream is then walked in slices of orbit.CHUNK samples, the outer loop,
-    and the grid points are the inner loop: per slice, the x-free columns of
-    the pairings (orbit.PairingForms) and the theta y_1 term are formed once
-    and shared by every point, and a point pays for its pairings as sums
+    are evaluated on one correlated sample stream for the whole grid, drawn
+    and walked in slices of orbit.CHUNK samples (FloatBackend.sample_slices),
+    the outer loop; the grid points are the inner loop.  Per slice, the
+    profiles, the weights, the x-free columns of the pairings
+    (orbit.PairingForms) and the theta y_1 term are formed once and shared
+    by every point, and a point pays for its pairings as sums
     over the nonzero coefficients of x (term lists built once per point),
     for cos and sin of the phase from one half-angle tangent
     (orbit.cos_sin), and for one update of its own streaming moments
@@ -241,25 +241,24 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
         grid = default_grid(m)
     be = orbit.FloatBackend(m)
     pairs = samples // 2
-    rng = np.random.default_rng(seed)
-    c = be.sample_units(rng, pairs)
-    w, weight = be.sample_radii(rng, pairs)
-    # the x-free factors of the two terms
-    amp = weight * bessel.radial_profile_at(tau, w)
-    crown_factor = weight * bessel.radial_profile_d1_at(tau, w)
-    mass = float(np.mean(amp))  # transform at 0, the scale anchor
     theta_terms = orbit.PairingForms.linear_terms(be, be.theta_y1)
     point_terms = [(orbit.PairingForms.linear_terms(be, x),
                     orbit.PairingForms.crown_terms(be, x)) for _, x in grid]
     moments = [orbit.Moments() for _ in grid]
-    for s in orbit.chunks(pairs):
-        cols = orbit.PairingForms(be, c[s], w[s])
-        theta_term = amp[s] * cols.sum(theta_terms)
+    mass = orbit.Moments()  # transform at 0, the scale anchor
+    stream = be.sample_slices(np.random.default_rng(seed), pairs, be.radii_slices)
+    for c, w, weight in stream:
+        # the x-free factors of the two terms
+        amp = weight * bessel.radial_profile_at(tau, w)
+        crown_factor = weight * bessel.radial_profile_d1_at(tau, w)
+        cols = orbit.PairingForms(be, c, w)
+        theta_term = amp * cols.sum(theta_terms)
+        mass.add(amp)  # overwrites amp, which is not read again
         for acc, (linear, crown) in zip(moments, point_terms):
             cos, sin = orbit.cos_sin(cols.sum(linear))
             # t = crown_factor * cpair * cos - theta_term * sin, in place
             t = cols.sum(crown)
-            t *= crown_factor[s]
+            t *= crown_factor
             t *= cos
             sin *= theta_term
             t -= sin
@@ -276,7 +275,7 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
             continue
         z = abs(est) / stderr
         zmax = max(zmax, z)
-        decidable = sigma_gate * stderr <= 0.05 * abs(mass)
+        decidable = sigma_gate * stderr <= 0.05 * abs(mass.mean)
         passed = z <= sigma_gate and decidable
         report.add(f"x = {name}", passed, residual=est, exact=False,
                    samples=samples, inconclusive=not decidable,

@@ -201,6 +201,29 @@ def test_phi_scalar_and_array_bit_identical():
             assert [v[i] for v in arrays] == list(scalars), (tau, zi)
 
 
+def test_phi_at_negative_orders_is_zero_where_k_underflows():
+    # at order tau + j < 0, K and w^(tau + j) both underflow to 0 at large
+    # w; phi = K w^|tau + j| tends to 0 there, and is 0, not 0/0
+    w = np.concatenate([np.geomspace(1.0, 1e150, 400), [700.0, 750.0, 1e100, 1e150]])
+    for tau in (-3.0, -2.5, -1.0, -0.5):
+        with np.errstate(all="ignore"):
+            arrays = bessel.profile_ladder(tau, w, 4)
+            ks = bessel.k_ladder(tau, w, 4)
+        for j, (phi, k) in enumerate(zip(arrays, ks)):
+            assert not np.isnan(phi).any(), (tau, j)
+            if tau + j < 0:
+                assert (phi[k == 0] == 0.0).all()
+            with np.errstate(all="ignore"):
+                plain = k / w ** (tau + j)
+            # every other value is the plain quotient, bit for bit
+            kept = (k != 0) | (tau + j >= 0)
+            assert np.array_equal(phi[kept], plain[kept]), (tau, j)
+        for i, wi in enumerate(w.tolist()):
+            scalars = bessel.profile_ladder(tau, wi, 4)
+            assert [v[i] for v in arrays] == list(scalars), (tau, wi)
+    assert (bessel.profile_ladder(-3.0, 1e150, 3)[0], bessel.phi_tau(-3.0, 1e300)[0]) == (0.0, 0.0)
+
+
 def test_phi_array_certifies_three_orders(monkeypatch):
     monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
     bessel.phi_tau(0.5, np.array([0.5, 2.0]))

@@ -119,6 +119,18 @@ def test_bessel_at_huge_z_prints_zero_phi(capsys):
     assert [(float(r["phi_tau"]), float(r["D_residual"])) for r in rows[1:]] == [(0.0, 0.0)] * 2
 
 
+def test_bessel_at_huge_z_and_negative_order_prints_zero_phi(capsys):
+    # at tau = -3, K_3 and w^-3 both underflow to 0 at z = 5e299 and 1e300:
+    # phi = K_3(w) w^3 is 0 there, not nan, and so is the D residual
+    code, out, err = run_cli(capsys, "bessel", "--tau", "-3", "--zmin", "1",
+                             "--zmax", "1e300", "--steps", "3")
+    assert code == cli.EXIT_PASS and err == ""
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert "nan" not in out
+    assert [(float(r["phi_tau"]), float(r["D_residual"])) for r in rows[1:]] == [(0.0, 0.0)] * 2
+    assert float(rows[0]["phi_tau"]) == float(rows[0]["K_tau"])  # w = 1
+
+
 def test_bessel_below_min_z_is_one_line_usage_error(capsys):
     code, out, err = run_cli(capsys, "bessel", "--tau", "0.5", "--zmin", "1e-9",
                              "--zmax", "2", "--steps", str(cli.TABLE_BLOCK + 1))

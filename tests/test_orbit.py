@@ -527,9 +527,9 @@ def test_streamed_moments_match_numpy(count):
     assert acc.count == count
     assert acc.mean == pytest.approx(np.mean(t), rel=1e-12, abs=0)
     assert acc.std == pytest.approx(np.std(t), rel=1e-12, abs=0)
-    mean, stderr = orbit.sliced_mean(lambda a: 2.0 * a, t)
-    assert mean == pytest.approx(2.0 * np.mean(t), rel=1e-12, abs=0)
-    assert stderr == pytest.approx(2.0 * np.std(t) / math.sqrt(count), rel=1e-12, abs=0)
+    doubled = _streamed(2.0 * t)
+    assert doubled.mean == pytest.approx(2.0 * np.mean(t), rel=1e-12, abs=0)
+    assert doubled.stderr == pytest.approx(2.0 * np.std(t) / math.sqrt(count), rel=1e-12, abs=0)
 
 
 def test_streamed_moments_keep_digits_far_from_zero():
