@@ -8,13 +8,13 @@ ratios, so the free overall scalar never enters.
 Radii are drawn by importance sampling against w^(dn-1) dw, from one of
 two laws:
 
-* Gamma(dn, 1), with weight Gamma(dn) e^w (sample_radii).  The transform
-  estimates use it: fourier_phi_many (fourier_phi is its one-point view),
-  and through it m_invariance_check, and the spherical cancellation test.
-  Oscillatory estimators also pair y with -y (antithetic), which makes
-  them explicitly real.
-* A defensive mixture (sample_radii_mixture) of that Gamma law and six
-  chi-type laws w = s sqrt(Gamma(dn/2, 1)), s = 1/8 .. 4, with the
+* Gamma(dn, 1), with weight Gamma(dn) e^w (sample_radii, radii_slices).
+  The transform estimates use it: fourier_phi_many (fourier_phi is its
+  one-point view), and through it m_invariance_check, and the spherical
+  cancellation test.  Oscillatory estimators also pair y with -y
+  (antithetic), which makes them explicitly real.
+* A defensive mixture (mixture_slices) of that Gamma law and six chi-type
+  laws w = s sqrt(Gamma(dn/2, 1)), s = 1/8 .. 4, with the
   balance-heuristic weight and a fixed share of the draws per component.
   The measure checks use it: scaling_check and equivariance_check
   integrate Gaussians e^-(w/s)^2 with s from 1/2 to 4, and the narrow
@@ -23,11 +23,12 @@ two laws:
 The checks evaluate one sample stream at many points x or many group
 elements l, and the work that depends on neither is done once per stream:
 
-* fourier_phi_many draws the stream and evaluates the radial profile once
-  for all x; only the phase is formed per x.
+* fourier_phi_many and the spherical grid evaluate the radial profile once
+  per slice for all x; only the phase is formed per x.
 * PairingForms holds the x-free columns of the pairings, which the points
-  of the spherical grid and its rays share; a point pays only for a sum
-  over the nonzero coefficients of its forms.
+  of the spherical grid, its rays and the points of fourier_phi_many
+  share; a point pays only for a sum over the nonzero coefficients of its
+  forms.
 * equivariance_check squares the nbar coordinates of the unit points once;
   each diagonal l pays only for one matrix-vector product.
 
@@ -39,19 +40,18 @@ exact orbit points of sample_orbit_rational are sparse nbar coordinates
 too, and their membership residual runs through the model's integer bracket
 and trace tables; only the float points of sample_base are matrices.
 
-The measure checks and the spherical grid walk their streams once, in
-contiguous slices of CHUNK samples, small enough that a slice's temporaries
-stay in the L2 cache.  A slice's radii and weights are drawn when it is
-reached (radii_slices, mixture_slices), its unit coordinates c are formed
-from its rows of the Gaussian draws g, h, which alone are drawn whole
-(sample_slices), and the slice is fed at once to every estimate of the
-check, each reduced by a streaming mean and centred sum of squares
+Every Monte Carlo estimator here and in sphver walks its streams once, in
+contiguous slices of CHUNK samples, small enough that a slice's
+temporaries stay in the L2 cache.  A slice's radii and weights are drawn
+when it is reached (radii_slices, mixture_slices), its unit coordinates c
+are formed from its rows of the Gaussian draws g, h, which alone are drawn
+whole (sample_slices), and the slice is fed at once to every estimate of
+the check, each reduced by a streaming mean and centred sum of squares
 (Moments).  numpy fills its arrays in draw order, so the slices join to the
-whole-array draws (sample_units, sample_radii, sample_radii_mixture) bit for
-bit, and every sample's value is the one the whole-stream formula gives;
-only the order of the summation depends on CHUNK, so an estimate moves with
-it by rounding alone.  fourier_phi_many draws whole arrays and reduces with
-whole-stream np.mean and np.std.
+whole-array draws (sample_units, sample_radii) bit for bit, and every
+sample's value is the one the whole-stream formula gives; only the order
+of the summation depends on CHUNK, so an estimate moves with it by
+rounding alone.
 
 l2_radial_integral is the one quadrature here; it calls
 scipy.integrate.quad through the scipy package, so scipy's quadrature code
@@ -216,14 +216,6 @@ class FloatBackend:
         whole-array draw bit for bit."""
         for size in slice_sizes(count):
             yield self.sample_radii(rng, size)
-
-    def sample_radii_mixture(self, rng: np.random.Generator, count: int):
-        """Radii from the defensive mixture, with weights w^(dn-1) / q(w),
-        whole: mixture_slices joined."""
-        w, weight = np.empty(count), np.empty(count)
-        for s, (ws, weights) in zip(chunks(count), self.mixture_slices(rng, count)):
-            w[s], weight[s] = ws, weights
-        return w, weight
 
     def mixture_slices(self, rng: np.random.Generator, count: int):
         """The defensive mixture's (w, weight) as slices of CHUNK draws.
@@ -473,7 +465,7 @@ class Moments:
     merged by the pairwise update of Chan, Golub and LeVeque (Amer. Statist.
     37, 1983), so the digits survive where the mean is many standard
     deviations from zero, which the E[t^2] - E[t]^2 shortcut loses.  mean
-    and std match np.mean and np.std (ddof 0) of the concatenated batches
+    and std match numpy's mean and std (ddof 0) of the concatenated batches
     to rounding; a single batch gives its own mean bit for bit, and batches
     of zeros a mean and std of exactly 0.
     """
@@ -588,15 +580,16 @@ def l2_norm_g_tau(m: liealg.GradedModel) -> float:
 
 MIN_FOURIER_SAMPLES = 10 ** 4
 
-# The largest sample count the CLI accepts.  The measure checks and the
-# spherical grid hold only the Gaussian rows g, h of their unit points
-# whole, 2 * block floats a sample, and everything else a slice at a time.
-# For verify orbit on o2n2n, where equivariance_check holds the most, peak
-# memory grows by about 61 bytes per sample at n = 2 (102 MB at 1e6, 346 MB
-# at 5e6) and 183 at n = 6 (256 MB at 1e6, 623 MB at 3e6), so the cap keeps
-# a run under about 0.7 GB at n = 2 and 2 GB at n = 6.  fourier draws whole
-# arrays (fourier_phi_many): about 61 bytes per sample at n = 2 and 343 at
-# n = 6 (452 MB at 1e6, 795 MB at 2e6), about 3.5 GB at the cap.
+# The largest sample count the CLI accepts.  Every Monte Carlo estimator
+# holds only the Gaussian rows g, h of its unit points whole, 2 * block
+# floats a sample (a pair of samples on the paired transform streams), and
+# everything else a slice at a time.  For verify orbit on o2n2n, where
+# equivariance_check holds the most, peak memory grows by about 61 bytes per
+# sample at n = 2 (102 MB at 1e6, 346 MB at 5e6) and 183 at n = 6 (256 MB at
+# 1e6, 623 MB at 3e6), so the cap keeps a run under about 0.7 GB at n = 2
+# and 2 GB at n = 6.  fourier grows by about 31 bytes per sample at n = 2
+# (114 MB at 1e6, 205 MB at 4e6) and 92 at n = 6 (201 MB at 1e6, 476 MB at
+# 4e6), so it needs about 0.4 GB and 1 GB at the cap.
 MAX_SAMPLES = 10 ** 7
 
 # The largest --steps the bessel and fourier commands accept.  The grid and
@@ -632,29 +625,32 @@ def fourier_phi(m: liealg.GradedModel, x, samples: int = 10 ** 5,
 
 def fourier_phi_many(m: liealg.GradedModel, xs, samples: int = 10 ** 5,
                      seed: int = 0) -> list[FourierEstimate]:
-    """fourier_phi at every x of xs, on one draw of the sample stream.
+    """fourier_phi at every x of xs, on one sample stream.
 
-    The stream, the radial profile and the weights do not depend on x, so
-    they are formed once, and only the phase is evaluated per x.  Entry k
-    depends on xs[k] alone: it is fourier_phi(m, xs[k], samples, seed), bit
-    for bit.
+    The stream is walked once in slices of CHUNK samples
+    (FloatBackend.sample_slices), the outer loop, with the points x the
+    inner loop, as in the spherical grid.  Per slice, the amplitude
+    weight * phi_tau(w) and the x-free columns of the pairings
+    (PairingForms) are formed once and shared by every x; an x pays for
+    its pairing (a term list built before the first draw), for cos of the
+    phase (cos_sin) and for one update of its own Moments.  Entry k depends
+    on xs[k] alone: it is fourier_phi(m, xs[k], samples, seed), bit for bit.
     """
     if samples < MIN_FOURIER_SAMPLES:
         raise ValueError(f"need at least {MIN_FOURIER_SAMPLES} samples")
     be = FloatBackend(m)
-    rng = np.random.default_rng(seed)
     pairs = samples // 2
-    c = be.sample_units(rng, pairs)
-    w, weight = be.sample_radii(rng, pairs)
-    amp = weight * bessel.radial_profile_at(m.tau, w)
-    out = []
-    for x in xs:
-        phase = w * (c @ be.linear_form(x))
-        t = amp * np.cos(phase)
-        value = float(np.mean(t))
-        stderr = float(np.std(t) / math.sqrt(pairs))
-        out.append(FourierEstimate(complex(value, 0.0), stderr, 2 * pairs, seed))
-    return out
+    point_terms = [PairingForms.linear_terms(be, x) for x in xs]
+    moments = [Moments() for _ in xs]
+    for c, w, weight in be.sample_slices(np.random.default_rng(seed), pairs, be.radii_slices):
+        amp = weight * bessel.radial_profile_at(m.tau, w)
+        cols = PairingForms(be, c, w)
+        for acc, terms in zip(moments, point_terms):
+            t = cos_sin(cols.sum(terms))[0]
+            t *= amp
+            acc.add(t)
+    return [FourierEstimate(complex(acc.mean, 0.0), acc.stderr, 2 * pairs, seed)
+            for acc in moments]
 
 
 # ------------------------------------------------------------- check suites

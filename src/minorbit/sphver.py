@@ -265,10 +265,8 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
             acc.add(t)
     zmax = 0.0
     for (name, _), acc in zip(grid, moments):
-        est = acc.mean
-        sd = acc.std
-        stderr = sd / math.sqrt(pairs)
-        if sd == 0.0:
+        est, stderr = acc.mean, acc.stderr
+        if stderr == 0.0:
             report.add(f"x = {name}", est == 0.0, residual=est, exact=False,
                        samples=samples, detail="parity annihilates the estimator",
                        estimate=est, stderr=stderr)
@@ -289,13 +287,18 @@ def m_invariance_check(m: liealg.GradedModel, samples: int = 4 * 10 ** 5,
                        seed: int = 0, sigma_gate: float = 3.0) -> VerificationReport:
     """Transform values agree at x and at the M-rotation m.m_rotation x.
 
-    The x side and the rotated side are two streams (seed + 1, seed + 2),
-    each drawn once for all three rays by orbit.fourier_phi_many.
+    The rays are e1, e2 and (e1 + 2 e2) / sqrt(5), each at t = 1.5.  The
+    grid's mix ray (e1 + e2) / sqrt(2) is not among them: on gl2nR at n = 2
+    it is the identity of the n block, which the rotation fixes.  The x side
+    and the rotated side are two streams (seed + 1, seed + 2), each drawn
+    once for all three rays by orbit.fourier_phi_many.
     """
     report = VerificationReport("m_invariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
     rot = m.m_rotation.astype(float)
-    rays = orbit.FloatBackend(m).ray_blocks()
+    grid_rays = orbit.FloatBackend(m).ray_blocks()
+    e1, e2 = grid_rays["e1"], grid_rays["e2"]
+    rays = {"e1": e1, "e2": e2, "e1+2e2": (e1 + 2.0 * e2) / math.sqrt(5.0)}
     xs = [1.5 * base for base in rays.values()]
     side_a = orbit.fourier_phi_many(m, xs, samples=samples, seed=seed + 1)
     side_b = orbit.fourier_phi_many(m, [rot @ x for x in xs], samples=samples, seed=seed + 2)

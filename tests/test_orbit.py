@@ -456,13 +456,18 @@ def test_mixture_density_integrates_to_one(dn):
     assert math.isclose(total, 1.0, rel_tol=1e-9)
 
 
+def _mixture_draws(be, rng, count):
+    """The defensive mixture's (w, weight) of count draws, slices joined."""
+    return tuple(np.concatenate(a) for a in zip(*be.mixture_slices(rng, count)))
+
+
 @pytest.mark.parametrize("family,n,dn", [("gl2nR", 2, 2), ("o2n2n", 2, 4),
                                           ("gl2nR", 6, 6), ("o2n2n", 6, 12)])
 def test_mixture_weighted_mean_of_gaussian(family, n, dn):
     # integral of e^(-w^2) w^(dn-1) dw over (0, inf) is Gamma(dn/2) / 2
     be = orbit.FloatBackend(liealg.build_model(family, n))
     assert be.dn == dn
-    w, weight = be.sample_radii_mixture(np.random.default_rng(dn), 10 ** 6)
+    w, weight = _mixture_draws(be, np.random.default_rng(dn), 10 ** 6)
     t = weight * np.exp(-w * w)
     est, se = float(np.mean(t)), float(np.std(t)) / math.sqrt(t.size)
     assert abs(est - math.gamma(dn / 2) / 2) < 3 * se
@@ -484,7 +489,7 @@ def test_mixture_weight_bit_identical_to_formula(family, n, dn):
     counts = orbit.mixture_counts(10 ** 5)
     be = orbit.FloatBackend(liealg.build_model(family, n))
     assert be.dn == dn
-    w, weight = be.sample_radii_mixture(np.random.default_rng(dn), 10 ** 5)
+    w, weight = _mixture_draws(be, np.random.default_rng(dn), 10 ** 5)
     assert np.array_equal(weight, plain(w))
     sweep = np.concatenate([np.geomspace(1e-290, 1e2, 20001), [1e-290, 1e-155, 0.5, 64.0]])
     assert np.array_equal(orbit.mixture_weight(sweep, dn, counts), plain(sweep))

@@ -149,14 +149,35 @@ def test_m_invariance_matches_separate_fourier_calls(o2, gl2):
         rep = sphver.m_invariance_check(m, samples=10 ** 5, seed=4)
         rot = m.m_rotation.astype(float)
         rays = orbit.FloatBackend(m).ray_blocks()
-        assert [c.name for c in rep.checks] == [f"ray {name}" for name in rays]
-        for check, base in zip(rep.checks, rays.values()):
+        e1, e2 = rays["e1"], rays["e2"]
+        bases = [e1, e2, (e1 + 2.0 * e2) / math.sqrt(5.0)]
+        assert [c.name for c in rep.checks] == ["ray e1", "ray e2", "ray e1+2e2"]
+        for check, base in zip(rep.checks, bases):
             a = orbit.fourier_phi(m, 1.5 * base, samples=10 ** 5, seed=5)
             b = orbit.fourier_phi(m, rot @ (1.5 * base), samples=10 ** 5, seed=6)
             sigma = math.hypot(a.stderr, b.stderr)
             assert check.estimate == a.value.real - b.value.real
             assert check.stderr == sigma
             assert check.residual == abs(a.value.real - b.value.real)
+
+
+@pytest.mark.parametrize("family", [Family.O2N2N, Family.GL2N_R])
+def test_m_invariance_rays_are_moved_by_the_rotation(monkeypatch, family):
+    # a ray that m_rotation fixes compares one x on two streams and checks
+    # nothing; on gl2nR at n = 2 the grid's mix ray is such a ray
+    for n in range(2, 7):
+        m = liealg.build_model(family, n)
+        sides = []
+
+        def record(model, xs, samples, seed):
+            sides.append([np.asarray(x, dtype=float) for x in xs])
+            return [orbit.FourierEstimate(1.0 + 0j, 0.1, samples, seed) for _ in xs]
+
+        monkeypatch.setattr(orbit, "fourier_phi_many", record)
+        rep = sphver.m_invariance_check(m, samples=10 ** 4)
+        assert len(sides) == 2 and len(sides[0]) == len(rep.checks) == 3
+        for x, rotated in zip(*sides):
+            assert np.linalg.norm(rotated - x) > 0.1
 
 
 def test_spherical_grid_prefix_matches_full_grid(gl2):

@@ -1,9 +1,9 @@
 """The Monte Carlo checks walk their sample streams a slice at a time.
 
 The slice generators must give the draws of the whole-array samplers bit
-for bit, the checks must give the reports of a whole-array evaluation, and
-no array longer than a slice may be held apart from the Gaussian rows of
-the unit points.
+for bit, the checks and the Fourier transform must give the numbers of a
+whole-array evaluation, and no array longer than a slice may be held apart
+from the Gaussian rows of the unit points.
 """
 
 import math
@@ -69,7 +69,6 @@ def test_slices_join_to_the_whole_draws(family, n, count):
     w, weight = _joined(be.mixture_slices(rng(), count))
     ref = _whole_mixture(be, rng(), count)
     assert np.array_equal(w, ref[0]) and np.array_equal(weight, ref[1])
-    assert all(np.array_equal(a, b) for a, b in zip(be.sample_radii_mixture(rng(), count), ref))
 
     c_ref = _whole_units(be, rng(), count)
     assert np.array_equal(be.sample_units(rng(), count), c_ref)
@@ -191,6 +190,44 @@ def test_streamed_checks_equal_whole_array_reports(monkeypatch, family, chunk):
         assert len(streamed.checks) > 3
 
 
+def _fourier_reference(m, xs, samples, seed):
+    """(value, stderr) of the transform at each x from the whole stream:
+    c, w and the weights drawn whole, the pairing as one dense product,
+    np.cos, np.mean and np.std."""
+    be = orbit.FloatBackend(m)
+    pairs = samples // 2
+    rng = np.random.default_rng(seed)
+    c = be.sample_units(rng, pairs)
+    w, weight = be.sample_radii(rng, pairs)
+    amp = weight * bessel.radial_profile_at(m.tau, w)
+    out = []
+    for x in xs:
+        t = amp * np.cos(w * (c @ be.linear_form(x)))
+        out.append((float(np.mean(t)), float(np.std(t)) / math.sqrt(pairs)))
+    return out
+
+
+@pytest.mark.parametrize("chunk", [orbit.CHUNK, 1000])
+@pytest.mark.parametrize("pairs", [orbit.CHUNK - 1, orbit.CHUNK + 1, 7 * orbit.CHUNK + 3])
+@pytest.mark.parametrize("family", [Family.O2N2N, Family.GL2N_R])
+def test_streamed_transform_equals_whole_array_estimate(monkeypatch, family, pairs, chunk):
+    # the draws are those of the whole stream, and np.cos and the cos of
+    # orbit.cos_sin agree to 2.2e-16, so only the rounding moves
+    m = liealg.build_model(family, 2)
+    rays = orbit.FloatBackend(m).ray_blocks()
+    xs = [0.0 * rays["e1"], 1.5 * rays["e1"], 2.5 * rays["mix"], 4.0 * rays["e2"]]
+    samples, seed = 2 * pairs + 1, 7
+    ref = _fourier_reference(m, xs, samples, seed)
+    monkeypatch.setattr(orbit, "CHUNK", chunk)
+    streamed = orbit.fourier_phi_many(m, xs, samples=samples, seed=seed)
+    assert len(streamed) == len(xs)
+    for est, (value, stderr) in zip(streamed, ref):
+        assert est.value.real == pytest.approx(value, rel=1e-12, abs=0)
+        assert est.value.imag == 0.0
+        assert est.stderr == pytest.approx(stderr, rel=1e-12, abs=0)
+        assert (est.samples, est.seed) == (2 * pairs, seed)
+
+
 # ------------------------------------------------------------ peak memory
 
 @pytest.mark.parametrize("check,bound", [
@@ -210,6 +247,25 @@ def test_checks_peak_memory_per_sample(o2, check, bound):
     try:
         start = tracemalloc.get_traced_memory()[0]
         check(o2, samples)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (peak - start) / samples < bound
+
+
+@pytest.mark.parametrize("n,samples,bound", [(2, 8 * 10 ** 5, 45.0), (6, 4 * 10 ** 5, 200.0)])
+def test_transform_peak_memory_per_sample(n, samples, bound):
+    # a whole-stream evaluation holds c, w, the weights, the profile and a
+    # phase and integrand per x (57 and 382 bytes per sample here); streamed,
+    # only the Gaussian rows g, h of the paired stream outlive a slice (32
+    # and 96 bytes per sample at o2n2n n = 2 and 6)
+    m = liealg.build_model(Family.O2N2N, n)
+    xs = [1.5 * ray for ray in orbit.FloatBackend(m).ray_blocks().values()]
+    orbit.fourier_phi_many(m, xs, samples=samples, seed=1)  # caches are filled once
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        orbit.fourier_phi_many(m, xs, samples=samples, seed=1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
