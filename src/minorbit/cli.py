@@ -246,18 +246,19 @@ def _write_bessel_table(fh, tau: float, zs: np.ndarray) -> None:
     two kernel evaluations: K_tau(z), and one ladder of three orders at
     sqrt(z) giving phi, phi' and phi'' for the D residual.  The rows are
     evaluated TABLE_BLOCK at a time, one array call per kernel, with the
-    same bits as row-by-row scalar calls.  A certified order that overflows
-    at small z prints inf or nan, without a warning.
+    same bits as row-by-row scalar calls, and each block is formatted by one
+    % call.  A certified order that overflows at small z prints inf or nan,
+    without a warning.
     """
     fh.write("z,K_tau,phi_tau,D_residual\n")
+    row = "%.12g,%.12e,%.12e,%.3e\n"
     for start in range(0, len(zs), TABLE_BLOCK):
         z = zs[start:start + TABLE_BLOCK]
         with np.errstate(all="ignore"):
             k = bessel.bessel_k(tau, z)
             phi, d1, d2 = bessel.phi_tau(tau, z)
             resid = bessel.d_residual(tau, z, phi, d1, d2)
-        fh.writelines(f"{a:.12g},{b:.12e},{c:.12e},{d:.3e}\n" for a, b, c, d in
-                      zip(z.tolist(), k.tolist(), phi.tolist(), resid.tolist()))
+        fh.write(row * len(z) % tuple(np.column_stack((z, k, phi, resid)).ravel().tolist()))
 
 
 # ----------------------------------------------------------------- fourier

@@ -110,6 +110,26 @@ def test_bessel_table_equals_scalar_rows(capsys, tau):
     assert ("inf" in out) == (tau == "33")
 
 
+@pytest.mark.parametrize("tau", [-33.0, -3.0, -0.5, 0.0, 0.5, 1.0, 1.5, 2.5, 33.0])
+def test_bessel_table_block_format_equals_row_format(tau):
+    # one block plus 7 rows; the huge z give phi = 0 (w^tau or K under- or
+    # overflows), and at |tau| = 33 K overflows at small z (inf or nan)
+    np = cli.np
+    zs = np.concatenate((np.linspace(1e-8, 40.0, cli.TABLE_BLOCK + 4), [1e150, 5e299, 1e300]))
+    table = io.StringIO()
+    cli._write_bessel_table(table, tau, zs)
+    with np.errstate(all="ignore"):
+        k = cli.bessel.bessel_k(tau, zs)
+        phi, d1, d2 = cli.bessel.phi_tau(tau, zs)
+        resid = cli.bessel.d_residual(tau, zs, phi, d1, d2)
+    rows = [f"{a:.12g},{b:.12e},{c:.12e},{d:.3e}\n" for a, b, c, d in
+            zip(zs.tolist(), k.tolist(), phi.tolist(), resid.tolist())]
+    out = table.getvalue()
+    assert out == "z,K_tau,phi_tau,D_residual\n" + "".join(rows)
+    assert phi[-2:].tolist() == [0.0, 0.0]
+    assert ("inf" in out) == (abs(tau) == 33)
+
+
 def test_bessel_at_huge_z_prints_zero_phi(capsys):
     # w^tau overflows to inf at z = 5e299 and 1e300, where K is 0: phi is 0
     code, out, err = run_cli(capsys, "bessel", "--tau", "3", "--zmin", "1",

@@ -6,9 +6,9 @@ from fractions import Fraction
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
-from minorbit import bessel, liealg, orbit, ratlin, sphver
+from minorbit import bessel, catalog, liealg, orbit, ratlin, sphver
 from minorbit.catalog import Family
 from minorbit.reports import QuadratureError
 
@@ -323,15 +323,68 @@ def test_radial_integral_against_high_precision(gl2):
     assert math.isclose(val, ref, rel_tol=1e-6)
 
 
+def _radial_quadrature(tau, radial_exp):
+    """The oracle: adaptive quadrature of K_tau(w)^2 w^(radial_exp - 2 tau)
+    on [0, 1] and [1, inf), with scipy's kv."""
+    t = float(tau)
+
+    def integrand(w):
+        return special.kv(t, w) ** 2 * w ** (radial_exp - 2 * t)
+
+    near, _ = integrate.quad(integrand, 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200)
+    far, _ = integrate.quad(integrand, 1.0, np.inf, epsabs=0.0, epsrel=1e-13, limit=200)
+    return near + far
+
+
+def _acceptance_07_instantiations():
+    """(tau, radial_exp) of the 29 catalog instantiations of acceptance 07."""
+    cases = []
+    for row in catalog.list_classes():
+        ps = (1, 2, 3) if row.parametric else (None,)
+        ns = (2, 3, 4) if row.n_symbol == "n" else (row.rank(),)
+        for p in ps:
+            mult = row.multiplicities(p)
+            cases += [(catalog.tau(mult), mult.d * n - 1) for n in ns if n <= 4]
+    return cases
+
+
+def test_radial_integral_against_quadrature_on_the_catalog():
+    cases = _acceptance_07_instantiations()
+    assert len(cases) == 29
+    for tau, radial_exp in cases:
+        assert math.isclose(orbit.l2_radial_integral(tau, radial_exp),
+                            _radial_quadrature(tau, radial_exp), rel_tol=1e-12), (tau, radial_exp)
+
+
 @pytest.mark.parametrize("tau,radial_exp", [(Fraction(1, 2), 2), (1, 4), (Fraction(3, 2), 6),
                                             (Fraction(5, 2), 10)])
 def test_radial_integral_on_the_divergence_boundary(tau, radial_exp):
     # at 4 tau = radial_exp the integrand K_tau(w)^2 w^(radial_exp - 2 tau)
-    # stays bounded at 0; DLMF 10.43 gives the integral in closed form
-    mu = radial_exp - 2 * tau + 1
-    closed = (math.sqrt(math.pi) * math.gamma(mu / 2 + tau) * math.gamma(mu / 2)
-              * math.gamma(mu / 2 - tau) / (4 * math.gamma((1 + mu) / 2)))
-    assert math.isclose(orbit.l2_radial_integral(tau, radial_exp), closed, rel_tol=1e-12)
+    # stays bounded at 0, and the closed form still holds there
+    assert math.isclose(orbit.l2_radial_integral(tau, radial_exp),
+                        _radial_quadrature(tau, radial_exp), rel_tol=1e-12)
+
+
+def test_radial_integral_finite_where_the_integrand_overflows():
+    # w^170 overflows double precision for w > 65, but the integral does not
+    val = orbit.l2_radial_integral(0, 170)
+    with mpmath.workdps(30):
+        ref = float(mpmath.sqrt(mpmath.pi) * mpmath.gamma(85.5) ** 3 / (4 * mpmath.gamma(86)))
+    assert math.isclose(val, ref, rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("tau,radial_exp", [(Fraction(1, 2), 340), (0, 400)])
+def test_radial_integral_past_double_precision_is_one_line_error(tau, radial_exp):
+    with pytest.raises(QuadratureError) as err:
+        orbit.l2_radial_integral(tau, radial_exp)
+    assert str(err.value) == (f"radial integral is not finite in double precision at "
+                              f"tau={float(tau)}, radial_exp={radial_exp}: inf")
+
+
+def test_radial_integral_refused_at_negative_order_and_radial_exp():
+    # for tau < 0 the integrand behaves like w^radial_exp at 0
+    with pytest.raises(QuadratureError, match="diverges: radial_exp [+] 1 = -1 <= 0"):
+        orbit.l2_radial_integral(-1, -2)
 
 
 def test_radial_integral_refused_just_past_the_boundary():

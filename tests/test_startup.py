@@ -1,9 +1,10 @@
 """scipy's special-function and quadrature code loads on first use only.
 
-bessel and orbit import the scipy package alone and spell their calls
+bessel imports the scipy package alone and spells its calls
 scipy.special.kv/k0/k1 and scipy.integrate.quad, so the exact commands
-never load scipy.special or scipy.integrate.  The test session has long
-imported both, so the start-up checks run in fresh processes.
+never load scipy.special or scipy.integrate; orbit's radial integral is a
+closed form and loads neither.  The test session has long imported both,
+so the start-up checks run in fresh processes.
 """
 
 import ast
@@ -80,9 +81,11 @@ def test_exact_commands_never_load_scipy_special_or_integrate():
 
 
 def test_first_k_evaluation_and_quadrature_load_scipy_bit_identically():
-    # positive control: the k0/k1 ladder (the tau = 1 table), the kv branch
-    # and orbit's quad load scipy and give the bits computed in this
-    # process, where scipy was loaded long before
+    # positive control: the tau = 1 table loads scipy.special through the
+    # k0/k1 ladder and scipy.integrate through the quadrature audit of its
+    # orders; the table, the kv branch and the closed-form radial integral
+    # give the bits computed in this process, where scipy was loaded long
+    # before
     result = _fresh(exact=(), analytic=True)
     assert result["before"] == []
     assert result["after_analytic"] == list(LAZY)
