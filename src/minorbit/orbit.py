@@ -599,13 +599,13 @@ MIN_FOURIER_SAMPLES = 10 ** 4
 # sample at n = 2 (102 MB at 1e6, 346 MB at 5e6) and 183 at n = 6 (256 MB at
 # 1e6, 623 MB at 3e6), so the cap keeps a run under about 0.7 GB at n = 2
 # and 2 GB at n = 6.  fourier grows by about 31 bytes per sample at n = 2
-# (114 MB at 1e6, 205 MB at 4e6) and 92 at n = 6 (201 MB at 1e6, 476 MB at
-# 4e6), so it needs about 0.4 GB and 1 GB at the cap.
+# (71 MB at 1e6, 163 MB at 4e6) and 92 at n = 6 (158 MB at 1e6, 433 MB at
+# 4e6), so it needs about 0.35 GB and 1 GB at the cap.
 MAX_SAMPLES = 10 ** 7
 
 # The largest --steps the bessel and fourier commands accept.  The grid and
 # every row are held until the output is written: a bessel table at the cap
-# is 62 MB of text and takes about 210 MB and 2.2 s, start-up included
+# is 62 MB of text and takes about 185 MB and 3.4 s, start-up included
 # (2-vCPU Xeon, Python 3.11), and a fourier ray at the cap makes a million
 # transform estimates of at least MIN_FOURIER_SAMPLES each.
 MAX_STEPS = 10 ** 6

@@ -16,7 +16,7 @@ class ModelInvariantError(RuntimeError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature did not converge to the requested accuracy."""
+    """A quadrature did not converge, or a K value or integral is not finite."""
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import contextlib
 import math
 from fractions import Fraction
 
@@ -5,7 +6,7 @@ import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import special
+from scipy import integrate, special
 
 from minorbit import bessel
 from minorbit.reports import QuadratureError
@@ -268,3 +269,119 @@ def test_kernel_refuses_orders_beyond_the_step_cap():
             bessel.k_ladder(order, 1.0)
     with pytest.raises(ValueError, match="recurrence steps"):
         bessel.bessel_k(1e300, 1.0)
+
+
+# ------------------------------------------------------------ the K oracle
+
+ORACLE_ORDERS = (-33.0, -0.5, 0.0, 0.25, 0.5, 1.0, 1.5, 2.5, 7.5, 33.0, 68.0, 106.0)
+ORACLE_Z = (1e-8, 1e-6, 1e-4, 1e-3, 0.01, 0.03, 0.1, 0.37, 1.0, 2.7, 7.4, 20.0, 45.0,
+            100.0, 300.0, 700.0)
+MAX_DOUBLE = 1.7976931348623157e308
+
+
+def test_oracle_matches_mpmath_from_tiny_to_large_z():
+    # 1e-14 relative up to order 15 and 1e-13 beyond, measured at most
+    # 6.6e-15 and 7.9e-14 (tau = 106, z = 0.1, where K is 4.4e305): the error
+    # follows |log K|, the size of the exponent the value is formed from.
+    # Where K overflows a double the oracle says so in one line.
+    for tau in ORACLE_ORDERS:
+        for z in ORACLE_Z:
+            with mpmath.workdps(30):
+                ref = mpmath.besselk(abs(tau), z)
+            if ref > MAX_DOUBLE:
+                with pytest.raises(QuadratureError, match=r"^K integral overflows at tau="):
+                    bessel.bessel_k_integral(tau, z)
+                continue
+            ours = bessel.bessel_k_integral(tau, z)
+            assert type(ours) is float
+            rel = float(abs(ours / ref - 1))
+            assert rel <= (1e-14 if abs(tau) <= 15 else 1e-13), (tau, z, rel)
+
+
+def _adaptive_quadrature_k(tau, z):
+    """The oracle this module used before: adaptive quadrature of the
+    integral representation at unit scale, which overflows in cosh(tau u)
+    from |tau| = 67.5 on at the audit point z = 0.1."""
+    t = float(tau)
+
+    def integrand(u):
+        return math.exp(-z * (math.cosh(u) - 1.0)) * math.cosh(t * u)
+
+    upper = math.acosh(1.0 + 720.0 / z) + 1.0
+    val, err = integrate.quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-12, limit=300)
+    assert math.isfinite(val) and err <= 1e-10 * abs(val), (tau, z, err)
+    return math.exp(-z) * val
+
+
+def test_oracle_matches_adaptive_quadrature_on_the_audit_grid():
+    # every half-integer order the old oracle could audit, and two kv orders;
+    # the orders from 67.5 to 106 are checked against mpmath above and below
+    for tau in [k / 2 for k in range(135)] + [0.25, 0.3]:
+        for z in bessel._AUDIT_GRID:
+            ours = bessel.bessel_k_integral(tau, z)
+            assert math.isclose(ours, _adaptive_quadrature_k(tau, z), rel_tol=1e-12), (tau, z)
+
+
+@pytest.mark.parametrize("tau", [68, 80, 100, 106, -106])
+def test_certify_passes_up_to_order_106(monkeypatch, tau):
+    monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
+    bessel.certify(tau)
+    assert bessel._FAST_PATH_OK == {float(abs(tau)): True}
+    for z in (0.1, 1.0):
+        with mpmath.workdps(30):
+            ref = mpmath.besselk(abs(tau), z)
+        assert float(abs(bessel.bessel_k_integral(tau, z) / ref - 1)) <= 1e-13, (tau, z)
+
+
+def test_certify_refuses_order_107_where_k_overflows(monkeypatch):
+    monkeypatch.setattr(bessel, "_FAST_PATH_OK", {})
+    with pytest.raises(QuadratureError, match=r"^K integral overflows at tau=107.0, z=0.1$"):
+        bessel.certify(107)
+
+
+def test_oracle_node_count_is_bounded(monkeypatch):
+    # the step and the cut-off follow tau and z, so no z from 1e-8 to 1e300
+    # needs more than a few hundred nodes at the orders the audit certifies
+    sizes = []
+    log_integrand = bessel._log_integrand
+
+    def spy(a, z, u):
+        sizes.append(np.size(u))
+        return log_integrand(a, z, u)
+
+    monkeypatch.setattr(bessel, "_log_integrand", spy)
+    for tau in (0.0, 0.5, 7.5, 33.0, 106.0):
+        for z in np.geomspace(1e-8, 1e300, 62).tolist():
+            with contextlib.suppress(QuadratureError):    # K overflows at small z
+                bessel.bessel_k_integral(tau, z)
+            assert max(sizes) <= 1000, (tau, z, max(sizes))
+            sizes.clear()
+
+
+def test_oracle_at_huge_z_is_zero():
+    for tau in (0.5, 0.0, 33.0):
+        assert bessel.bessel_k_integral(tau, 1e300) == 0.0
+    assert bessel.bessel_k(0.5, 1e300, method="quadrature") == 0.0
+
+
+def test_oracle_failures_are_one_line_quadrature_errors(monkeypatch):
+    # overflow of K itself, too many nodes, and sums that disagree
+    with pytest.raises(QuadratureError) as err:
+        bessel.bessel_k_integral(1000, 0.1)
+    assert str(err.value) == "K integral overflows at tau=1000.0, z=0.1"
+    with pytest.raises(QuadratureError) as err:
+        bessel.bessel_k_integral(-1e9, 1.0)
+    assert str(err.value) == "K integral needs more than 65536 nodes at tau=-1000000000.0, z=1.0"
+    monkeypatch.setattr(bessel, "_LOG_STEP_ERR", 2.0)
+    with pytest.raises(QuadratureError) as err:
+        bessel.bessel_k_integral(0.5, 1.0)
+    assert str(err.value).startswith("K integral did not converge at tau=0.5, z=1.0 (err=")
+    assert "\n" not in str(err.value)
+
+
+@pytest.mark.parametrize("z", [0.0, -1.0, math.nan, math.inf])
+def test_oracle_domain_errors(z):
+    with pytest.raises(ValueError):
+        bessel.bessel_k_integral(0.5, z)
+    with pytest.raises(ValueError):
+        bessel.bessel_k_integral(math.inf, 1.0)

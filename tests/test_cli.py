@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from minorbit import cli
@@ -149,6 +150,21 @@ def test_bessel_at_huge_z_and_negative_order_prints_zero_phi(capsys):
     assert "nan" not in out
     assert [(float(r["phi_tau"]), float(r["D_residual"])) for r in rows[1:]] == [(0.0, 0.0)] * 2
     assert float(rows[0]["phi_tau"]) == float(rows[0]["K_tau"])  # w = 1
+
+
+def test_bessel_tabulates_orders_up_to_106(capsys):
+    # the K oracle works in log space, so the audit certifies orders whose
+    # cosh(tau u) factor overflows although K_tau(0.1) is finite (68 to 106)
+    for tau in ("68", "-106"):
+        code, out, err = run_cli(capsys, "bessel", "--tau", tau, "--zmin", "1",
+                                 "--zmax", "2", "--steps", "2")
+        assert code == cli.EXIT_PASS and err == ""
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert [float(r["z"]) for r in rows] == [1.0, 2.0]
+        for r in rows:
+            ref = float(mpmath.besselk(abs(float(tau)), float(r["z"])))
+            assert math.isclose(float(r["K_tau"]), ref, rel_tol=1e-11), (tau, r)
+            assert math.isfinite(float(r["phi_tau"])) and float(r["phi_tau"]) > 0
 
 
 def test_bessel_below_min_z_is_one_line_usage_error(capsys):

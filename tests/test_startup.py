@@ -1,10 +1,12 @@
-"""scipy's special-function and quadrature code loads on first use only.
+"""scipy's special-function code loads on first use only, and its
+quadrature code never.
 
 bessel imports the scipy package alone and spells its calls
-scipy.special.kv/k0/k1 and scipy.integrate.quad, so the exact commands
-never load scipy.special or scipy.integrate; orbit's radial integral is a
-closed form and loads neither.  The test session has long imported both,
-so the start-up checks run in fresh processes.
+scipy.special.kv/k0/k1, so the exact commands never load scipy.special; the
+K oracle is a numpy trapezoid rule and orbit's radial integral a closed form,
+so no command loads scipy.integrate.  The test session has long imported
+both (the tests use scipy.integrate as an independent oracle), so the
+start-up checks run in fresh processes.
 """
 
 import ast
@@ -17,6 +19,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from minorbit import bessel, cli, orbit
 
@@ -32,6 +35,13 @@ EXACT_COMMANDS = (
 # the CLI table takes half-integer orders only; tau = 0.25 reaches kv
 # through the library
 BESSEL_TABLE = ["bessel", "--tau", "1", "--zmin", "0.01", "--zmax", "30", "--steps", "500"]
+# the analytic commands, each on an integer order that loads the k0/k1 ladder
+# (gl2n has tau = 0; o2n2n's tau = 1/2 is a closed form and loads no scipy)
+ANALYTIC_COMMANDS = (
+    BESSEL_TABLE,
+    ["verify", "spherical", "--model", "gl2n", "--n", "2", "--samples", "20000"],
+    ["fourier", "--model", "gl2n", "--n", "2", "--samples", "10000", "--steps", "3"],
+)
 KV_ORDER = 0.25
 RADIAL_INTEGRAL = (1.5, 7)
 
@@ -55,15 +65,16 @@ for argv in {exact!r}:
     result["exact"].append(run(argv)[0])
 result["after_exact"] = loaded()
 if {analytic!r}:
-    result["table"] = run({table!r})
-    result["kv"] = bessel.bessel_k({kv!r}, np.linspace(0.01, 30.0, 500)).tobytes().hex()
-    result["radial"] = orbit.l2_radial_integral(*{radial!r}).hex()
+    result["analytic"] = run({analytic!r})
     result["after_analytic"] = loaded()
+    if {analytic!r} == {table!r}:
+        result["kv"] = bessel.bessel_k({kv!r}, np.linspace(0.01, 30.0, 500)).tobytes().hex()
+        result["radial"] = orbit.l2_radial_integral(*{radial!r}).hex()
 print(json.dumps(result))
 """
 
 
-def _fresh(exact=EXACT_COMMANDS, analytic=False):
+def _fresh(exact=EXACT_COMMANDS, analytic=None):
     code = _FRESH.format(lazy=LAZY, exact=exact, analytic=analytic, table=BESSEL_TABLE,
                          kv=KV_ORDER, radial=RADIAL_INTEGRAL)
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -80,28 +91,49 @@ def test_exact_commands_never_load_scipy_special_or_integrate():
     assert result["after_exact"] == []
 
 
-def test_first_k_evaluation_and_quadrature_load_scipy_bit_identically():
-    # positive control: the tau = 1 table loads scipy.special through the
-    # k0/k1 ladder and scipy.integrate through the quadrature audit of its
-    # orders; the table, the kv branch and the closed-form radial integral
-    # give the bits computed in this process, where scipy was loaded long
-    # before
-    result = _fresh(exact=(), analytic=True)
+@pytest.mark.parametrize("argv", ANALYTIC_COMMANDS, ids=lambda argv: argv[0])
+def test_analytic_commands_load_scipy_special_bit_identically_and_never_integrate(argv):
+    # positive control: each command loads scipy.special through the k0/k1
+    # ladder, and the quadrature audit of its orders, a numpy trapezoid rule,
+    # loads nothing more; the command's output, and in the table's process
+    # the kv branch and the closed-form radial integral, are the bits
+    # computed in this process, where scipy was loaded long before
+    result = _fresh(exact=(), analytic=argv)
     assert result["before"] == []
-    assert result["after_analytic"] == list(LAZY)
+    assert result["after_analytic"] == ["scipy.special"]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
-        assert cli.main(list(BESSEL_TABLE)) == cli.EXIT_PASS
-    assert result["table"] == [cli.EXIT_PASS, buf.getvalue()]
-    kv = bessel.bessel_k(KV_ORDER, np.linspace(0.01, 30.0, 500))
-    assert result["kv"] == kv.tobytes().hex()
-    assert result["radial"] == orbit.l2_radial_integral(*RADIAL_INTEGRAL).hex()
+        code = cli.main(list(argv))
+    assert result["analytic"] == [code, buf.getvalue()]
+    if argv == BESSEL_TABLE:
+        assert code == cli.EXIT_PASS
+        kv = bessel.bessel_k(KV_ORDER, np.linspace(0.01, 30.0, 500))
+        assert result["kv"] == kv.tobytes().hex()
+        assert result["radial"] == orbit.l2_radial_integral(*RADIAL_INTEGRAL).hex()
+
+
+def test_library_never_references_scipy_integrate():
+    # the K oracle is a numpy trapezoid rule; tests may still use
+    # scipy.integrate as an independent oracle, the library may not
+    for path in sorted(SRC.joinpath("minorbit").glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert "scipy.integrate" not in text, path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.Attribute):
+                assert node.attr != "integrate", (path.name, node.lineno)
+            elif isinstance(node, ast.Import):
+                assert all(not alias.name.startswith("scipy.integrate")
+                           for alias in node.names), (path.name, node.lineno)
+            elif isinstance(node, ast.ImportFrom):
+                assert not (node.module or "").startswith("scipy.integrate"), path.name
+                assert not (node.module == "scipy"
+                            and any(alias.name == "integrate" for alias in node.names)), path.name
 
 
 def test_scipy_imported_as_the_package_at_module_level_only():
     # scipy's module __getattr__ loads a submodule on first attribute access
     # and binds it, so later calls are plain lookups; an import inside a
-    # function would cost every scalar k_ladder and quad integrand call
+    # function would cost every scalar k_ladder call
     for path in sorted(SRC.joinpath("minorbit").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         top = {id(node) for node in tree.body}
