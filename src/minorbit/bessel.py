@@ -12,11 +12,13 @@ order against the trapezoid rule on the integral representation (DLMF
 
     K_tau(z) = integral_0^inf exp(-z cosh t) cosh(tau t) dt,
 
-a plain numpy sum (bessel_k_integral) that loads no scipy code.
+a plain numpy sum (bessel_k_integral) that loads no scipy code.  The kernel
+takes integer and half-integer orders only: the paper's order is
+tau = (d - e - 1)/2, and the program asks for it and integer shifts of it.
 
 The module imports the scipy package only; scipy loads scipy.special on the
 first K evaluation, so the exact layer, which imports this module but
-evaluates no K, never loads it.  Calls spell scipy.special.kv/k0/k1 in full:
+evaluates no K, never loads it.  Calls spell scipy.special.k0/k1 in full:
 after the first use each is a plain attribute lookup, where an import inside
 a function would cost every scalar k_ladder call.
 """
@@ -38,6 +40,9 @@ _MIN_Z = 1e-8
 _FAST_PATH_OK: dict[float, bool] = {}
 _AUDIT_GRID = (0.1, 0.37, 1.0, 2.7, 7.4, 20.0, 45.0)
 _AUDIT_RTOL = 1e-9
+# certify needs K finite at this many audit points, so that kernel and oracle
+# are always compared on a majority of finite values
+_MIN_FINITE_AUDIT = 4
 # The oracle's step-h sum errs by about e^-_LOG_STEP_ERR; its nodes stop
 # e^-_LOG_TAIL below the integrand's peak, and never number more than
 # _MAX_NODES.
@@ -47,8 +52,9 @@ _MAX_NODES = 1 << 16
 _LOG2 = math.log(2.0)
 # k_ladder refuses orders that need more upward-recurrence steps than this,
 # so a huge order fails at once instead of looping |tau| times.  Nothing is
-# lost: K_tau overflows double precision at the audit point w = 0.1 for
-# |tau| >= 107, so no order near the cap can be certified anyway.
+# lost: K_tau overflows double precision at more than 3 of the 7 audit points
+# from |tau| = 182.5 on (at all 7 from 387 on), so no order near the cap can
+# be certified anyway.
 MAX_LADDER_STEPS = 1000
 
 
@@ -71,7 +77,8 @@ def bessel_k_integral(tau, z: float) -> float:
     the midpoints) is returned; its difference from the step-h sum, which
     bounds the step-h error, must be below 1e-10 of it, and the step-h/2
     error is about the square of that.  QuadratureError, one line, when the
-    sums disagree or K overflows double precision; an underflowing K is 0.
+    sums disagree or need more than _MAX_NODES nodes.  A K beyond the double
+    range is inf, as in the kernel, and an underflowing K is 0.
     """
     t = float(tau)
     if not z > 0:
@@ -112,7 +119,7 @@ def bessel_k_integral(tau, z: float) -> float:
     try:
         return math.exp(peak - z + math.log(fine))
     except OverflowError:
-        raise QuadratureError(f"K integral overflows at tau={t}, z={z}") from None
+        return math.inf
 
 
 def _log_integrand(a: float, z: float, u):
@@ -135,21 +142,20 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
         K_{nu+1}(w) = K_{nu-1}(w) + (2 nu / w) K_nu(w),
 
     which is stable for K because it is the dominant solution.  Any other
-    order is taken from kv, one call per order.  w is a Python float or a
-    float array; a float gives Python floats and an array gives arrays, with
-    bit-identical values.  A ladder that needs more than MAX_LADDER_STEPS
-    recurrence steps raises ValueError.  The kernel is not certified here:
-    callers go through the cached quadrature audit first.
+    order raises ValueError, as does a ladder that needs more than
+    MAX_LADDER_STEPS recurrence steps.  w is a Python float or a float array;
+    a float gives Python floats and an array gives arrays, with bit-identical
+    values.  The kernel is not certified here: callers go through the cached
+    quadrature audit first.
     """
     t = float(tau)
     orders = [abs(t + j) for j in range(count)]
+    base = min(orders) % 1.0
+    if base not in (0.0, 0.5):
+        raise ValueError(f"K kernel takes integer and half-integer orders only, got {t:g}")
     scalar = isinstance(w, (float, int))
     if scalar:
         w = float(w)
-    base = min(orders) % 1.0
-    if base not in (0.0, 0.5):
-        return tuple(float(scipy.special.kv(a, w)) if scalar else scipy.special.kv(a, w)
-                     for a in orders)
     steps = round(max(orders) - base)
     if steps > MAX_LADDER_STEPS:
         raise ValueError(f"K at order {max(orders):g} needs more than "
@@ -171,13 +177,23 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
 
 def certify(tau) -> None:
     """Audit k_ladder at order |tau| against the quadrature oracle, once, and
-    refuse an order whose kernel values failed the audit."""
+    refuse an order whose kernel values failed the audit.
+
+    The kernel must match the oracle at every audit point, an infinite K only
+    an infinite one, and K must be finite at _MIN_FINITE_AUDIT of the points
+    at least; an order where it overflows at more is refused uncached.
+    """
     a = abs(float(tau))
     if a not in _FAST_PATH_OK:
         with np.errstate(over="ignore", invalid="ignore"):
             fast = k_ladder(a, np.array(_AUDIT_GRID))[0]
-        _FAST_PATH_OK[a] = all(math.isclose(k, bessel_k_integral(a, z), rel_tol=_AUDIT_RTOL)
-                               for k, z in zip(fast.tolist(), _AUDIT_GRID))
+        oracle = [bessel_k_integral(a, z) for z in _AUDIT_GRID]
+        overflows = sum(map(math.isinf, oracle))
+        if overflows > len(_AUDIT_GRID) - _MIN_FINITE_AUDIT:
+            raise QuadratureError(f"K integral overflows at {overflows} of "
+                                  f"{len(_AUDIT_GRID)} audit points of order {a:g}")
+        _FAST_PATH_OK[a] = all(math.isclose(k, ref, rel_tol=_AUDIT_RTOL)
+                               for k, ref in zip(fast.tolist(), oracle))
     if not _FAST_PATH_OK[a]:
         raise QuadratureError(f"K kernel disagrees with the quadrature oracle at order {a}")
 

@@ -275,26 +275,34 @@ class FloatBackend:
             raise ValueError(f"x must be {len(self._pairing)} n-coordinates, got shape {x.shape}")
         return x
 
-    def linear_form(self, x) -> np.ndarray:
-        """g_x, with <x, w * sum_k c_k e_k> = w (c . g_x)."""
-        return self._n_coords(x) @ self._pairing
+    def linear_terms(self, x) -> list:
+        """The terms of <x, y> over the PairingForms columns w c_k: the
+        nonzero coefficients of g_x, with <x, w * sum_k c_k e_k> = w (c . g_x)."""
+        g = self._n_coords(x) @ self._pairing
+        return [((int(k),), g[k]) for k in np.flatnonzero(g)]
 
-    def crown_matrix(self, x) -> np.ndarray:
-        """T_x = sum_a x_a T[a], with <x, [[theta y, y_1], y]> = w^2 c^T T_x c."""
-        return np.tensordot(self._n_coords(x), self._crown, 1)
+    def crown_terms(self, x) -> list:
+        """The terms of <x, [[theta y, y_1], y]> over the PairingForms columns
+        w^2 c_k c_l, k <= l, row-major: the nonzero coefficients of the
+        symmetrized T_x = sum_a x_a T[a], with <x, [[theta y, y_1], y]> =
+        w^2 c^T T_x c."""
+        t = np.tensordot(self._n_coords(x), self._crown, 1)
+        sym = t + t.T
+        return [((int(k), int(l)), t[k, k] if k == l else sym[k, l])
+                for k, l in zip(*np.nonzero(np.triu(sym)))]
 
-    # -- pairings against a fixed x in n, views of PairingForms
+    # -- pairings against a fixed x in n
 
     def pair_x(self, x, c, w):
         """<x, w * sum_k c_k e_k>."""
-        return PairingForms(self, c, w).pair_x(x)
+        return PairingForms(c, w).sum(self.linear_terms(x))
 
     def pair_theta_y1(self, c, w):
-        return PairingForms(self, c, w).pair_x(self.theta_y1)
+        return self.pair_x(self.theta_y1, c, w)
 
     def crown_pair(self, x, c, w):
         """<x, [[theta y, y_1], y]> at y = w * sum_k c_k e_k, bilinear in y."""
-        return PairingForms(self, c, w).crown_pair(x)
+        return PairingForms(c, w).sum(self.crown_terms(x))
 
     # -- materialization
 
@@ -350,19 +358,16 @@ class PairingForms:
         <x, y> = sum_k g_k (w c_k),
         <x, [[theta y, y_1], y]> = sum_{k <= l} S_kl (w^2 c_k c_l),
 
-    with g = g_x the backend's linear_form of x and S its symmetrized
-    crown_matrix T_x (S_kk = T_kk, S_kl = T_kl + T_lk).  The columns w c_k
-    and w^2 c_k c_l do not depend on x: each is formed on first use and
+    with g = g_x and S the symmetrized crown matrix T_x of x, whose nonzero
+    coefficients FloatBackend.linear_terms and crown_terms list.  The columns
+    w c_k and w^2 c_k c_l do not depend on x: each is formed on first use and
     kept, so the points of a grid share them.  A pairing at x is a sum over
-    the nonzero coefficients of g (of S for the crown pairing) in row-major
-    order, so its value depends on the stream and on x alone, not on which
-    points came before.  The spherical grid makes one per slice of its
-    stream, with the term lists (linear_terms, crown_terms) built once per
-    point.
+    its term list in row-major order, so its value depends on the stream and
+    on x alone, not on which points came before.  The spherical grid makes
+    one per slice of its stream, with the term lists built once per point.
     """
 
-    def __init__(self, backend: FloatBackend, c, w):
-        self.backend = backend
+    def __init__(self, c, w):
         self.c, self.w = c, w
         self._columns: dict = {}
 
@@ -389,29 +394,6 @@ class PairingForms:
         for key, coef in terms:
             out += np.multiply(self._column(key), coef, out=scratch)
         return out
-
-    @staticmethod
-    def linear_terms(backend: FloatBackend, x) -> list:
-        """The terms of <x, y> over the columns w c_k."""
-        g = backend.linear_form(x)
-        return [((int(k),), g[k]) for k in np.flatnonzero(g)]
-
-    @staticmethod
-    def crown_terms(backend: FloatBackend, x) -> list:
-        """The terms of <x, [[theta y, y_1], y]> over the columns
-        w^2 c_k c_l, k <= l, row-major."""
-        t = backend.crown_matrix(x)
-        sym = t + t.T
-        return [((int(k), int(l)), t[k, k] if k == l else sym[k, l])
-                for k, l in zip(*np.nonzero(np.triu(sym)))]
-
-    def pair_x(self, x) -> np.ndarray:
-        """<x, w * sum_k c_k e_k>."""
-        return self.sum(self.linear_terms(self.backend, x))
-
-    def crown_pair(self, x) -> np.ndarray:
-        """<x, [[theta y, y_1], y]> at y = w * sum_k c_k e_k."""
-        return self.sum(self.crown_terms(self.backend, x))
 
 
 def cos_sin(phase: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -651,11 +633,11 @@ def fourier_phi_many(m: liealg.GradedModel, xs, samples: int = 10 ** 5,
         raise ValueError(f"need at least {MIN_FOURIER_SAMPLES} samples")
     be = FloatBackend(m)
     pairs = samples // 2
-    point_terms = [PairingForms.linear_terms(be, x) for x in xs]
+    point_terms = [be.linear_terms(x) for x in xs]
     moments = [Moments() for _ in xs]
     for c, w, weight in be.sample_slices(np.random.default_rng(seed), pairs, be.radii_slices):
         amp = weight * bessel.radial_profile_at(m.tau, w)
-        cols = PairingForms(be, c, w)
+        cols = PairingForms(c, w)
         for acc, terms in zip(moments, point_terms):
             t = cos_sin(cols.sum(terms))[0]
             t *= amp

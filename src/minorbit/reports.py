@@ -97,8 +97,8 @@ class VerificationReport:
             "meta": _plain_meta(self.meta),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.as_dict(), indent=indent, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
     def summary_lines(self) -> list[str]:
         lines = []

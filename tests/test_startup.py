@@ -2,7 +2,7 @@
 quadrature code never.
 
 bessel imports the scipy package alone and spells its calls
-scipy.special.kv/k0/k1, so the exact commands never load scipy.special; the
+scipy.special.k0/k1, so the exact commands never load scipy.special; the
 K oracle is a numpy trapezoid rule and orbit's radial integral a closed form,
 so no command loads scipy.integrate.  The test session has long imported
 both (the tests use scipy.integrate as an independent oracle), so the
@@ -18,7 +18,6 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from minorbit import bessel, cli, orbit
@@ -32,8 +31,6 @@ EXACT_COMMANDS = (
        for model in ("o2n2n", "gl2n")]
     + [["tensor", "audit", "--model", "o2n2n", "--n", "3", "--k", "2"]]
 )
-# the CLI table takes half-integer orders only; tau = 0.25 reaches kv
-# through the library
 BESSEL_TABLE = ["bessel", "--tau", "1", "--zmin", "0.01", "--zmax", "30", "--steps", "500"]
 # the analytic commands, each on an integer order that loads the k0/k1 ladder
 # (gl2n has tau = 0; o2n2n's tau = 1/2 is a closed form and loads no scipy)
@@ -42,14 +39,12 @@ ANALYTIC_COMMANDS = (
     ["verify", "spherical", "--model", "gl2n", "--n", "2", "--samples", "20000"],
     ["fourier", "--model", "gl2n", "--n", "2", "--samples", "10000", "--steps", "3"],
 )
-KV_ORDER = 0.25
 RADIAL_INTEGRAL = (1.5, 7)
 
 # run in a fresh interpreter; prints one JSON line
 _FRESH = """
 import contextlib, io, json, sys
-import numpy as np
-from minorbit import bessel, cli, orbit
+from minorbit import cli, orbit
 
 def loaded():
     return [name for name in {lazy!r} if name in sys.modules]
@@ -68,7 +63,6 @@ if {analytic!r}:
     result["analytic"] = run({analytic!r})
     result["after_analytic"] = loaded()
     if {analytic!r} == {table!r}:
-        result["kv"] = bessel.bessel_k({kv!r}, np.linspace(0.01, 30.0, 500)).tobytes().hex()
         result["radial"] = orbit.l2_radial_integral(*{radial!r}).hex()
 print(json.dumps(result))
 """
@@ -76,7 +70,7 @@ print(json.dumps(result))
 
 def _fresh(exact=EXACT_COMMANDS, analytic=None):
     code = _FRESH.format(lazy=LAZY, exact=exact, analytic=analytic, table=BESSEL_TABLE,
-                         kv=KV_ORDER, radial=RADIAL_INTEGRAL)
+                         radial=RADIAL_INTEGRAL)
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=300)
@@ -96,8 +90,8 @@ def test_analytic_commands_load_scipy_special_bit_identically_and_never_integrat
     # positive control: each command loads scipy.special through the k0/k1
     # ladder, and the quadrature audit of its orders, a numpy trapezoid rule,
     # loads nothing more; the command's output, and in the table's process
-    # the kv branch and the closed-form radial integral, are the bits
-    # computed in this process, where scipy was loaded long before
+    # the closed-form radial integral, are the bits computed in this
+    # process, where scipy was loaded long before
     result = _fresh(exact=(), analytic=argv)
     assert result["before"] == []
     assert result["after_analytic"] == ["scipy.special"]
@@ -107,20 +101,21 @@ def test_analytic_commands_load_scipy_special_bit_identically_and_never_integrat
     assert result["analytic"] == [code, buf.getvalue()]
     if argv == BESSEL_TABLE:
         assert code == cli.EXIT_PASS
-        kv = bessel.bessel_k(KV_ORDER, np.linspace(0.01, 30.0, 500))
-        assert result["kv"] == kv.tobytes().hex()
         assert result["radial"] == orbit.l2_radial_integral(*RADIAL_INTEGRAL).hex()
 
 
 def test_library_never_references_scipy_integrate():
     # the K oracle is a numpy trapezoid rule; tests may still use
-    # scipy.integrate as an independent oracle, the library may not
+    # scipy.integrate as an independent oracle, the library may not.  Nor
+    # does it call scipy.special.kv: the kernel takes integer and
+    # half-integer orders only, from k0/k1 and the closed forms
     for path in sorted(SRC.joinpath("minorbit").glob("*.py")):
         text = path.read_text(encoding="utf-8")
         assert "scipy.integrate" not in text, path.name
+        assert "scipy.special.kv" not in text, path.name
         for node in ast.walk(ast.parse(text)):
             if isinstance(node, ast.Attribute):
-                assert node.attr != "integrate", (path.name, node.lineno)
+                assert node.attr not in ("integrate", "kv"), (path.name, node.lineno)
             elif isinstance(node, ast.Import):
                 assert all(not alias.name.startswith("scipy.integrate")
                            for alias in node.names), (path.name, node.lineno)

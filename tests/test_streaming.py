@@ -132,7 +132,7 @@ def _equivariance_reference(m, samples, seed, l_samples=3, rtol=0.01):
     return report
 
 
-def _spherical_reference(m, grid, samples, seed, sigma_gate=3.0):
+def _spherical_reference(m, grid, samples, seed):
     report = VerificationReport("spherical_direct", meta={
         "family": m.family.value, "n": m.n, "tau": m.tau,
         "tau_shift": 0, "samples": samples, "seed": seed})
@@ -144,12 +144,12 @@ def _spherical_reference(m, grid, samples, seed, sigma_gate=3.0):
     amp = weight * bessel.radial_profile_at(m.tau, w)
     crown_factor = weight * bessel.radial_profile_d1_at(m.tau, w)
     mass = float(np.mean(amp))
-    cols = orbit.PairingForms(be, c, w)
-    theta_term = amp * cols.pair_x(be.theta_y1)
+    cols = orbit.PairingForms(c, w)
+    theta_term = amp * cols.sum(be.linear_terms(be.theta_y1))
     zmax = 0.0
     for name, x in grid:
-        cos, sin = orbit.cos_sin(cols.pair_x(x))
-        t = cols.crown_pair(x) * crown_factor * cos - theta_term * sin
+        cos, sin = orbit.cos_sin(cols.sum(be.linear_terms(x)))
+        t = cols.sum(be.crown_terms(x)) * crown_factor * cos - theta_term * sin
         acc = orbit.Moments()
         for s in orbit.chunks(pairs):
             acc.add(t[s].copy())
@@ -162,8 +162,8 @@ def _spherical_reference(m, grid, samples, seed, sigma_gate=3.0):
             continue
         z = abs(est) / stderr
         zmax = max(zmax, z)
-        decidable = sigma_gate * stderr <= 0.05 * abs(mass)
-        report.add(f"x = {name}", z <= sigma_gate and decidable, residual=est, exact=False,
+        decidable = sphver.SIGMA_GATE * stderr <= 0.05 * abs(mass)
+        report.add(f"x = {name}", z <= sphver.SIGMA_GATE and decidable, residual=est, exact=False,
                    samples=samples, inconclusive=not decidable,
                    detail=f"stderr {stderr:.3e}, z {z:.2f}",
                    estimate=est, stderr=stderr, z=est / stderr)
@@ -202,7 +202,10 @@ def _fourier_reference(m, xs, samples, seed):
     amp = weight * bessel.radial_profile_at(m.tau, w)
     out = []
     for x in xs:
-        t = amp * np.cos(w * (c @ be.linear_form(x)))
+        g = np.zeros(m.dim_nbar)
+        for (k,), coef in be.linear_terms(x):
+            g[k] = coef
+        t = amp * np.cos(w * (c @ g))
         out.append((float(np.mean(t)), float(np.std(t)) / math.sqrt(pairs)))
     return out
 
