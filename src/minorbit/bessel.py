@@ -239,10 +239,14 @@ def profile_ladder(tau, w, count: int = 1) -> tuple:
     1-element array: Python floats with the array's bits, silently inf or nan.
     At a negative order tau + j, K and w^(tau + j) both underflow to 0 at
     large w, where phi = K w^|tau + j| tends to 0; phi is 0 wherever K
-    underflowed there, not 0/0."""
+    underflowed there, not 0/0.  A refused order's QuadratureError names
+    tau and the order it needs, which may be a higher one."""
     t = float(tau)
     for j in range(count):
-        certify(t + j)
+        try:
+            certify(t + j)
+        except QuadratureError as ex:
+            raise QuadratureError(f"{ex} (tau {t:g} needs order {abs(t + j):g})") from None
     ladder = k_ladder(t, w, count)
     if not isinstance(w, (float, int)):
         return tuple(_k_over_power(k, w, t + j) for j, k in enumerate(ladder))

@@ -30,15 +30,21 @@ elements l, and the work that depends on neither is done once per stream:
   share; a point pays only for a sum over the nonzero coefficients of its
   forms.
 * equivariance_check squares the nbar coordinates of the unit points once;
-  each diagonal l pays only for one matrix-vector product.
+  the diagonal l of one test function share one matrix product, which
+  gives their squared radii (FloatBackend.radii_after_diag).
+* The test functions take the squared radius r^2, so no radius is formed
+  only to be squared again.
 
 A sample is kept as the nbar coordinates c of its unit part, drawn alike
 for every family (FloatBackend.units), and a point x of n as its
 dense n-coordinates; every pairing, radius and torus action is a form in c
-built exactly from the model, as is the M rotation of x (m_rotation).  The
-exact orbit points of sample_orbit_rational are sparse nbar coordinates
-too, and their membership residual runs through the model's integer bracket
-and trace tables; only the float points of sample_base are matrices.
+built exactly from the model, as is the M rotation of x (m_rotation).  c is
+a (count, dim_nbar) array in column order: each coordinate c_k is one
+contiguous column, so the per-coordinate passes of the pairings and of the
+torus action read contiguous memory.  The exact orbit points of
+sample_orbit_rational are sparse nbar coordinates too, and their membership
+residual runs through the model's integer bracket and trace tables; only
+the float points of sample_base are matrices.
 
 Every Monte Carlo estimator here and in sphver walks its streams once, in
 contiguous slices of CHUNK samples, small enough that a slice's
@@ -186,21 +192,32 @@ class FloatBackend:
         (o2n2n) c is g ^ h = r11 r22 (u ^ v) for the Gram-Schmidt frame
         (u, v) of (g, h) (Bartlett decomposition), on full ones (gl2nR)
         g h^T = |g| |h| u v^T: the unit point is the frame's, of M-invariant
-        law."""
-        c = np.zeros((len(g), self.model.dim_nbar))
+        law.
+
+        c is built as dim_nbar contiguous rows, one per coordinate, each
+        entry's product formed in one scratch row, and |c|^2 sums the
+        squared rows in coordinate order.  The result is their transpose: a
+        (count, dim_nbar) view in column order, whose column c[:, k] is
+        contiguous."""
+        c = np.zeros((self.model.dim_nbar, len(g)))
+        scratch = np.empty(len(g))
         for k, r, col, op in self._unit_entries:
-            op(c[:, k], g[:, r] * h[:, col], out=c[:, k])
-        c /= np.sqrt(np.einsum("ni,ni->n", c, c))[:, None]
-        return c
+            op(c[k], np.multiply(g[:, r], h[:, col], out=scratch), out=c[k])
+        norm = c[0] * c[0]
+        for ck in c[1:]:
+            norm += np.multiply(ck, ck, out=scratch)
+        c /= np.sqrt(norm, out=norm)
+        return c.T
 
     def sample_units(self, rng: np.random.Generator, count: int) -> np.ndarray:
-        """The nbar coordinates c of count unit points, whole: the rows
-        g, h are drawn at once and mapped by units a slice at a time."""
+        """The nbar coordinates c of count unit points, whole and in the
+        column order of units: the rows g, h are drawn at once and mapped by
+        units a slice at a time."""
         g, h = self.unit_rows(rng, count)
-        c = np.empty((count, self.model.dim_nbar))
+        c = np.empty((self.model.dim_nbar, count))
         for s in chunks(count):
-            c[s] = self.units(g[s], h[s])
-        return c
+            c[:, s] = self.units(g[s], h[s]).T
+        return c.T
 
     def sample_radii(self, rng: np.random.Generator, count: int):
         w = rng.gamma(shape=self.dn, scale=1.0, size=count)
@@ -325,10 +342,15 @@ class FloatBackend:
         lam2 = np.exp(2.0 * (t @ torus.weights))
         return lam2, math.exp(sum(ti * float(chi) for ti, chi in zip(t, torus.character)))
 
-    def radii_after_diag(self, c2, lam2, w):
-        """|l (w * sum_k c_k e_k)| = w sqrt(sum_k lambda_k^2 c_k^2), from the
-        squared coordinates c2, l-free, and the lambda^2 of a diagonal l."""
-        return w * np.sqrt(c2 @ lam2)
+    def radii_after_diag(self, c2, lam2, w2):
+        """The squared radii |l (w * sum_k c_k e_k)|^2 = w^2 sum_k
+        lambda_k^2 c_k^2, from the squared coordinates c2, l-free, the
+        squared radii w2 and the lambda^2 of diagonal l.  lam2 is one l's
+        vector, giving one row of squared radii, or a (count_l, dim_nbar)
+        matrix, giving a row per l from one matrix product with c2^T."""
+        r2 = lam2 @ c2.T
+        r2 *= w2
+        return r2
 
     # -- default grid rays
 
@@ -388,10 +410,14 @@ class PairingForms:
 
     def sum(self, terms) -> np.ndarray:
         """The sum of coef * column over the (column key, coef) terms, in
-        their order, accumulated in place in one new array."""
-        out = np.zeros(self.w.shape)
+        their order, in one new array that starts as the first term and
+        accumulates the rest in place; zeros when there are no terms."""
+        if not terms:
+            return np.zeros(self.w.shape)
+        (key, coef), *rest = terms
+        out = self._column(key) * coef
         scratch = np.empty_like(out)
-        for key, coef in terms:
+        for key, coef in rest:
             out += np.multiply(self._column(key), coef, out=scratch)
         return out
 
@@ -502,6 +528,13 @@ def mixture_weight(w, dn: int, counts) -> np.ndarray:
     or overflows both spellings still give the same term.  The terms
     accumulate in place through one scratch array, in component order.  A
     scalar w gives a scalar.
+
+    Each chi term's exponent is clamped at -700 before its exp, which keeps
+    np.exp on numpy's vector path: numpy's AVX-512 exp leaves it below about
+    -708, and is many times slower where the result underflows.  A clamped
+    term is at most 1e-304 times its share, and for w <= 600 the density it
+    joins is so much larger that the weight is the unclamped formula's bit
+    for bit (tests/test_orbit.py); draws never come near that range.
     """
     w = np.asarray(w, dtype=float)
     total = float(sum(counts))
@@ -515,6 +548,7 @@ def mixture_weight(w, dn: int, counts) -> np.ndarray:
     for s, c in zip(MIXTURE_SCALES, counts[1:]):
         np.multiply(w2, 1.0 / (s * s), out=term)
         np.subtract(log_chi - dn * math.log(s), term, out=term)
+        np.maximum(term, -700.0, out=term)
         np.exp(term, out=term)
         term *= c / total
         dens += term
@@ -649,10 +683,12 @@ def fourier_phi_many(m: liealg.GradedModel, xs, samples: int = 10 ** 5,
 # ------------------------------------------------------------- check suites
 
 def _test_bank() -> list[tuple[str, Callable]]:
+    """The radial test functions of the measure checks, each a function of
+    the squared radius r2 = r^2: e^-r^2, r^2 e^-r^2 and e^-(r/2)^2."""
     return [
-        ("gauss", lambda r: np.exp(-r * r)),
-        ("r2gauss", lambda r: r * r * np.exp(-r * r)),
-        ("widegauss", lambda r: np.exp(-0.25 * r * r)),
+        ("gauss", lambda r2: np.exp(-r2)),
+        ("r2gauss", lambda r2: r2 * np.exp(-r2)),
+        ("widegauss", lambda r2: np.exp(-0.25 * r2)),
     ]
 
 
@@ -677,9 +713,10 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     estimates on independent mixture streams; they must agree to rtol.
     The l of every (test function, l) pair are drawn first, in report
     order.  The two streams are then walked together a slice at a time,
-    and each slice feeds every estimate: the squared coordinates c_k^2 are
-    formed once for all l, and each l costs one matrix-vector product with
-    its squared torus scales.
+    and each slice feeds every estimate: the squared coordinates c_k^2 and
+    the squared radii are formed once for all l, and the l of one test
+    function share one matrix product (radii_after_diag), which gives the
+    squared radii their test function takes.
     """
     report = VerificationReport("equivariance", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -687,16 +724,18 @@ def equivariance_check(m: liealg.GradedModel, l_samples: int = 3, seed: int = 0,
     bank = _test_bank()
     rand = random.Random(seed)
     ls = [[be.random_diag_l(rand) for _ in range(l_samples)] for _ in bank]
+    lam2s = [np.array([lam2 for lam2, _ in row]) for row in ls]
     base = [Moments() for _ in bank]
     moved = [[Moments() for _ in row] for row in ls]
     side_l = be.sample_slices(np.random.default_rng(seed + 1), samples, be.mixture_slices)
     side_r = be.mixture_slices(np.random.default_rng(seed + 2), samples)
     for (c, w1, weight1), (w2, weight2) in zip(side_l, side_r):
         c2 = np.square(c, out=c)
-        for (_, g), acc, accs, row in zip(bank, base, moved, ls):
-            acc.add(weight2 * g(w2))
-            for acc_l, (lam2, _) in zip(accs, row):
-                acc_l.add(weight1 * g(be.radii_after_diag(c2, lam2, w1)))
+        w1_sq, w2_sq = w1 * w1, w2 * w2
+        for (_, g), acc, accs, lam2 in zip(bank, base, moved, lam2s):
+            acc.add(weight2 * g(w2_sq))
+            for acc_l, r2 in zip(accs, be.radii_after_diag(c2, lam2, w1_sq)):
+                acc_l.add(weight1 * g(r2))
 
     for (name, _), acc, accs, row in zip(bank, base, moved, ls):
         report.add(f"identity ratio [{name}]", True, residual=0.0, exact=True,
@@ -715,6 +754,8 @@ def scaling_check(m: liealg.GradedModel, z_values=(0.5, 2.0), samples: int = 10 
     The two sides use independent mixture streams, so this exercises the
     sampler rather than restating its construction.  The streams are
     walked together a slice at a time, and each slice feeds every estimate.
+    The test functions take squared radii: w^2 is formed once per slice, and
+    (z w)^2 is z^2 w^2, bit for bit where z is a power of two.
     """
     report = VerificationReport("measure_scaling", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -726,10 +767,11 @@ def scaling_check(m: liealg.GradedModel, z_values=(0.5, 2.0), samples: int = 10 
     side_a = be.mixture_slices(np.random.default_rng(seed + 11), samples)
     side_b = be.mixture_slices(np.random.default_rng(seed + 12), samples)
     for (wa, weight_a), (wb, weight_b) in zip(side_a, side_b):
+        wa_sq, wb_sq = wa * wa, wb * wb
         for (_, g), acc, accs in zip(bank, base, moved):
-            acc.add(weight_b * g(wb))
+            acc.add(weight_b * g(wb_sq))
             for acc_z, z in zip(accs, z_values):
-                acc_z.add(weight_a * g(z * wa))
+                acc_z.add(weight_a * g((z * z) * wa_sq))
 
     for (name, _), acc, accs in zip(bank, base, moved):
         for acc_z, z in zip(accs, z_values):

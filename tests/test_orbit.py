@@ -290,9 +290,10 @@ def test_pairing_forms_value_depends_on_x_alone(gl2, o3):
 @pytest.mark.parametrize("family,n", [(f.value, n) for f in liealg.SPECS for n in (2, 3)]
                          + [("o2n2n", 6)])
 def test_equivariance_radii_from_gram(family, n):
-    # the radii from the squared coordinates and the torus weights against
-    # |Ad(exp H) y| of the materialised points, measured with the trace form
-    # of the model, and the character against exp(2d nu(H))
+    # the squared radii from the squared coordinates and the torus weights,
+    # for four l stacked into one product, against |Ad(exp H) y|^2 of the
+    # materialised points, measured with the trace form of the model, and
+    # the character against exp(2d nu(H)); one l alone gives its own row
     m = liealg.build_model(family, n)
     be = orbit.FloatBackend(m)
     rng = np.random.default_rng(11)
@@ -301,14 +302,17 @@ def test_equivariance_radii_from_gram(family, n):
     mats = be.matrices(c, w)
     c2 = np.square(c)
     rand, draws = random.Random(5), random.Random(5)
-    for _ in range(4):
-        lam2, char = be.random_diag_l(rand)
+    ls = [be.random_diag_l(rand) for _ in range(4)]
+    stacked = be.radii_after_diag(c2, np.array([lam2 for lam2, _ in ls]), w * w)
+    assert stacked.shape == (4, 2000)
+    for (lam2, char), r2 in zip(ls, stacked):
         h = sum(draws.uniform(-0.4, 0.4) * _tofloat(m.basis[a]) for a in m.torus.indices)
         scale = np.exp(np.diag(h))
         moved = scale[:, None] * mats / scale[None, :]
-        expect = np.sqrt(float(m.form_scale) * np.sum(moved * moved, axis=(1, 2)))
-        radii = be.radii_after_diag(c2, lam2, w)
-        assert np.max(np.abs(radii / expect - 1.0)) < 1e-13
+        expect = float(m.form_scale) * np.sum(moved * moved, axis=(1, 2))
+        assert np.max(np.abs(r2 / expect - 1.0)) < 1e-13
+        single = be.radii_after_diag(c2, lam2, w * w)
+        assert np.max(np.abs(single / expect - 1.0)) < 1e-13
         assert math.isclose(char, math.exp(2 * m.d * m.nu_from_traces(h)), rel_tol=1e-13)
 
 
@@ -545,10 +549,30 @@ def test_mixture_weight_bit_identical_to_formula(family, n, dn):
     assert be.dn == dn
     w, weight = _mixture_draws(be, np.random.default_rng(dn), 10 ** 5)
     assert np.array_equal(weight, plain(w))
-    sweep = np.concatenate([np.geomspace(1e-290, 1e2, 20001), [1e-290, 1e-155, 0.5, 64.0]])
+    # up to w = 600: far beyond any draw, and there the chi exps clamped at
+    # -700 still leave every weight bit-identical
+    sweep = np.concatenate([np.geomspace(1e-290, 600.0, 20001), [1e-290, 1e-155, 0.5, 64.0]])
     assert np.array_equal(orbit.mixture_weight(sweep, dn, counts), plain(sweep))
     scalar = orbit.mixture_weight(1e-290, dn, counts)
     assert np.ndim(scalar) == 0 and scalar == plain(np.float64(1e-290))
+
+
+@pytest.mark.parametrize("dn", [2, 4, 6, 12])
+def test_mixture_weight_keeps_exp_above_minus_700(monkeypatch, dn):
+    # numpy's vector exp leaves its fast path below about -708 and is many
+    # times slower where results underflow; no argument may fall below -700
+    seen = []
+    real_exp = np.exp
+
+    def spy(x, *args, **kwargs):
+        seen.append(float(np.min(x)))
+        return real_exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", spy)
+    counts = orbit.mixture_counts(10 ** 5)
+    orbit.mixture_weight(np.geomspace(1e-290, 600.0, 2001), dn, counts)
+    assert len(seen) == 1 + len(orbit.MIXTURE_SCALES)
+    assert min(seen) >= -700.0
 
 
 def test_cos_sin_matches_libm():

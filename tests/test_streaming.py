@@ -98,12 +98,13 @@ def _scaling_reference(m, samples, seed, z_values=(0.5, 2.0), rtol=0.01):
     be = orbit.FloatBackend(m)
     wa, weight_a = _whole_mixture(be, np.random.default_rng(seed + 11), samples)
     wb, weight_b = _whole_mixture(be, np.random.default_rng(seed + 12), samples)
+    wa2, wb2 = wa * wa, wb * wb
     for name, g in orbit._test_bank():
-        base, base_se = _sliced_mean(lambda s: weight_b[s] * g(wb[s]), samples)
+        base, base_se = _sliced_mean(lambda s: weight_b[s] * g(wb2[s]), samples)
         for z in z_values:
             factor = float(z) ** (-be.dn)
             orbit._add_ratio(report, f"z={z} [{name}]",
-                             _sliced_mean(lambda s: weight_a[s] * g(z * wa[s]), samples),
+                             _sliced_mean(lambda s: weight_a[s] * g(z * z * wa2[s]), samples),
                              (factor * base, factor * base_se), rtol, samples,
                              f"z^-dn = {factor:.6g}")
     return report
@@ -118,14 +119,17 @@ def _equivariance_reference(m, samples, seed, l_samples=3, rtol=0.01):
     c2 = np.square(_whole_units(be, rng_l, samples))
     w1, weight1 = _whole_mixture(be, rng_l, samples)
     w2, weight2 = _whole_mixture(be, np.random.default_rng(seed + 2), samples)
+    w1_sq, w2_sq = w1 * w1, w2 * w2
     for name, g in orbit._test_bank():
-        base, base_se = _sliced_mean(lambda s: weight2[s] * g(w2[s]), samples)
+        base, base_se = _sliced_mean(lambda s: weight2[s] * g(w2_sq[s]), samples)
         report.add(f"identity ratio [{name}]", True, residual=0.0, exact=True,
                    detail="same-stream ratio is identically 1")
-        for li in range(l_samples):
-            lam2, char = be.random_diag_l(rand)
+        ls = [be.random_diag_l(rand) for _ in range(l_samples)]
+        lam2s = np.array([lam2 for lam2, _ in ls])
+        for li, (_, char) in enumerate(ls):
             moved = _sliced_mean(
-                lambda s: weight1[s] * g(be.radii_after_diag(c2[s], lam2, w1[s])), samples)
+                lambda s: weight1[s] * g(be.radii_after_diag(c2[s], lam2s, w1_sq[s])[li]),
+                samples)
             orbit._add_ratio(report, f"diag l#{li} ratio [{name}]", moved,
                              (char * base, char * base_se), rtol, samples,
                              f"character factor {char:.6g}")
