@@ -553,9 +553,6 @@ def _bessel(tau, zmin="1", zmax="2", steps="3"):
     (_bessel("-1e3"),
      "--tau -1000 cannot be tabulated: K integral overflows at 7 of 7 audit points of order "
      "1000"),
-    (_bessel("180.5", steps="2"),
-     "--tau 180.5 cannot be tabulated: K integral overflows at 4 of 7 audit points of order "
-     "182.5 (tau 180.5 needs order 182.5)"),
     (_bessel("1e300"), "--tau 1e+300 cannot be tabulated: K at order 1e+300 needs more "
                        "than 1000 recurrence steps"),
     (_bessel("0.5", zmin="1e-9", steps=str(cli.TABLE_BLOCK + 1)),
@@ -570,7 +567,10 @@ def _bessel(tau, zmin="1", zmax="2", steps="3"):
      "(choose from 'audit')"),
     (("fourier", "--n", "2"),
      "minorbit fourier: error: the following arguments are required: --model"),
-    (("table", "--extra"), "minorbit: error: unrecognized arguments: --extra")])
+    (("table", "--extra"), "minorbit: error: unrecognized arguments: --extra"),
+    (_bessel("180.5", steps="2"),
+     "--tau 180.5 cannot be tabulated: K integral overflows at 4 of 7 audit points of order "
+     "182.5 (tau 180.5 needs order 182.5)")])
 def test_usage_error_prints_its_exact_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (cli.EXIT_USAGE, "", line + "\n")
 
