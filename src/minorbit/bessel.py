@@ -16,11 +16,18 @@ a plain numpy sum (bessel_k_integral) that loads no scipy code.  The kernel
 takes integer and half-integer orders only: the paper's order is
 tau = (d - e - 1)/2, and the program asks for it and integer shifts of it.
 
+Every public K and phi function takes its argument as np.asarray(x,
+dtype=float) and runs one array path; a 0-d argument (a Python or numpy
+scalar, or a 0-d array) gives Python floats, made once at the exit, and any
+other argument gives arrays, with bit-identical values.  K beyond the double
+range is inf, and phi where K underflowed at a negative order is 0, without
+a warning.
+
 The module imports the scipy package only; scipy loads scipy.special on the
 first K evaluation, so the exact layer, which imports this module but
 evaluates no K, never loads it.  Calls spell scipy.special.k0/k1 in full:
 after the first use each is a plain attribute lookup, where an import inside
-a function would cost every scalar k_ladder call.
+a function would cost every k_ladder call.
 """
 
 from __future__ import annotations
@@ -143,36 +150,37 @@ def k_ladder(tau, w, count: int = 1) -> tuple:
 
     which is stable for K because it is the dominant solution.  Any other
     order raises ValueError, as does a ladder that needs more than
-    MAX_LADDER_STEPS recurrence steps.  w is a Python float or a float array;
-    a float gives Python floats and an array gives arrays, with bit-identical
-    values.  The kernel is not certified here: callers go through the cached
-    quadrature audit first.
+    MAX_LADDER_STEPS recurrence steps.  A scalar w gives Python floats, any
+    other w arrays.  The kernel is not certified here: callers go through
+    the cached quadrature audit first.
     """
     t = float(tau)
     orders = [abs(t + j) for j in range(count)]
     base = min(orders) % 1.0
     if base not in (0.0, 0.5):
         raise ValueError(f"K kernel takes integer and half-integer orders only, got {t:g}")
-    scalar = isinstance(w, (float, int))
-    if scalar:
-        w = float(w)
     steps = round(max(orders) - base)
     if steps > MAX_LADDER_STEPS:
         raise ValueError(f"K at order {max(orders):g} needs more than "
                          f"{MAX_LADDER_STEPS} recurrence steps")
-    if base == 0.5:
-        k = np.sqrt(np.pi / (2.0 * w)) * np.exp(-w)
-        ladder = [k, k * (1.0 + 1.0 / w)] if steps else [k]
-    else:
-        # a request for K_1 alone skips k0
-        ladder = [scipy.special.k0(w) if steps != 1 or min(orders) == 0.0 else None]
-        if steps:
-            ladder.append(scipy.special.k1(w))
-    if scalar:
-        ladder = [None if k is None else float(k) for k in ladder]
-    for j in range(1, steps):
-        ladder.append(ladder[j - 1] + (2.0 * (base + j) / w) * ladder[j])
-    return tuple(ladder[round(a - base)] for a in orders)
+    w = np.asarray(w, dtype=float)
+    with np.errstate(over="ignore"):
+        if base == 0.5:
+            k = np.sqrt(np.pi / (2.0 * w)) * np.exp(-w)
+            ladder = [k, k * (1.0 + 1.0 / w)] if steps else [k]
+        else:
+            # a request for K_1 alone skips k0
+            ladder = [scipy.special.k0(w) if steps != 1 or min(orders) == 0.0 else None]
+            if steps:
+                ladder.append(scipy.special.k1(w))
+        for j in range(1, steps):
+            ladder.append(ladder[j - 1] + (2.0 * (base + j) / w) * ladder[j])
+    return tuple(_exit(ladder[round(a - base)]) for a in orders)
+
+
+def _exit(x):
+    """A 0-d result as a Python float; an array as it is."""
+    return float(x) if np.ndim(x) == 0 else x
 
 
 def certify(tau) -> None:
@@ -185,8 +193,7 @@ def certify(tau) -> None:
     """
     a = abs(float(tau))
     if a not in _FAST_PATH_OK:
-        with np.errstate(over="ignore", invalid="ignore"):
-            fast = k_ladder(a, np.array(_AUDIT_GRID))[0]
+        fast = k_ladder(a, np.array(_AUDIT_GRID))[0]
         oracle = [bessel_k_integral(a, z) for z in _AUDIT_GRID]
         overflows = sum(map(math.isinf, oracle))
         if overflows > len(_AUDIT_GRID) - _MIN_FINITE_AUDIT:
@@ -203,31 +210,29 @@ def bessel_k(tau, z, method: str = "auto"):
 
     method "auto" evaluates k_ladder after the quadrature audit certified
     this order and raises QuadratureError when it did not; "quadrature"
-    forces the integral representation.  A scalar z (a Python float or int,
-    or a 0-d array) gives a float, an array an array.
+    forces the integral representation, one oracle call per point.  A scalar
+    z gives a float, any other z an array; a z <= 0 raises ValueError, which
+    names it.
     """
     t = float(tau)
-    scalar = isinstance(z, (float, int)) or np.ndim(z) == 0
-    z = float(z) if scalar else np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)
     if method == "quadrature":
-        if scalar:
-            return bessel_k_integral(t, z)
-        return np.array([bessel_k_integral(t, float(v)) for v in z])
+        if z.ndim == 0:
+            return bessel_k_integral(t, float(z))
+        return np.array([bessel_k_integral(t, v) for v in z.ravel().tolist()]).reshape(z.shape)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    if scalar:
-        if z <= 0:
-            raise ValueError(f"K_tau needs z > 0, got {z}")
-    elif np.any(z <= 0):
-        raise ValueError("K_tau needs z > 0")
+    bad = z[z <= 0]
+    if bad.size:
+        raise ValueError(f"K_tau needs z > 0, got {bad[0]}")
     certify(t)
     return k_ladder(t, z)[0]
 
 
 def k_half_closed_form(z):
     """K_{1/2}(z) = sqrt(pi / (2 z)) exp(-z), an independent closed form."""
-    z = np.asarray(z, dtype=float) if np.ndim(z) else float(z)
-    return np.sqrt(np.pi / (2.0 * z)) * np.exp(-z)
+    z = np.asarray(z, dtype=float)
+    return _exit(np.sqrt(np.pi / (2.0 * z)) * np.exp(-z))
 
 
 def profile_ladder(tau, w, count: int = 1) -> tuple:
@@ -235,30 +240,29 @@ def profile_ladder(tau, w, count: int = 1) -> tuple:
     j < count, with the orders certified before any point is evaluated.
 
     The power is numpy's array power, which Python's ** and numpy's scalar
-    power miss by one bit at some points, so a float w goes through a
-    1-element array: Python floats with the array's bits, silently inf or nan.
-    At a negative order tau + j, K and w^(tau + j) both underflow to 0 at
-    large w, where phi = K w^|tau + j| tends to 0; phi is 0 wherever K
-    underflowed there, not 0/0.  A refused order's QuadratureError names
-    tau and the order it needs, which may be a higher one."""
+    power miss by one bit at some points; a scalar w is a 0-d array here, so
+    it takes the array power too.  At a negative order tau + j, K and
+    w^(tau + j) both underflow to 0 at large w, where phi = K w^|tau + j|
+    tends to 0; phi is 0 wherever K underflowed there, not 0/0.  Where
+    w^(tau + j) overflows, phi is K/inf = 0.  A refused order's
+    QuadratureError names tau and the order it needs, which may be a higher
+    one."""
     t = float(tau)
     for j in range(count):
         try:
             certify(t + j)
         except QuadratureError as ex:
             raise QuadratureError(f"{ex} (tau {t:g} needs order {abs(t + j):g})") from None
+    w = np.asarray(w, dtype=float)
     ladder = k_ladder(t, w, count)
-    if not isinstance(w, (float, int)):
-        return tuple(_k_over_power(k, w, t + j) for j, k in enumerate(ladder))
-    one = np.array([float(w)])
     with np.errstate(all="ignore"):
-        return tuple(_k_over_power(k, one, t + j).item() for j, k in enumerate(ladder))
+        return tuple(_exit(_k_over_power(k, w, t + j)) for j, k in enumerate(ladder))
 
 
 def _k_over_power(k, w: np.ndarray, order: float):
     """k / w^order, and 0 where k underflowed at a negative order."""
     p = k / w ** order
-    return np.where(np.equal(k, 0.0), 0.0, p)[()] if order < 0 else p
+    return np.where(np.equal(k, 0.0), 0.0, p) if order < 0 else p
 
 
 def phi_tau(tau, z) -> tuple:
@@ -266,16 +270,14 @@ def phi_tau(tau, z) -> tuple:
 
     Derivatives come from the order-shift identities
     phi_tau' = -phi_{tau+1}/2 and phi_tau'' = phi_{tau+2}/4, which follow
-    from K_nu'(w) = nu K_nu / w - K_{nu+1}.  As for k_ladder, a scalar z
-    gives Python floats and an array gives arrays, with bit-identical
-    values.  The orders tau, tau + 1 and tau + 2 are certified before any
-    point is evaluated, and any z below _MIN_Z raises ValueError.
+    from K_nu'(w) = nu K_nu / w - K_{nu+1}.  A scalar z gives Python floats,
+    any other z arrays.  The orders tau, tau + 1 and tau + 2 are certified
+    before any point is evaluated, and any z below _MIN_Z raises ValueError.
     """
-    scalar = isinstance(z, (float, int)) or np.ndim(z) == 0
-    z = float(z) if scalar else np.asarray(z, dtype=float)
+    z = np.asarray(z, dtype=float)
     if np.any(z < _MIN_Z):
         raise ValueError(f"phi evaluation refused below z={_MIN_Z:g} (singular endpoint)")
-    p0, p1, p2 = profile_ladder(tau, math.sqrt(z) if scalar else np.sqrt(z), 3)
+    p0, p1, p2 = profile_ladder(tau, np.sqrt(z), 3)
     return p0, -0.5 * p1, 0.25 * p2
 
 
@@ -342,7 +344,7 @@ def phi_derivative_crosscheck(tau, z: float, tol: float = 1e-6) -> tuple[bool, f
 def radial_profile_at(tau, w: np.ndarray) -> np.ndarray:
     """phi_tau at z = w^2, i.e. K_tau(w) / w^tau, vectorized: profile_ladder
     at one order, which refuses an uncertified order with QuadratureError."""
-    return profile_ladder(tau, np.asarray(w, dtype=float))[0]
+    return profile_ladder(tau, w)[0]
 
 
 def radial_profile_d1_at(tau, w: np.ndarray) -> np.ndarray:

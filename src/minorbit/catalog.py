@@ -192,26 +192,19 @@ class OpqDescriptor:
     q: int
 
 
-def validate_admissible(descriptor) -> tuple[bool, str]:
-    """Admissibility of a family descriptor.
+def validate_admissible(descriptor: OpqDescriptor) -> tuple[bool, str]:
+    """Admissibility of O(p, q).
 
     O(p, q) with p != q is the rank-two configuration with unequal short-root
     multiplicities; those groups are excluded and the main identities fail
-    for them.  Every table row (and O(p, p)) is admissible.
+    for them.  O(p, p) is admissible.
     """
-    if isinstance(descriptor, OpqDescriptor):
-        if descriptor.p != descriptor.q:
-            return False, (
-                f"O({descriptor.p},{descriptor.q}) excluded: rank-2 unequal "
-                "multiplicities (p != q), the spherical-vector identities fail"
-            )
-        return True, f"O({descriptor.p},{descriptor.p}) admissible"
-    if isinstance(descriptor, GroupClass):
-        return True, f"{descriptor.display}: table row, admissible"
-    if isinstance(descriptor, Family) or isinstance(descriptor, str):
-        row = get_class(descriptor)
-        return True, f"{row.display}: table row, admissible"
-    raise TypeError(f"unsupported descriptor {descriptor!r}")
+    if descriptor.p != descriptor.q:
+        return False, (
+            f"O({descriptor.p},{descriptor.q}) excluded: rank-2 unequal "
+            "multiplicities (p != q), the spherical-vector identities fail"
+        )
+    return True, f"O({descriptor.p},{descriptor.p}) admissible"
 
 
 CSV_COLUMNS = ("family", "n", "d", "e", "km_label", "dual_family")
@@ -240,5 +233,6 @@ def to_csv(rows: list[dict] | None = None) -> str:
     return buf.getvalue()
 
 
-def to_json() -> str:
-    return json.dumps(table_rows(), indent=2, sort_keys=True) + "\n"
+def to_json(rows: list[dict] | None = None) -> str:
+    """The given table rows as JSON, every row by default."""
+    return json.dumps(table_rows() if rows is None else rows, indent=2, sort_keys=True) + "\n"

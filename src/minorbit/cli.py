@@ -154,7 +154,7 @@ def cmd_table(args) -> int:
     if args.format == "csv":
         sys.stdout.write(catalog.to_csv(rows))
     elif args.format == "json":
-        sys.stdout.write(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+        sys.stdout.write(catalog.to_json(rows))
     else:
         widths = {c: max(len(c), max(len(r[c]) for r in rows)) for c in catalog.CSV_COLUMNS}
         header = "  ".join(c.ljust(widths[c]) for c in catalog.CSV_COLUMNS)
@@ -190,16 +190,16 @@ def cmd_verify(args) -> int:
     suite = args.suite
     if suite in ("structural", "all"):
         reports.append(liealg.structural_suite(model, rand_seed=seed))
-    constants = None
-    if suite in ("constants", "all"):
+    if suite in ("constants", "crown", "all"):
         constants = (sphver.verify_k1(model),
                      sphver.verify_kprime(model, samples=100, seed=seed),
                      sphver.verify_kdoubleprime(model))
+    if suite in ("constants", "all"):
         reports.extend(constants)
     if suite in ("modular", "all"):
         reports.append(liealg.modular_character_check(model))
     if suite in ("crown", "all"):
-        reports.append(sphver.assemble_crown(model, constants=constants))
+        reports.append(sphver.assemble_crown(model, constants))
     if suite in ("orbit", "all"):
         reports.append(orbit.scaling_check(model, samples=samples, seed=seed))
         reports.append(orbit.equivariance_check(model, l_samples=3, seed=seed,

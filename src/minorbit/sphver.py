@@ -89,8 +89,7 @@ def verify_kdoubleprime(m: liealg.GradedModel) -> VerificationReport:
 
 def assemble_crown(m: liealg.GradedModel,
                    constants: tuple[VerificationReport, VerificationReport,
-                                    VerificationReport] | None = None
-                   ) -> VerificationReport:
+                                    VerificationReport]) -> VerificationReport:
     """Combine the four action terms and match the radial operator D.
 
     Term by term (coefficients of the integrand against <theta y_1, y>):
@@ -100,13 +99,11 @@ def assemble_crown(m: liealg.GradedModel,
     prefactor turns it into + i (D phi): the identity being certified.
     The sign is pinned by the y = y_1 instance through k1 itself.
 
-    constants takes the (verify_k1, verify_kprime, verify_kdoubleprime)
-    reports of m when they have already been computed; without them the
-    three constants are certified here.
+    constants are the (verify_k1, verify_kprime, verify_kdoubleprime)
+    reports of m.
     """
     d, e = m.d, m.e
-    k1_rep, kp_rep, kpp_rep = constants or (
-        verify_k1(m), verify_kprime(m, samples=8, seed=0), verify_kdoubleprime(m))
+    k1_rep, kp_rep, kpp_rep = constants
     k1 = Fraction(1) if k1_rep.passed else ZERO
     kp = Fraction(2) if kp_rep.passed else ZERO
     kpp = kpp_rep.meta["scalar"]

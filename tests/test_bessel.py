@@ -207,6 +207,49 @@ def test_kernel_scalar_and_array_bit_identical():
             assert [k[i] for k in arrays] == list(scalars), (tau, wi)
 
 
+# every K/phi entry point at order 1/2, as a tuple of its results
+ENTRY_POINTS = {
+    "k_ladder": lambda x: bessel.k_ladder(0.5, x, 3),
+    "profile_ladder": lambda x: bessel.profile_ladder(0.5, x, 3),
+    "phi_tau": lambda x: bessel.phi_tau(0.5, x),
+    "bessel_k": lambda x: (bessel.bessel_k(0.5, x),),
+    "bessel_k quadrature": lambda x: (bessel.bessel_k(0.5, x, method="quadrature"),),
+    "k_half_closed_form": lambda x: (bessel.k_half_closed_form(x),),
+    "radial_profile_at": lambda x: (bessel.radial_profile_at(0.5, x),),
+}
+SCALAR_INPUTS = {"float": 1.3, "int": 2, "float64": np.float64(1.3),
+                 "float32": np.float32(1.3), "0-d array": np.array(1.3)}
+ARRAY_INPUTS = {"list": [1.0, 2.0], "1-d array": np.array([1.0, 2.0]),
+                "2-d array": np.array([[1.0, 2.0], [0.5, 3.0]])}
+
+
+@pytest.mark.parametrize("kind", [*SCALAR_INPUTS, *ARRAY_INPUTS])
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_entry_points_share_one_input_rule(entry, kind):
+    # x is read as np.asarray(x, dtype=float): a 0-d x gives Python floats
+    # with the bits of the float64 array call, anything else gives arrays
+    call = ENTRY_POINTS[entry]
+    x = {**SCALAR_INPUTS, **ARRAY_INPUTS}[kind]
+    as_array = np.asarray(x, dtype=float).reshape(-1)
+    expected = call(as_array)
+    got = call(x)
+    assert len(got) == len(expected)
+    for g, e in zip(got, expected):
+        if kind in SCALAR_INPUTS:
+            assert type(g) is float, type(g)
+            assert g == e[0], (g, e[0])
+        else:
+            assert isinstance(g, np.ndarray) and g.dtype == np.float64
+            assert np.array_equal(g, e.reshape(np.shape(x)))
+
+
+def test_bessel_k_refusal_names_the_value():
+    for z in (0.0, -1.5, np.array(-1.5), [2.0, -1.5, 0.0], np.array([2.0, -1.5])):
+        bad = z if np.ndim(z) == 0 else -1.5
+        with pytest.raises(ValueError, match=rf"^K_tau needs z > 0, got {float(bad)}$"):
+            bessel.bessel_k(0.5, z)
+
+
 def test_phi_scalar_and_array_bit_identical():
     z = np.random.default_rng(7).gamma(4.0, 1.0, 300) ** 2
     for tau in KERNEL_ORDERS:

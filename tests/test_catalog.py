@@ -98,8 +98,6 @@ def test_validate_admissible():
     assert not ok and "rank-2" in diag
     ok, _ = catalog.validate_admissible(OpqDescriptor(4, 4))
     assert ok
-    ok, _ = catalog.validate_admissible(Family.GL2N_R)
-    assert ok
 
 
 def _all_multiplicity_instances():

@@ -188,6 +188,24 @@ def test_verify_constants_pass(capsys):
     assert "[PASS]" in out and "[FAIL]" not in out
 
 
+def test_verify_crown_certifies_its_constants_at_its_seed(capsys, monkeypatch, tmp_path):
+    # the crown is assembled from constants certified at --seed, which only
+    # the constants suite reports
+    seen = []
+    certify = cli.sphver.verify_kprime
+
+    def spy(m, samples, seed):
+        seen.append((samples, seed))
+        return certify(m, samples=samples, seed=seed)
+
+    monkeypatch.setattr(cli.sphver, "verify_kprime", spy)
+    path = tmp_path / "crown.json"
+    code, _, _ = run_cli(capsys, "verify", "crown", "--model", "o2n2n", "--n", "2",
+                         "--seed", "7", "--json", str(path))
+    assert code == 0 and seen == [(100, 7)]
+    assert [r["suite"] for r in json.loads(path.read_text())["reports"]] == ["crown_assembly"]
+
+
 def test_verify_opq_exclusion(capsys):
     code, _, err = run_cli(capsys, "verify", "all", "--model", "opq",
                            "--p", "3", "--q", "5")

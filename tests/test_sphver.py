@@ -30,7 +30,9 @@ def test_kdoubleprime(all_models):
 
 def test_crown_assembly_from_models(o2, gl2):
     for m in (o2, gl2):
-        rep = sphver.assemble_crown(m)
+        constants = (sphver.verify_k1(m), sphver.verify_kprime(m, samples=8, seed=0),
+                     sphver.verify_kdoubleprime(m))
+        rep = sphver.assemble_crown(m, constants)
         assert rep.passed, rep.to_json()
 
 

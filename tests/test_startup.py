@@ -128,7 +128,7 @@ def test_library_never_references_scipy_integrate():
 def test_scipy_imported_as_the_package_at_module_level_only():
     # scipy's module __getattr__ loads a submodule on first attribute access
     # and binds it, so later calls are plain lookups; an import inside a
-    # function would cost every scalar k_ladder call
+    # function would cost every k_ladder call
     for path in sorted(SRC.joinpath("minorbit").glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         top = {id(node) for node in tree.body}
