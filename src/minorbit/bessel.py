@@ -211,8 +211,8 @@ def bessel_k(tau, z, method: str = "auto"):
     method "auto" evaluates k_ladder after the quadrature audit certified
     this order and raises QuadratureError when it did not; "quadrature"
     forces the integral representation, one oracle call per point.  A scalar
-    z gives a float, any other z an array; a z <= 0 raises ValueError, which
-    names it.
+    z gives a float, any other z an array; a z that is not > 0 (nan
+    included) raises ValueError, which names it, for either method.
     """
     t = float(tau)
     z = np.asarray(z, dtype=float)
@@ -222,7 +222,7 @@ def bessel_k(tau, z, method: str = "auto"):
         return np.array([bessel_k_integral(t, v) for v in z.ravel().tolist()]).reshape(z.shape)
     if method != "auto":
         raise ValueError(f"unknown method {method!r}")
-    bad = z[z <= 0]
+    bad = z[~(z > 0)]
     if bad.size:
         raise ValueError(f"K_tau needs z > 0, got {bad[0]}")
     certify(t)
@@ -272,11 +272,16 @@ def phi_tau(tau, z) -> tuple:
     phi_tau' = -phi_{tau+1}/2 and phi_tau'' = phi_{tau+2}/4, which follow
     from K_nu'(w) = nu K_nu / w - K_{nu+1}.  A scalar z gives Python floats,
     any other z arrays.  The orders tau, tau + 1 and tau + 2 are certified
-    before any point is evaluated, and any z below _MIN_Z raises ValueError.
+    before any point is evaluated.  A z that is not >= _MIN_Z raises
+    ValueError: the first such z, if positive, as the singular endpoint, and
+    otherwise (z <= 0 or nan) with bessel_k's message, which names it.
     """
     z = np.asarray(z, dtype=float)
-    if np.any(z < _MIN_Z):
-        raise ValueError(f"phi evaluation refused below z={_MIN_Z:g} (singular endpoint)")
+    bad = z[~(z >= _MIN_Z)]
+    if bad.size:
+        if bad[0] > 0:
+            raise ValueError(f"phi evaluation refused below z={_MIN_Z:g} (singular endpoint)")
+        raise ValueError(f"K_tau needs z > 0, got {bad[0]}")
     p0, p1, p2 = profile_ladder(tau, np.sqrt(z), 3)
     return p0, -0.5 * p1, 0.25 * p2
 

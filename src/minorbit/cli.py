@@ -219,6 +219,9 @@ def cmd_bessel(args) -> int:
     _check_finite(args, ("tau", "zmin", "zmax"))
     if args.zmin <= 0 or args.zmax <= args.zmin or args.steps < 1:
         raise UsageError("need 0 < zmin < zmax and steps >= 1")
+    if args.zmin < bessel._MIN_Z:
+        raise UsageError(f"--zmin {args.zmin!r} is below z={bessel._MIN_Z:g}, where phi "
+                         "evaluation is refused (singular endpoint)")
     if args.steps > orbit.MAX_STEPS:
         raise UsageError(f"--steps must be at most {orbit.MAX_STEPS}, got {args.steps}")
     tau = Fraction(args.tau).limit_denominator(2)

@@ -14,13 +14,17 @@ supports, its grades, its y_j entries and its M planes.  Every exact
 computation runs on sparse coordinates {k: c} through integer tables built
 from the entries (ad, trace_gram, theta_perm); the form is an integer trace
 times form_scale, and every identity asserted here has residual exactly 0.
-Dense matrices are views (`element`, and `coords` back) for model_dump, the
+The structure table brackets only the basis pairs that a row and column
+index of the entries shows to meet; the others bracket to 0.  Dense
+matrices are views (`element`, and `coords` back) for model_dump, the
 matrix-sample Jacobi and the float layer.  The Monte Carlo layer in `orbit`
 evaluates the exact forms nbar_pairing, crown_tensor and torus on the nbar
 coordinates of samples.  The exact L action (random_l_action) is read off
 the same tables for every family: unipotent factors 1 + tE from the
-l-basis elements with E^2 = 0, and torus factors from the torus weights.
-The M = K cap L rotation of the float layer is exact too (m_rotation).
+l-basis elements with E^2 = 0, and torus factors from the torus weights,
+each acting on integer coordinates over one common denominator.  Subspaces
+of l test membership on sparse echelon rows (LSubspace.contains).  The
+M = K cap L rotation of the float layer is exact too (m_rotation).
 """
 
 from __future__ import annotations
@@ -40,9 +44,10 @@ from .catalog import Family, get_class
 from .ratlin import ZERO
 from .reports import ModelInvariantError, SpanError, VerificationReport
 
-# rational palette for random group elements; keeps orbit points exact
-_DIAG_PALETTE = (Fraction(1, 2), Fraction(2, 3), Fraction(1), Fraction(3, 2), Fraction(2))
-_OFFDIAG_PALETTE = (Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1, 2), Fraction(1))
+# rational palettes p/q for random group elements, as integer pairs (p, q);
+# they keep orbit points exact
+_DIAG_PALETTE = ((1, 2), (2, 3), (1, 1), (3, 2), (2, 1))
+_OFFDIAG_PALETTE = ((-1, 1), (-1, 2), (1, 3), (1, 2), (1, 1))
 
 
 @dataclass(frozen=True)
@@ -166,6 +171,11 @@ class GradedModel:
     @property
     def dim_l(self) -> int:
         return len(self.l_indices)
+
+    @cached_property
+    def l_position(self) -> dict:
+        """Basis index k in l -> its position in l_indices."""
+        return {k: i for i, k in enumerate(self.l_indices)}
 
     def positions(self, k: int) -> list[tuple[int, int]]:
         """The entry positions (r, c) of the basis element e_k."""
@@ -297,9 +307,29 @@ class GradedModel:
 
     @cached_property
     def table(self) -> dict:
-        """Structure constants: (i, j) with i < j maps to {k: coeff}."""
-        return {(i, j): self._coords_of(_sparse_bracket(self._sparse[i], self._sparse[j]))
-                for i in range(self.dim) for j in range(i + 1, self.dim)}
+        """Structure constants: (i, j) with i < j maps to {k: coeff}.
+
+        A product of matrix units on disjoint indices vanishes, so e_i and
+        e_j can have a nonzero bracket only when a column of one meets a
+        row of the other.  A row and a column index of the entries, built
+        once, select those pairs; only they are bracketed, and every other
+        pair gets {}.
+        """
+        by_row: dict = {}
+        by_col: dict = {}
+        for k, sp in enumerate(self._sparse):
+            for (r, c), _ in sp:
+                by_row.setdefault(r, []).append(k)
+                by_col.setdefault(c, []).append(k)
+        out = {}
+        for i, sp in enumerate(self._sparse):
+            meets = set()
+            for (r, c), _ in sp:
+                meets.update(by_row.get(c, ()), by_col.get(r, ()))
+            for j in range(i + 1, self.dim):
+                out[i, j] = (self._coords_of(_sparse_bracket(sp, self._sparse[j]))
+                             if j in meets else {})
+        return out
 
     @cached_property
     def ad(self) -> list[dict]:
@@ -379,33 +409,43 @@ class GradedModel:
         return {k: [(i, int(w[i, kk])) for i in np.flatnonzero(w[:, kk])]
                 for kk, k in enumerate(self.nbar_indices)}
 
-    def unipotent_act(self, a: int, t: Fraction, y: dict) -> dict:
-        """Ad(1 + t e_a) y = y + t [e_a, y] + (t^2 / 2) [e_a, [e_a, y]] on
-        sparse coordinates, for a in nilpotent_l (so e_a^2 = 0)."""
+    def unipotent_act(self, a: int, t: tuple, y: dict) -> tuple[dict, int]:
+        """Ad(1 + t e_a) y = Y / (2q^2) for t = p/q and integer sparse
+        coordinates y, a in nilpotent_l (so e_a^2 = 0): returns (Y, 2q^2)
+        with Y = 2q^2 y + 2pq [e_a, y] + p^2 [e_a, [e_a, y]], integer."""
+        p, q = t
         once = self.bracket({a: 1}, y)
-        out = dict(y)
-        _acc_coeff(out, once, t)
-        _acc_coeff(out, self.bracket({a: 1}, once), t * t / 2)
-        return out
+        return (combine((2 * q * q, y), (2 * p * q, once),
+                        (p * p, self.bracket({a: 1}, once))), 2 * q * q)
 
-    def torus_act(self, s: list, y: dict) -> dict:
-        """Ad(diag(prod_i s_i^H_i)) y on sparse nbar coordinates, with H_i
-        the torus elements: e_k scales by prod_i s_i^weights[i, k]."""
-        out = {}
-        for k, c in y.items():
+    def torus_act(self, s: list, y: dict) -> tuple[dict, int]:
+        """Ad(diag(prod_i s_i^H_i)) y = Y / den for s_i = p_i/q_i and integer
+        sparse nbar coordinates y, with H_i the torus elements: e_k scales
+        by prod_i s_i^weights[i, k] = num_k / den_k, den is the lcm of the
+        den_k over y's support and Y_k = y_k num_k (den / den_k)."""
+        scales = {}
+        for k in y:
+            num = den = 1
             for i, w in self._torus_support[k]:
-                c *= s[i] ** w
-            out[k] = c
-        return out
+                p, q = s[i] if w > 0 else s[i][::-1]
+                num *= p ** abs(w)
+                den *= q ** abs(w)
+            scales[k] = num, den
+        # a list: unpacking a generator into math.lcm leaks memory on CPython 3.11.7
+        lcm = math.lcm(*[den for _, den in scales.values()])
+        return {k: y[k] * num * (lcm // den) for k, (num, den) in scales.items()}, lcm
 
     def random_l_action(self, rand: random.Random):
-        """Ad(g) on sparse nbar coordinates for a random rational g in L.
+        """Ad(g) on integer sparse nbar coordinates for a random rational g
+        in L: y -> (Y, den) with Ad(g) y = Y / den.
 
         g is a product of 2r factors, r = len(torus.indices), each a torus
         factor with probability 1/3 and a unipotent factor 1 + tE otherwise,
         E drawn from nilpotent_l; s_i and t come from rational palettes.  r
         counts the matrix indices that the unipotent factors must link for
-        the points of verify_kprime to span nbar.
+        the points of verify_kprime to span nbar.  Every factor maps integer
+        coordinates to integer coordinates over a factor of the one common
+        denominator den, so no Fraction is formed.
         """
         factors = []
         for _ in range(2 * len(self.torus.indices)):
@@ -416,10 +456,12 @@ class GradedModel:
                 a = rand.choice(self.nilpotent_l)
                 factors.append((self.unipotent_act, a, rand.choice(_OFFDIAG_PALETTE)))
 
-        def act(y: dict) -> dict:
+        def act(y: dict) -> tuple[dict, int]:
+            den = 1
             for f, *params in factors:
-                y = f(*params, y)
-            return y
+                y, scale = f(*params, y)
+                den *= scale
+            return y, den
         return act
 
     @cached_property
@@ -600,7 +642,7 @@ def theta_eigenbasis_of_l(m: GradedModel):
             vectors.append({a: 1, target: sign})
             vectors.append({a: 1, target: -sign})
             done.update((a, target))
-    gram, pos = m.l_gram_b, {a: i for i, a in enumerate(m.l_indices)}
+    gram, pos = m.l_gram_b, m.l_position
 
     def b_int(u, v):   # -tr(u theta v) on sparse coordinates
         return sum(cu * cv * gram[pos[i], pos[k]] for i, cu in u.items() for k, cv in v.items())
@@ -671,11 +713,12 @@ class LSubspace:
 
     def contains(self, coords: dict) -> bool:
         """The element with sparse model coordinates coords lies in the
-        subspace: no coordinate off l, and its l-part in the span."""
-        m = self.model
-        if any(m.grades[k] != 0 for k in coords):
+        subspace: no coordinate off l, and its l-part in the span, tested
+        on the sparse echelon rows that its support selects."""
+        pos = self.model.l_position
+        if not coords.keys() <= pos.keys():
             return False
-        return self.echelon.contains([coords.get(k, 0) for k in m.l_indices])
+        return self.echelon.contains({pos[k]: c for k, c in coords.items()})
 
 
 def l_bracket_map(m: GradedModel, y: dict) -> np.ndarray:
@@ -701,7 +744,7 @@ def modular_character_check(m: GradedModel) -> VerificationReport:
     so the restricted trace is well defined and must match 2d nu exactly.
     The trace is read off in the echelon basis of s_1, whose rows are det
     times rref rows: the coefficient of row r in ad(h) row r is the entry
-    at its pivot column, over det.
+    at its pivot column, over det.  The rows and their images stay sparse.
     """
     report = VerificationReport("modular_character", meta={
         "family": m.family.value, "n": m.n, "d": m.d,
@@ -718,13 +761,12 @@ def modular_character_check(m: GradedModel) -> VerificationReport:
             report.add(f"h_{t.j} in s1", False, detail="expected h_j in stabilizer")
             continue
         trace = 0
-        for row, pc in zip(ech.rows, ech.pivots):
-            img = m.bracket(a, {l_idx[i]: v for i, v in enumerate(row) if v})
-            vec = [img.get(k, 0) for k in l_idx]
-            if not ech.contains(vec):
+        for pc, row in ech.rows.items():
+            img = m.bracket(a, {l_idx[i]: v for i, v in row.items()})
+            if not s1.contains(img):
                 report.add(f"ad(h_{t.j}) preserves s1", False)
                 break
-            trace += vec[pc]
+            trace += img.get(l_idx[pc], 0)
         else:
             expected = 2 * m.d * nu(m, a)
             residual = Fraction(trace, ech.det) - expected

@@ -134,15 +134,18 @@ def radial_measure(m: liealg.GradedModel) -> RadialMeasure:
 def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
     """Exact rational orbit points Ad(g) y_1; the first point is y_1 itself.
 
-    Each g is an m.random_l_action on nbar coordinates c; a point keeps its
-    c, of radius sqrt(sum c_k^2) (the nbar basis is orthonormal).
+    Each g is an m.random_l_action, which carries the point as integer
+    nbar coordinates Y over one common denominator den; a point keeps its
+    coordinates c = Y / den, formed once, of radius sqrt(sum c_k^2) (the
+    nbar basis is orthonormal), which is sum Y_k^2 / den^2 rounded once.
     """
     rand = random.Random(seed)
     y1 = m.triples[0].y
     points = []
     for i in range(count):
-        coords = y1 if i == 0 else m.random_l_action(rand)(y1)
-        radius = math.sqrt(float(sum(c * c for c in coords.values())))
+        ints, den = (y1, 1) if i == 0 else m.random_l_action(rand)(y1)
+        radius = math.sqrt(sum(c * c for c in ints.values()) / den ** 2)
+        coords = {k: Fraction(c, den) for k, c in ints.items()}
         points.append(OrbitPoint(y=coords, radius=radius, exact=True))
     return points
 

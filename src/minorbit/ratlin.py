@@ -190,31 +190,33 @@ def solve_exact(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Echelon:
-    """Fraction-free reduced echelon form of a spanning set: rows equal
-    det times the rref rows, with pivot columns pivots."""
+    """Fraction-free reduced echelon form of a spanning set, kept sparse:
+    rows maps each pivot column pc to det times the rref row with that
+    pivot, as {column: value} over its nonzero entries."""
 
-    rows: list
-    pivots: list
+    rows: dict
     det: int
 
     @classmethod
     def of(cls, vectors) -> Echelon:
         if not len(vectors):
-            return cls([], [], 1)
+            return cls({}, 1)
         mat = np.array(list(vectors), dtype=object)
         red, pivots, det = _bareiss(_integer_rows(mat), mat.shape[1], reduce=True)
-        return cls(red[:len(pivots)], pivots, det)
+        return cls({pc: {c: v for c, v in enumerate(row) if v} for pc, row in zip(pivots, red)},
+                   det)
 
-    def contains(self, v) -> bool:
-        """v in the span: det * v minus its pivot-column combination of the
-        rows vanishes."""
-        vi, _ = clear_denominators(list(v))
-        acc = [self.det * x for x in vi]
-        for row, pc in zip(self.rows, self.pivots):
-            f = vi[pc]
-            if f:
-                acc = [a - f * w for a, w in zip(acc, row)]
-        return not any(acc)
+    def contains(self, v: dict) -> bool:
+        """The vector with sparse entries v ({column: value}, rational) lies
+        in the span: det * v - sum over the pivot columns pc in v's support
+        of v[pc] * rows[pc] vanishes.  Only v's support and the rows it
+        selects are read."""
+        ints, _ = clear_denominators(list(v.values()))
+        acc = {c: self.det * x for c, x in zip(v, ints)}
+        for pc, x in zip(v, ints):
+            for c, w in self.rows.get(pc, {}).items():
+                acc[c] = acc.get(c, 0) - x * w
+        return not any(acc.values())
 
 
 def span_intersection_dim(a: list[np.ndarray], b: list[np.ndarray]) -> int:
@@ -226,4 +228,4 @@ def span_intersection_dim(a: list[np.ndarray], b: list[np.ndarray]) -> int:
 
 
 def in_span(vectors: list[np.ndarray], v: np.ndarray) -> bool:
-    return Echelon.of(vectors).contains(v)
+    return Echelon.of(vectors).contains({c: x for c, x in enumerate(v) if x})

@@ -11,7 +11,8 @@ forms of the catalog dual pairs.
 
 Everything runs on sparse coordinates: the bracket maps and the invariants
 bracket basis vectors through the integer ad table (GradedModel.bracket)
-and test membership against each subspace's cached echelon form, and the
+and test membership against each subspace's cached sparse echelon form,
+reading only the rows that an element's support selects, and the
 rank-k frame support and the split along it are read off the basis
 entries, whose supports are pairwise disjoint.  No ambient matrix is
 formed; the tests keep a dense oracle for the brackets and the split.
@@ -215,9 +216,12 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
     """Structural facts: direct sum, ideal property, isotropy, containments.
 
     Brackets run on the sparse l-coordinates of the basis vectors through
-    the integer ad table (GradedModel.bracket), and membership is read off
-    each subspace's cached echelon form, with any coordinate off l counting
-    as outside; the tests keep a dense matrix bracket as the oracle.
+    the integer ad table (GradedModel.bracket).  Every membership test, the
+    containments s_k' in s_k and h_k in g_k included, goes through
+    LSubspace.contains on sparse coordinates: it reads only the element's
+    support and the rows of the subspace's cached sparse echelon form that
+    the support selects, with any coordinate off l counting as outside.
+    The tests keep a dense matrix bracket as the oracle.
     """
     report = VerificationReport("stabilizer_structure", meta={
         "family": m.family.value, "n": m.n, "k": dec.k, **dec.dims()})
@@ -237,10 +241,10 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
         bad = int(np.count_nonzero(_pairing(m.l_gram, u, u)))
     report.add("nilradical is isotropic for the form", bad == 0, residual=bad)
 
-    sprime_in_s = all(dec.s_k.echelon.contains(v) for v in dec.s_k_prime.coords)
+    sprime_in_s = all(dec.s_k.contains(v) for v in dec.s_k_prime.sparse)
     report.add("s_k' contained in s_k", sprime_in_s)
     report.add("dim s_k' <= dim s_k", dec.s_k_prime.dim <= dec.s_k.dim)
-    h_in_g = all(dec.g_k.echelon.contains(v) for v in dec.h_k.coords)
+    h_in_g = all(dec.g_k.contains(v) for v in dec.h_k.sparse)
     report.add("h_k contained in g_k", h_in_g)
     bad = _bracket_defects(m, dec.g_k, dec.l_k, LSubspace(m, []))
     report.add("[g_k, l_k] = 0", bad == 0, residual=bad)

@@ -250,6 +250,19 @@ def test_bessel_k_refusal_names_the_value():
             bessel.bessel_k(0.5, z)
 
 
+def test_nan_is_refused_with_the_oracles_message():
+    # nan fails z > 0 and z >= _MIN_Z alike, so every entry point refuses it
+    # as the quadrature oracle does, for scalars and arrays
+    refusals = (bessel.bessel_k, bessel.phi_tau,
+                lambda t, z: bessel.bessel_k(t, z, method="quadrature"))
+    for call in refusals:
+        for z in (math.nan, np.array(math.nan), [2.0, math.nan]):
+            with pytest.raises(ValueError, match=r"^K_tau needs z > 0, got nan$"):
+                call(0.5, z)
+    with pytest.raises(ValueError, match=r"^K_tau needs z > 0, got -1.0$"):
+        bessel.phi_tau(0.5, [2.0, -1.0, bessel._MIN_Z / 2])
+
+
 def test_phi_scalar_and_array_bit_identical():
     z = np.random.default_rng(7).gamma(4.0, 1.0, 300) ** 2
     for tau in KERNEL_ORDERS:

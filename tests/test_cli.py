@@ -172,8 +172,8 @@ def test_bessel_below_min_z_is_one_line_usage_error(capsys):
     code, out, err = run_cli(capsys, "bessel", "--tau", "0.5", "--zmin", "1e-9",
                              "--zmax", "2", "--steps", str(cli.TABLE_BLOCK + 1))
     assert code == cli.EXIT_USAGE and out == ""
-    assert err == ("--tau 0.5 cannot be tabulated: phi evaluation refused below "
-                   "z=1e-08 (singular endpoint)\n")
+    assert err == ("--zmin 1e-09 is below z=1e-08, where phi evaluation is refused "
+                   "(singular endpoint)\n")
 
 
 def test_bessel_usage_error(capsys):
@@ -574,8 +574,7 @@ def _bessel(tau, zmin="1", zmax="2", steps="3"):
     (_bessel("1e300"), "--tau 1e+300 cannot be tabulated: K at order 1e+300 needs more "
                        "than 1000 recurrence steps"),
     (_bessel("0.5", zmin="1e-9", steps=str(cli.TABLE_BLOCK + 1)),
-     "--tau 0.5 cannot be tabulated: phi evaluation refused below z=1e-08 "
-     "(singular endpoint)"),
+     "--zmin 1e-09 is below z=1e-08, where phi evaluation is refused (singular endpoint)"),
     (("tensor", "audit", "--model", "o2n2n", "--n", "2", "--k", "2"),
      "tensor audit needs 2 <= k < n, so n=2 admits no k"),
     (("tensor", "audit", "--model", "gl2n", "--n", "3", "--k", "3"),
@@ -588,7 +587,9 @@ def _bessel(tau, zmin="1", zmax="2", steps="3"):
     (("table", "--extra"), "minorbit: error: unrecognized arguments: --extra"),
     (_bessel("180.5", steps="2"),
      "--tau 180.5 cannot be tabulated: K integral overflows at 4 of 7 audit points of order "
-     "182.5 (tau 180.5 needs order 182.5)")])
+     "182.5 (tau 180.5 needs order 182.5)"),
+    (_bessel("0.5", zmin="1e-320", steps="2"),
+     "--zmin 1e-320 is below z=1e-08, where phi evaluation is refused (singular endpoint)")])
 def test_usage_error_prints_its_exact_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (cli.EXIT_USAGE, "", line + "\n")
 

@@ -24,7 +24,9 @@ CALLS = [
     for model in ("o2n2n", "gl2n")
     for head, n, tail in [(["verify", suite], "2", ["--seed", "0"])
                           for suite in ("structural", "constants", "modular", "crown")]
-    + [(["tensor", "audit"], "3", ["--k", "2"])]
+    + [(["verify", suite], "3", ["--seed", "0"])
+       for suite in ("structural", "constants", "modular")]
+    + [(["tensor", "audit"], n, ["--k", "2"]) for n in ("3", "4")]
 ]
 
 

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from minorbit import liealg, ratlin
 from minorbit.catalog import Family
@@ -236,9 +237,10 @@ def test_rank_four_exact_suites(family):
 
 def test_unipotent_act_is_ambient_conjugation(all_models):
     # Ad(1 + tE) Y = (1 + tE) Y (1 - tE) for E^2 = 0, residual exactly 0;
-    # with t = p/q the integer side is (q + pE) Y (q - pE) = q^2 Ad(1 + tE) Y.
-    # Y runs over the whole basis: on nbar the (t^2 / 2)(ad E)^2 term
-    # vanishes for both families, on l it does not.
+    # with t = p/q the integer side is (q + pE) Y (q - pE) = q^2 Ad(1 + tE) Y,
+    # and the action returns Ad(1 + tE) Y as integer coordinates over its
+    # scale.  Y runs over the whole basis: on nbar the (t^2 / 2)(ad E)^2
+    # term vanishes for both families, on l it does not.
     for m in all_models:
         assert m.nilpotent_l
         one = np.eye(m.dim_ambient, dtype=np.int64)
@@ -246,16 +248,18 @@ def test_unipotent_act_is_ambient_conjugation(all_models):
         for a in m.nilpotent_l:
             e = stack[a]
             assert not np.any(e @ e)
-            for t in liealg._OFFDIAG_PALETTE:
-                p, q = t.numerator, t.denominator
+            for p, q in liealg._OFFDIAG_PALETTE:
                 ambient = (q * one + p * e) @ stack @ (q * one - p * e)
                 for k in range(m.dim):
-                    image = m.element(m.unipotent_act(a, t, {k: 1}))
-                    assert ratlin.is_zero_matrix(q * q * image - ambient[k]), (m.family, a, t, k)
+                    coords, scale = m.unipotent_act(a, (p, q), {k: 1})
+                    image = m.element(coords)
+                    assert ratlin.is_zero_matrix(q * q * image - scale * ambient[k]), \
+                        (m.family, a, p, q, k)
 
 
 def test_torus_act_is_ambient_conjugation(all_models):
-    # Ad(D) Y = D Y D^-1 with D = diag(prod_i s_i^(H_i)_rr), residual exactly 0
+    # Ad(D) Y = D Y D^-1 with D = diag(prod_i s_i^(H_i)_rr), residual exactly
+    # 0; the action returns it as integer coordinates over a denominator
     rand = random.Random(0)
     for m in all_models:
         hs = [np.diag(m.basis[a]) for a in m.torus.indices]
@@ -264,15 +268,57 @@ def test_torus_act_is_ambient_conjugation(all_models):
                  for shift in range(len(palette))]
         draws += [[rand.choice(palette) for _ in hs] for _ in range(5)]
         for s in draws:
-            diag = [math.prod(si ** int(h[r]) for si, h in zip(s, hs))
+            diag = [math.prod(Fraction(p, q) ** int(h[r]) for (p, q), h in zip(s, hs))
                     for r in range(m.dim_ambient)]
             for k in m.nbar_indices:
                 y = m.basis[k]
                 ambient = np.array([[diag[r] * y[r, c] / diag[c]
                                      for c in range(m.dim_ambient)]
                                     for r in range(m.dim_ambient)], dtype=object)
-                image = m.element(m.torus_act(s, {k: 1}))
-                assert ratlin.is_zero_matrix(image - ambient), (m.family, s, k)
+                coords, den = m.torus_act(s, {k: 1})
+                image = m.element(coords)
+                assert ratlin.is_zero_matrix(image - den * ambient), (m.family, s, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_table_equals_all_pairs_brackets(family, n):
+    # the support index brackets only the pairs whose entries meet; the
+    # brute force brackets every pair, and both give the same entries in
+    # the same key order
+    m = liealg.build_model(family, n)
+    sp = m._sparse
+    brute = {(i, j): m._coords_of(liealg._sparse_bracket(sp[i], sp[j]))
+             for i in range(m.dim) for j in range(i + 1, m.dim)}
+    assert list(m.table.items()) == list(brute.items())
+
+
+_small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.data())
+def test_subspace_membership_matches_rank(gl2, data):
+    # sparse membership against a rank oracle on dense l-coordinates: a
+    # combination of the spanning vectors, an arbitrary sparse element
+    # (whose coordinates may lie off l) and the zero element
+    m = gl2
+    row = st.lists(_small_rationals, min_size=m.dim_l, max_size=m.dim_l)
+    vectors = data.draw(st.lists(row, max_size=4))
+    sub = liealg.LSubspace(m, [np.array(v, dtype=object) for v in vectors])
+    weights = data.draw(st.lists(_small_rationals, min_size=len(vectors), max_size=len(vectors)))
+    member = [sum((w * v[i] for w, v in zip(weights, vectors)), Fraction(0))
+              for i in range(m.dim_l)]
+    arbitrary = data.draw(st.dictionaries(st.integers(0, m.dim - 1),
+                                          _small_rationals.filter(bool), max_size=5))
+    cases = [{m.l_indices[i]: c for i, c in enumerate(member) if c}, arbitrary, {}]
+    for coords in cases:
+        dense = [coords.get(k, 0) for k in m.l_indices]
+        expect = (all(m.grades[k] == 0 for k in coords)
+                  and ratlin.rank(np.array(vectors, dtype=object))
+                  == ratlin.rank(np.array(vectors + [dense], dtype=object)))
+        assert sub.contains(coords) == expect, (vectors, coords)
+    assert sub.contains(cases[0]) and sub.contains({})
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])

@@ -49,6 +49,49 @@ def test_rational_orbit_points_exact(o2, gl2):
             assert ratlin.is_zero_matrix(resid)
 
 
+def _fraction_l_action(m, rand):
+    """Reference for GradedModel.random_l_action in Fraction arithmetic:
+    the same draws, then Ad(1 + tE) y = y + t [E, y] + (t^2 / 2) [E, [E, y]]
+    and the torus scaling e_k -> prod_i s_i^weights[i, k] e_k."""
+    factors = []
+    for _ in range(2 * len(m.torus.indices)):
+        if rand.randrange(3) == 0:
+            factors.append([Fraction(*rand.choice(liealg._DIAG_PALETTE))
+                            for _ in m.torus.indices])
+        else:
+            a = rand.choice(m.nilpotent_l)
+            factors.append((a, Fraction(*rand.choice(liealg._OFFDIAG_PALETTE))))
+    place = {k: kk for kk, k in enumerate(m.nbar_indices)}
+
+    def act(y):
+        for f in factors:
+            if isinstance(f, list):
+                y = {k: c * math.prod(si ** int(w) for si, w in zip(f, m.torus.weights[:, place[k]]))
+                     for k, c in y.items()}
+            else:
+                a, t = f
+                once = m.bracket({a: 1}, y)
+                y = liealg.combine((1, y), (t, once), (t * t / 2, m.bracket({a: 1}, once)))
+        return y
+    return act
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_integer_orbit_points_equal_fraction_reference(family, n):
+    # the integer action over one common denominator gives the points and
+    # radii of the Fraction action, draw for draw
+    m = liealg.build_model(family, n)
+    y1 = m.triples[0].y
+    for seed in range(5):
+        rand = random.Random(seed)
+        expect = [y1] + [_fraction_l_action(m, rand)(y1) for _ in range(99)]
+        points = orbit.sample_orbit_rational(m, 100, seed)
+        assert [p.y for p in points] == expect
+        assert [p.radius for p in points] == [
+            math.sqrt(float(sum(c * c for c in y.values()))) for y in expect]
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 @pytest.mark.parametrize("family", list(liealg.SPECS))
 def test_kprime_points_span_nbar(family, n):

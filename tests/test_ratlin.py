@@ -70,6 +70,21 @@ def test_echelon_membership_matches_rank(rows, data):
     assert ratlin.in_span(list(mat), v) == expect
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_matrices(_ints), _matrices(_rationals)), st.data())
+def test_sparse_membership_matches_rank(rows, data):
+    # a combination of the rows (the zero vector among them), an arbitrary
+    # rational vector and the zero vector, each given by its nonzero entries
+    mat = _obj(rows)
+    ech = ratlin.Echelon.of(list(mat))
+    weights = _obj(data.draw(st.lists(_rationals, min_size=len(rows), max_size=len(rows))))
+    other = _obj(data.draw(st.lists(_rationals, min_size=mat.shape[1], max_size=mat.shape[1])))
+    for v, member in ((weights.dot(mat), True), (other, None), (0 * other, True)):
+        expect = ratlin.rank(mat) == ratlin.rank(np.vstack([mat, v.reshape(1, -1)]))
+        assert member is None or expect == member
+        assert ech.contains({c: x for c, x in enumerate(v) if x}) == expect
+
+
 def test_products_past_the_int64_bound_use_python_ints(gl2):
     # entries of 2**40 push max|x| max|y| * dim past 2**63, so the guard
     # routes the product to Python ints; the result must scale exactly
