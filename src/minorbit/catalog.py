@@ -3,8 +3,8 @@
 One row per group family: restricted-root multiplicities (d, e), the K/M
 column, the dual-pair family G_k/H_k, and the rank parameter.  The two
 rank-two orthogonal families carry a free parameter p and a blank dual-pair
-cell; the split orthogonal and split general linear families are the ones
-with explicit matrix models.
+cell.  The table states no model data: the families with explicit matrix
+models are the keys of liealg.SPECS, and build_model refuses the rest.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ class GroupClass:
     e: int
     km_label: str
     dual_family: str       # template with k; empty for the rank-two rows
-    model_available: bool
 
     @property
     def parametric(self) -> bool:
@@ -88,27 +87,27 @@ class GroupClass:
 # rows have d = p and an empty dual-pair cell.
 _ROWS: tuple[GroupClass, ...] = (
     GroupClass(Family.GL2N_R, "GL_2n(R)", "n", "1", 0,
-               "O_2n/(O_n x O_n)", "GL_k(R)/[GL_1(R)]^k", True),
+               "O_2n/(O_n x O_n)", "GL_k(R)/[GL_1(R)]^k"),
     GroupClass(Family.O2N2N, "O_2n,2n", "n", "2", 0,
-               "(O_2n x O_2n)/O_2n", "Sp_2k(R)/[SL_2(R)]^k", True),
+               "(O_2n x O_2n)/O_2n", "Sp_2k(R)/[SL_2(R)]^k"),
     GroupClass(Family.E7_SPLIT, "E_7(7)", "3", "4", 0,
-               "SU_8/Sp_4", "Spin(4,5)/Spin(4,4)", False),
+               "SU_8/Sp_4", "Spin(4,5)/Spin(4,4)"),
     GroupClass(Family.O_P2P2, "O_p+2,p+2", "2", "p", 0,
-               "[O_p+2]^2/[O_1 x O_p+1^2]", "", False),
+               "[O_p+2]^2/[O_1 x O_p+1^2]", ""),
     GroupClass(Family.SP_N_C, "Sp_n(C)", "n", "1", 1,
-               "Sp_n/U_n", "O_k(C)/[O_1(C)]^k", False),
+               "Sp_n/U_n", "O_k(C)/[O_1(C)]^k"),
     GroupClass(Family.GL2N_C, "GL_2n(C)", "n", "2", 1,
-               "U_2n/(U_n x U_n)", "GL_k(C)/[GL_1(C)]^k", False),
+               "U_2n/(U_n x U_n)", "GL_k(C)/[GL_1(C)]^k"),
     GroupClass(Family.O_4N_C, "O_4n(C)", "n", "4", 1,
-               "O_4n/U_2n", "Sp_2k(C)/[SL_2(C)]^k", False),
+               "O_4n/U_2n", "Sp_2k(C)/[SL_2(C)]^k"),
     GroupClass(Family.E7_C, "E_7(C)", "3", "8", 1,
-               "E_7/(E_6 x U_1)", "SO_9(C)/SO_8(C)", False),
+               "E_7/(E_6 x U_1)", "SO_9(C)/SO_8(C)"),
     GroupClass(Family.O_P4_C, "O_p+4(C)", "2", "p", 1,
-               "O_p+4/(O_p+2 x U_1)", "", False),
+               "O_p+4/(O_p+2 x U_1)", ""),
     GroupClass(Family.SP_NN, "Sp_n,n", "n", "2", 2,
-               "(Sp_n x Sp_n)/Sp_n", "O*_k/[O*_1]^k", False),
+               "(Sp_n x Sp_n)/Sp_n", "O*_k/[O*_1]^k"),
     GroupClass(Family.GL2N_H, "GL_2n(H)", "n", "4", 3,
-               "Sp_2n/(Sp_n x Sp_n)", "GL_k(H)/[GL_1(H)]^k", False),
+               "Sp_2n/(Sp_n x Sp_n)", "GL_k(H)/[GL_1(H)]^k"),
 )
 
 

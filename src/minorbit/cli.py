@@ -284,8 +284,13 @@ def cmd_fourier(args) -> int:
     ts = np.linspace(args.tmin, args.tmax, args.steps)
     estimates = []
     for i, t in enumerate(ts):
-        est = orbit.fourier_phi(model, float(t) * ray, samples=args.samples,
-                                seed=args.seed + i)
+        # a phase beyond the double range gives inf, then nan; it is refused
+        # below, so numpy's warnings on the way there are noise
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = orbit.fourier_phi(model, float(t) * ray, samples=args.samples,
+                                    seed=args.seed + i)
+        if not (math.isfinite(est.value.real) and math.isfinite(est.stderr)):
+            raise UsageError(f"the transform estimate at t={t:g} is not finite")
         estimates.append((float(t), est))
     if args.format == "json":
         payload = [{"t": t, **est.as_dict()} for t, est in estimates]

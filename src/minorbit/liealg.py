@@ -146,10 +146,9 @@ class GradedModel:
         return mat[..., rows[:, None], cols]
 
     def embed(self, block: np.ndarray, grade: int) -> np.ndarray:
-        """The ambient matrix, or stack, holding block in the place of grade
-        -1 (nbar) or +1 (n); exact blocks give exact matrices."""
-        shape = block.shape[:-2] + (self.dim_ambient, self.dim_ambient)
-        out = ratlin.rzeros(shape) if block.dtype == object else np.zeros(shape)
+        """The float ambient matrix, or stack, holding block in the place of
+        grade -1 (nbar) or +1 (n)."""
+        out = np.zeros(block.shape[:-2] + (self.dim_ambient, self.dim_ambient))
         rows, cols = self._blocks[grade]
         out[..., rows[:, None], cols] = block
         return out

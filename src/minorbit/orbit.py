@@ -41,10 +41,12 @@ dense n-coordinates; every pairing, radius and torus action is a form in c
 built exactly from the model, as is the M rotation of x (m_rotation).  c is
 a (count, dim_nbar) array in column order: each coordinate c_k is one
 contiguous column, so the per-coordinate passes of the pairings and of the
-torus action read contiguous memory.  The exact orbit points of
-sample_orbit_rational are sparse nbar coordinates too, and their membership
-residual runs through the model's integer bracket and trace tables; only
-the float points of sample_base are matrices.
+torus action read contiguous memory.  An exact orbit point of
+sample_orbit_rational is integer sparse nbar coordinates Y over one
+denominator den, as the model's L action leaves it, and its membership
+residual runs on Y through the model's integer bracket and trace tables.
+Only sample_base gives matrices: the float ambient matrices of unit
+points.
 
 Every Monte Carlo estimator here and in sphver walks its streams once, in
 contiguous slices of CHUNK samples, small enough that a slice's
@@ -74,7 +76,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import bessel, liealg, ratlin
+from . import bessel, liealg
 from .reports import QuadratureError, VerificationReport
 
 
@@ -82,36 +84,27 @@ from .reports import QuadratureError, VerificationReport
 
 @dataclass
 class OrbitPoint:
-    """A point of O_1 and its radius: y is the point's sparse nbar
-    coordinates {k: c} when exact, its float matrix otherwise."""
+    """An exact point y = Y / den of O_1: y holds the integer sparse nbar
+    coordinates Y = {k: int} and den is a positive int."""
 
-    y: dict | np.ndarray
-    radius: float
-    exact: bool
+    y: dict
+    den: int = 1
 
-    def membership_residual(self, m: liealg.GradedModel):
-        """[[y, theta y], y] - 2 <y, theta y> y; exactly zero on O_1.
+    def membership_residual(self, m: liealg.GradedModel) -> dict:
+        """[[y, theta y], y] - 2 <y, theta y> y as sparse coordinates;
+        empty exactly on O_1.
 
-        Exact points are written y = Y / den with Y integer coordinates,
-        and the residual is formed on Y through the integer tables over the
-        common denominator den^3 * denominator(form_scale), then divided
-        once; it is returned as sparse coordinates, empty on O_1.  Float
-        points give the float matrix residual.
+        The identity is cubic in y, so with <,> = (p/q) tr the integer
+        q [[Y, theta Y], Y] - 2p tr(Y theta Y) Y, formed on Y through the
+        integer tables, is q den^3 times it and is divided once: a Fraction
+        appears only off the orbit.
         """
-        y = self.y
-        if self.exact:
-            ints, den = ratlin.clear_denominators(list(y.values()))
-            yi = dict(zip(y, ints))
-            th = m.theta(yi)
-            p, q = m.form_scale.numerator, m.form_scale.denominator
-            res = liealg.combine((q, m.bracket(m.bracket(yi, th), yi)),
-                                 (-2 * p * m.trace(yi, th), yi))
-            scale = q * den ** 3
-            return {k: Fraction(v, scale) for k, v in res.items()}
-        th = -y.T
-        bracket = y @ th - th @ y
-        pair = float(m.form_scale) * float(np.trace(y @ th))
-        return (bracket @ y - y @ bracket) - 2.0 * pair * y
+        y, th = self.y, m.theta(self.y)
+        p, q = m.form_scale.numerator, m.form_scale.denominator
+        res = liealg.combine((q, m.bracket(m.bracket(y, th), y)),
+                             (-2 * p * m.trace(y, th), y))
+        scale = q * self.den ** 3
+        return {k: Fraction(v, scale) for k, v in res.items()}
 
 
 @dataclass
@@ -119,14 +112,13 @@ class RadialMeasure:
     """Radial factor w^exponent dw together with the base-mass convention."""
 
     exponent: int
-    base_sampler: Callable[[int, int], list] | None = None
     base_mass: float = 1.0   # mu'(O') is set to 1; all checks are ratios
-    description: str = "base sampler targets the invariant probability measure on O'"
 
 
 def radial_measure(m: liealg.GradedModel) -> RadialMeasure:
-    return RadialMeasure(exponent=m.d * m.n - 1,
-                         base_sampler=lambda count, seed: sample_base(m, count, seed))
+    """The radial factor w^(dn-1) dw of mu_1 on O' x (0, inf), with base
+    mass 1."""
+    return RadialMeasure(exponent=m.d * m.n - 1)
 
 
 # ------------------------------------------------------------ exact points
@@ -134,20 +126,14 @@ def radial_measure(m: liealg.GradedModel) -> RadialMeasure:
 def sample_orbit_rational(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
     """Exact rational orbit points Ad(g) y_1; the first point is y_1 itself.
 
-    Each g is an m.random_l_action, which carries the point as integer
-    nbar coordinates Y over one common denominator den; a point keeps its
-    coordinates c = Y / den, formed once, of radius sqrt(sum c_k^2) (the
-    nbar basis is orthonormal), which is sum Y_k^2 / den^2 rounded once.
+    Each g is an m.random_l_action, and a point is the (Y, den) it returns:
+    integer nbar coordinates over one common denominator, with no Fraction
+    formed.
     """
     rand = random.Random(seed)
     y1 = m.triples[0].y
-    points = []
-    for i in range(count):
-        ints, den = (y1, 1) if i == 0 else m.random_l_action(rand)(y1)
-        radius = math.sqrt(sum(c * c for c in ints.values()) / den ** 2)
-        coords = {k: Fraction(c, den) for k, c in ints.items()}
-        points.append(OrbitPoint(y=coords, radius=radius, exact=True))
-    return points
+    return [OrbitPoint(y1) if i == 0 else OrbitPoint(*m.random_l_action(rand)(y1))
+            for i in range(count)]
 
 
 # ------------------------------------------------------------ float backend
@@ -365,11 +351,11 @@ class FloatBackend:
         return {"e1": v1, "e2": v2, "mix": (v1 + v2) / math.sqrt(2.0)}
 
 
-def sample_base(m: liealg.GradedModel, count: int, seed: int) -> list[OrbitPoint]:
-    """Unit-sphere orbit points from the invariance-targeting base sampler."""
+def sample_base(m: liealg.GradedModel, count: int, seed: int) -> np.ndarray:
+    """The (count, N, N) float ambient matrices of count unit points of O'
+    from the invariance-targeting base sampler."""
     be = FloatBackend(m)
-    mats = be.matrices(be.sample_units(np.random.default_rng(seed), count), np.ones(count))
-    return [OrbitPoint(y=y, radius=1.0, exact=False) for y in mats]
+    return be.matrices(be.sample_units(np.random.default_rng(seed), count), np.ones(count))
 
 
 # ------------------------------------------------------ pairings as forms

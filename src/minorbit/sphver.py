@@ -54,9 +54,10 @@ def verify_k1(m: liealg.GradedModel) -> VerificationReport:
 def verify_kprime(m: liealg.GradedModel, samples: int = 100, seed: int = 0) -> VerificationReport:
     """[[y, theta y], y] = 2 <y, theta y> y on exact rational orbit points.
 
-    Points and brackets are sparse coordinates.  The rank-two point
-    y_1 + y_2 violates the identity and is kept as a negative control that
-    the check can fail.
+    Every point, the control's included, is an orbit.OrbitPoint, whose
+    membership_residual is the one residual of the identity.  The rank-two
+    point y_1 + y_2 violates the identity and is kept as a negative control
+    that the check can fail.
     """
     report = VerificationReport("kprime", meta={
         "family": m.family.value, "n": m.n, "samples": samples, "seed": seed})
@@ -65,9 +66,7 @@ def verify_kprime(m: liealg.GradedModel, samples: int = 100, seed: int = 0) -> V
     report.add(f"identity on {samples} rational orbit points", bad == 0, residual=bad)
 
     y12 = liealg.combine((1, m.triples[0].y), (1, m.triples[1].y))
-    th = m.theta(y12)
-    ctrl = liealg.combine((1, m.bracket(m.bracket(y12, th), y12)),
-                          (-2 * m.pair(y12, th), y12))
+    ctrl = orbit.OrbitPoint(y12).membership_residual(m)
     report.add("negative control y1 + y2 violates the identity", bool(ctrl),
                detail="rank-2 point lies outside the minimal orbit")
     return report

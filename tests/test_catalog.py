@@ -27,9 +27,14 @@ def test_eleven_rows_in_table_order():
     assert [(r.display, r.d_symbol, r.e) for r in rows] == EXPECTED_ROWS
 
 
-def test_model_flags():
-    flagged = [r.family for r in catalog.list_classes() if r.model_available]
-    assert flagged == [Family.GL2N_R, Family.O2N2N]
+def test_build_model_refuses_families_without_spec():
+    # the catalog holds no model flag: liealg.SPECS alone says which
+    # families have a matrix model
+    refused = [r.family for r in catalog.list_classes() if r.family not in liealg.SPECS]
+    assert len(refused) == 9
+    for family in refused:
+        with pytest.raises(ValueError, match="no matrix model"):
+            liealg.build_model(family, 2)
 
 
 def test_tau_examples():

@@ -589,7 +589,9 @@ def _bessel(tau, zmin="1", zmax="2", steps="3"):
      "--tau 180.5 cannot be tabulated: K integral overflows at 4 of 7 audit points of order "
      "182.5 (tau 180.5 needs order 182.5)"),
     (_bessel("0.5", zmin="1e-320", steps="2"),
-     "--zmin 1e-320 is below z=1e-08, where phi evaluation is refused (singular endpoint)")])
+     "--zmin 1e-320 is below z=1e-08, where phi evaluation is refused (singular endpoint)"),
+    (_F2 + ("--tmin", "1e308", "--tmax", "1.7e308", "--steps", "2"),
+     "the transform estimate at t=1e+308 is not finite")])
 def test_usage_error_prints_its_exact_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (cli.EXIT_USAGE, "", line + "\n")
 

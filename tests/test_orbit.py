@@ -35,18 +35,74 @@ def _float_rotation(m):
     return m.m_rotation.astype(float)
 
 
+def _fractions(p):
+    """The coordinates Y / den of the orbit point p as Fractions."""
+    return {k: Fraction(c, p.den) for k, c in p.y.items()}
+
+
+def _fraction_residual(m, y):
+    """[[y, theta y], y] - 2 <y, theta y> y in Fraction arithmetic, through
+    the form <,> = form_scale tr rather than the integer trace."""
+    th = m.theta(y)
+    return liealg.combine((1, m.bracket(m.bracket(y, th), y)), (-2 * m.pair(y, th), y))
+
+
 def test_rational_orbit_points_exact(o2, gl2):
     for m in (o2, gl2):
         pts = orbit.sample_orbit_rational(m, 30, seed=5)
-        assert pts[0].y == m.triples[0].y
+        assert (pts[0].y, pts[0].den) == (m.triples[0].y, 1)
         for p in pts:
-            assert p.exact
+            assert all(type(c) is int for c in p.y.values())
+            assert type(p.den) is int and p.den > 0
             assert p.membership_residual(m) == {}
             # the same identity on the exact matrix, bypassing the tables
-            y = m.element(p.y)
+            y = m.element(_fractions(p))
             th = -y.T
             resid = _dense_bracket(_dense_bracket(y, th), y) - 2 * _dense_pair(m, y, th) * y
             assert ratlin.is_zero_matrix(resid)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_doubled_coordinate_leaves_the_orbit(family, n):
+    # doubling any one coordinate of the point of widest support leaves
+    # O_1, and the residual is the true one of Y / den, not of Y
+    m = liealg.build_model(family, n)
+    p = max(orbit.sample_orbit_rational(m, 30, seed=0), key=lambda q: len(q.y))
+    assert p.den > 1
+    for k in p.y:
+        moved = orbit.OrbitPoint({**p.y, k: 2 * p.y[k]}, p.den)
+        resid = moved.membership_residual(m)
+        assert resid, k
+        assert resid == _fraction_residual(m, _fractions(moved)), k
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_common_factor_keeps_the_residual(family, n):
+    # (c Y, c den) is the same point: on the orbit its residual stays
+    # empty, and off it the control's residual does not move
+    m = liealg.build_model(family, n)
+    for p in orbit.sample_orbit_rational(m, 10, seed=1):
+        for c in (2, 7):
+            scaled = orbit.OrbitPoint({k: c * v for k, v in p.y.items()}, c * p.den)
+            assert scaled.membership_residual(m) == {}
+    y12 = liealg.combine((1, m.triples[0].y), (1, m.triples[1].y))
+    ctrl = orbit.OrbitPoint(y12).membership_residual(m)
+    assert ctrl == orbit.OrbitPoint({k: 3 * v for k, v in y12.items()}, 3).membership_residual(m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_rank_two_control_leaves_the_orbit(family, n):
+    # the negative control of verify_kprime: y_1 + y_2 is off O_1, and its
+    # residual is the Fraction formula's
+    m = liealg.build_model(family, n)
+    y12 = liealg.combine((1, m.triples[0].y), (1, m.triples[1].y))
+    resid = orbit.OrbitPoint(y12).membership_residual(m)
+    assert resid and resid == _fraction_residual(m, y12)
+    control = sphver.verify_kprime(m, samples=2).checks[-1]
+    assert control.passed and "negative control" in control.name
 
 
 def _fraction_l_action(m, rand):
@@ -79,17 +135,16 @@ def _fraction_l_action(m, rand):
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("family", list(liealg.SPECS))
 def test_integer_orbit_points_equal_fraction_reference(family, n):
-    # the integer action over one common denominator gives the points and
-    # radii of the Fraction action, draw for draw
+    # the integer action over one common denominator gives the points of
+    # the Fraction action, draw for draw
     m = liealg.build_model(family, n)
     y1 = m.triples[0].y
     for seed in range(5):
         rand = random.Random(seed)
         expect = [y1] + [_fraction_l_action(m, rand)(y1) for _ in range(99)]
         points = orbit.sample_orbit_rational(m, 100, seed)
-        assert [p.y for p in points] == expect
-        assert [p.radius for p in points] == [
-            math.sqrt(float(sum(c * c for c in y.values()))) for y in expect]
+        assert all(type(c) is int for p in points for c in p.y.values())
+        assert [_fractions(p) for p in points] == expect
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -116,27 +171,35 @@ def test_rational_orbit_determinism(o2):
 
 
 def test_scaled_point_radius(o2):
-    p = orbit.sample_orbit_rational(o2, 3, seed=1)[2]
-    doubled = {k: 2 * c for k, c in p.y.items()}
-    assert liealg.norm_nbar(o2, doubled) == pytest.approx(2 * p.radius, rel=1e-12)
+    y = _fractions(orbit.sample_orbit_rational(o2, 3, seed=1)[2])
+    doubled = {k: 2 * c for k, c in y.items()}
+    assert liealg.norm_nbar(o2, doubled) == pytest.approx(2 * liealg.norm_nbar(o2, y),
+                                                          rel=1e-12)
+
+
+def _float_residual(m, y):
+    """[[y, theta y], y] - 2 <y, theta y> y on a float matrix y."""
+    th = -y.T
+    bracket = y @ th - th @ y
+    pair = float(m.form_scale) * float(np.trace(y @ th))
+    return (bracket @ y - y @ bracket) - 2.0 * pair * y
 
 
 def test_base_sampler_unit_radius(o2, gl2):
     for m in (o2, gl2):
-        pts = orbit.sample_base(m, 200, seed=9)
+        mats = orbit.sample_base(m, 200, seed=9)
+        assert mats.shape == (200, m.dim_ambient, m.dim_ambient)
         scale = float(m.form_scale)
-        for p in pts:
-            y = p.y
+        for y in mats:
             rad_sq = -scale * float(np.trace(y @ (-y.T)))
             assert abs(rad_sq - 1.0) < 1e-12
-            resid = p.membership_residual(m)
-            assert np.abs(resid).max() < 1e-9
+            assert np.abs(_float_residual(m, y)).max() < 1e-9
 
 
 def test_base_sampler_mean_pairing(o2):
-    pts = orbit.sample_base(o2, 500, seed=3)
+    mats = orbit.sample_base(o2, 500, seed=3)
     scale = float(o2.form_scale)
-    vals = [scale * float(np.trace(p.y @ p.y.T)) for p in pts]  # <y, -theta y>
+    vals = [scale * float(np.trace(y @ y.T)) for y in mats]  # <y, -theta y>
     assert np.allclose(vals, 1.0, atol=1e-12)
 
 
@@ -241,7 +304,7 @@ def test_forms_certified_on_rational_orbit_points(family, n):
         t_x = sum(xa * m.crown_tensor[a] for a, xa in enumerate(xn))
         forms.append((m.element(x), g, t_x))
     for p in orbit.sample_orbit_rational(m, 8, seed=3):
-        coords = p.y
+        coords = _fractions(p)
         assert all(m.grades[k] == -1 for k in coords)
         c = [coords.get(k, 0) for k in nbar]
         y = m.element(coords)
