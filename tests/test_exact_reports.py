@@ -27,6 +27,8 @@ CALLS = [
     + [(["verify", suite], "3", ["--seed", "0"])
        for suite in ("structural", "constants", "modular")]
     + [(["tensor", "audit"], n, ["--k", "2"]) for n in ("3", "4")]
+    + [(["tensor", "audit"], "6", ["--k", k]) for k in ("2", "5")]
+    + [(["verify", "constants"], "6", ["--seed", "0"])]
 ]
 
 
