@@ -12,19 +12,21 @@ only; its basis entries alone fix the block layout:
 A family is its sparse basis entries ((r, c), +-1) on pairwise disjoint
 supports, its grades, its y_j entries and its M planes.  Every exact
 computation runs on sparse coordinates {k: c} through integer tables built
-from the entries (ad, trace_gram, theta_perm); the form is an integer trace
-times form_scale, and every identity asserted here has residual exactly 0.
-The structure table brackets only the basis pairs that a row and column
-index of the entries shows to meet; the others bracket to 0.  Dense
-matrices are views (`element`, and `coords` back) for model_dump, the
-matrix-sample Jacobi and the float layer.  The Monte Carlo layer in `orbit`
-evaluates the exact forms nbar_pairing, crown_tensor and torus on the nbar
-coordinates of samples.  The exact L action (random_l_action) is read off
-the same tables for every family: unipotent factors 1 + tE from the
-l-basis elements with E^2 = 0, and torus factors from the torus weights,
-each acting on integer coordinates over one common denominator.  Subspaces
-of l test membership on sparse echelon rows (LSubspace.contains).  The
-M = K cap L rotation of the float layer is exact too (m_rotation).
+from the entries: the structure table ad, the integer trace tr(x y) (trace,
+and its Gram matrix trace_gram) and theta as a signed permutation of the
+basis (theta_perm); the form is an integer trace times form_scale, and
+every identity asserted here has residual exactly 0.  ad brackets only the
+basis pairs that a row and column index of the entries shows to meet; the
+others bracket to 0.  Dense matrices are views (`element`, and `coords`
+back) for model_dump, the matrix-sample Jacobi and the float layer.  The
+Monte Carlo layer in `orbit` evaluates the exact forms nbar_pairing,
+crown_tensor and torus on the nbar coordinates of samples.  The exact L
+action (random_l_action) is read off the same tables for every family:
+unipotent factors 1 + tE from the l-basis elements with E^2 = 0, and torus
+factors from the torus weights, each acting on integer coordinates over one
+common denominator.  Subspaces of l test membership on sparse echelon rows
+(LSubspace.contains).  The M = K cap L rotation of the float layer is exact
+too (m_rotation).
 """
 
 from __future__ import annotations
@@ -287,32 +289,15 @@ class GradedModel:
         return self.form_scale * self.trace(x, y)
 
     @cached_property
-    def l_gram(self) -> np.ndarray:
-        """Integer Gram matrix of the trace form on the l-basis; the form
-        is form_scale times it."""
-        idx = self.l_indices
-        return self.trace_gram[np.ix_(idx, idx)]
-
-    @cached_property
-    def l_gram_b(self) -> np.ndarray:
-        """Integer Gram matrix on the l-basis of -tr(u theta v); the
-        definite product B is form_scale times it."""
-        idx = self.l_indices
-        out = ratlin.rzeros((len(idx), len(idx)))
-        for b, j in enumerate(idx):
-            tj, sj = self.theta_perm[j]
-            out[:, b] = -sj * self.trace_gram[idx, tj]
-        return out
-
-    @cached_property
-    def table(self) -> dict:
-        """Structure constants: (i, j) with i < j maps to {k: coeff}.
+    def ad(self) -> list[dict]:
+        """The structure table: sparse integer ad(e_i) as {j: {k: c}} over
+        its nonzero columns, [e_i, e_j] = sum_k c e_k, keys in ascending j.
 
         A product of matrix units on disjoint indices vanishes, so e_i and
         e_j can have a nonzero bracket only when a column of one meets a
         row of the other.  A row and a column index of the entries, built
-        once, select those pairs; only they are bracketed, and every other
-        pair gets {}.
+        once, select those pairs; only the pairs i < j among them are
+        bracketed, and [e_j, e_i] is the negative.
         """
         by_row: dict = {}
         by_col: dict = {}
@@ -320,29 +305,18 @@ class GradedModel:
             for (r, c), _ in sp:
                 by_row.setdefault(r, []).append(k)
                 by_col.setdefault(c, []).append(k)
-        out = {}
+        ad: list[dict] = [{} for _ in range(self.dim)]
         for i, sp in enumerate(self._sparse):
             meets = set()
             for (r, c), _ in sp:
                 meets.update(by_row.get(c, ()), by_col.get(r, ()))
-            for j in range(i + 1, self.dim):
-                out[i, j] = (self._coords_of(_sparse_bracket(sp, self._sparse[j]))
-                             if j in meets else {})
-        return out
-
-    @cached_property
-    def ad(self) -> list[dict]:
-        """Sparse integer ad(e_i) as {j: {k: c}} over its nonzero columns,
-        [e_i, e_j] = sum_k c e_k."""
-        ad: list[dict] = [{} for _ in range(self.dim)]
-        for (i, j), entry in self.table.items():
-            if entry:
-                ad[i][j] = entry
-                ad[j][i] = {k: -c for k, c in entry.items()}
+            for j in sorted(meets):
+                if j > i:
+                    entry = self._coords_of(_sparse_bracket(sp, self._sparse[j]))
+                    if entry:
+                        ad[i][j] = entry
+                        ad[j][i] = {k: -c for k, c in entry.items()}
         return ad
-
-    def table_entry(self, i: int, j: int) -> dict:
-        return self.ad[i].get(j, {})
 
     def bracket(self, x: dict, y: dict) -> dict:
         """Sparse coordinates of [x, y] for sparse coordinates x and y."""
@@ -641,10 +615,9 @@ def theta_eigenbasis_of_l(m: GradedModel):
             vectors.append({a: 1, target: sign})
             vectors.append({a: 1, target: -sign})
             done.update((a, target))
-    gram, pos = m.l_gram_b, m.l_position
 
     def b_int(u, v):   # -tr(u theta v) on sparse coordinates
-        return sum(cu * cv * gram[pos[i], pos[k]] for i, cu in u.items() for k, cv in v.items())
+        return -m.trace(u, m.theta(v))
 
     for i, v in enumerate(vectors):
         for w in vectors[i + 1:]:
@@ -791,17 +764,21 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     })
     dim = m.dim
     grades = m.grades
-    tab = m.table  # construction itself proves closure (expansions succeed)
+    ad = m.ad  # construction itself proves closure (expansions succeed)
     report.add("bracket closure", True, detail=f"{dim * (dim - 1) // 2} basis pairs expanded")
 
+    # a pair i < j with [e_i, e_j] = 0 adds no defect
     bad = 0
-    for (i, j), entry in tab.items():
-        gsum = grades[i] + grades[j]
-        if abs(gsum) == 2 and entry:
-            bad += 1
-        for k in entry:
-            if grades[k] != gsum:
+    for i in range(dim):
+        for j, entry in ad[i].items():
+            if j < i:
+                continue
+            gsum = grades[i] + grades[j]
+            if abs(gsum) == 2:
                 bad += 1
+            for k in entry:
+                if grades[k] != gsum:
+                    bad += 1
     report.add("grading additivity", bad == 0, residual=bad)
 
     bad = _jacobi_defects(m)
@@ -832,13 +809,14 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     report.add("theta swaps grades", ok)
 
     bad = 0
-    for (i, j), entry in tab.items():
-        lhs = {perm[k][0]: perm[k][1] * c for k, c in entry.items()}
+    for i in range(dim):
         ti, si = perm[i]
-        tj, sj = perm[j]
-        rhs = {k: si * sj * c for k, c in m.table_entry(ti, tj).items()}
-        if lhs != rhs:
-            bad += 1
+        for j in range(i + 1, dim):
+            lhs = {perm[k][0]: perm[k][1] * c for k, c in ad[i].get(j, _EMPTY).items()}
+            tj, sj = perm[j]
+            rhs = {k: si * sj * c for k, c in ad[ti].get(tj, _EMPTY).items()}
+            if lhs != rhs:
+                bad += 1
     report.add("theta is an automorphism (all pairs)", bad == 0, residual=bad)
 
     gram = m.trace_gram
@@ -917,8 +895,7 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
     bad = 0
     for ai, i in enumerate(ll):
         for j in ll[ai + 1:]:
-            entry = m.table_entry(i, j)
-            val = sum((c * m.nu_covector[k] for k, c in entry.items()), ZERO)
+            val = sum((c * m.nu_covector[k] for k, c in ad[i].get(j, _EMPTY).items()), ZERO)
             if val != 0:
                 bad += 1
     report.add("nu vanishes on [l, l]", bad == 0, residual=bad)
@@ -930,21 +907,22 @@ def _jacobi_defects(m: GradedModel) -> int:
     """Triples (i < j, l) with [[e_i, e_j], e_l] != [ad e_i, ad e_j] e_l."""
     ad = m.ad
     bad = 0
-    for (i, j), cij in m.table.items():
-        ad_i, ad_j = ad[i], ad[j]
-        cols = ad_i.keys() | ad_j.keys()
-        for k in cij:
-            cols |= ad[k].keys()
-        for col in cols:
-            diff: dict = {}
-            for k, c in cij.items():
-                _acc_coeff(diff, ad[k].get(col, _EMPTY), c)
-            for k, c in ad_j.get(col, _EMPTY).items():
-                _acc_coeff(diff, ad_i.get(k, _EMPTY), -c)
-            for k, c in ad_i.get(col, _EMPTY).items():
-                _acc_coeff(diff, ad_j.get(k, _EMPTY), c)
-            if diff:
-                bad += 1
+    for i, ad_i in enumerate(ad):
+        for j in range(i + 1, m.dim):
+            ad_j, cij = ad[j], ad_i.get(j, _EMPTY)
+            cols = ad_i.keys() | ad_j.keys()
+            for k in cij:
+                cols |= ad[k].keys()
+            for col in cols:
+                diff: dict = {}
+                for k, c in cij.items():
+                    _acc_coeff(diff, ad[k].get(col, _EMPTY), c)
+                for k, c in ad_j.get(col, _EMPTY).items():
+                    _acc_coeff(diff, ad_i.get(k, _EMPTY), -c)
+                for k, c in ad_i.get(col, _EMPTY).items():
+                    _acc_coeff(diff, ad_j.get(k, _EMPTY), c)
+                if diff:
+                    bad += 1
     return bad
 
 

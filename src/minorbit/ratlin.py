@@ -5,10 +5,9 @@ are accepted everywhere and handled by clearing denominators once, working
 on integers and dividing once at the end.  Elimination is fraction-free
 (E. H. Bareiss, Math. Comp. 22, 1968): every intermediate entry is a minor
 of the input, so each division is exact and no Fraction is formed inside
-the loops.  Products use int64 only when an explicit bound shows that no
-partial sum can overflow, and Python ints otherwise.  Everything here backs
-the structure-constant engine and the stabilizer kernels, which all demand
-residual 0.
+the loops.  Products are left to the callers, which multiply object
+arrays of Python ints with numpy's dot.  Everything here backs the
+stabilizer kernels and subspace membership, which all demand residual 0.
 """
 
 from __future__ import annotations
@@ -20,9 +19,6 @@ from fractions import Fraction
 import numpy as np
 
 ZERO = Fraction(0)
-
-# largest magnitude an int64 accumulator may reach
-INT64_MAX = 2 ** 63 - 1
 
 
 def rzeros(shape) -> np.ndarray:
@@ -42,40 +38,6 @@ def clear_denominators(values: list) -> tuple[list[int], int]:
     denominators."""
     den = math.lcm(*[v.denominator for v in values])
     return [v.numerator * (den // v.denominator) for v in values], den
-
-
-def divide(ints: np.ndarray, den: int) -> np.ndarray:
-    """ints / den entrywise; integer entries stay ints."""
-    if den == 1:
-        return ints
-    flat = [Fraction(v, den) if v % den else v // den for v in ints.ravel().tolist()]
-    out = np.empty(len(flat), dtype=object)
-    out[:] = flat
-    return out.reshape(ints.shape)
-
-
-def integer_matrix(a: np.ndarray) -> tuple[np.ndarray, int, int]:
-    """(A, den, bound): a == A / den with A an integer object array, den the
-    lcm of the denominators of a and bound = max |A|."""
-    ints, den = clear_denominators(np.asarray(a).ravel().tolist())
-    out = np.empty(len(ints), dtype=object)
-    out[:] = ints
-    return out.reshape(np.shape(a)), den, max(map(abs, ints), default=0)
-
-
-def _product(a: np.ndarray, b: np.ndarray, bound: int) -> np.ndarray:
-    """Integer product a @ b.  bound caps every |partial sum| the caller will
-    form; int64 is used only when it is at most INT64_MAX."""
-    if bound <= INT64_MAX:
-        return (a.astype(np.int64) @ b.astype(np.int64)).astype(object)
-    return a.dot(b)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact product a @ b of integer or rational matrices."""
-    ai, da, ma = integer_matrix(a)
-    bi, db, mb = integer_matrix(b)
-    return divide(_product(ai, bi, ma * mb * ai.shape[-1]), da * db)
 
 
 # ------------------------------------------------------ fraction-free core

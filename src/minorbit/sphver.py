@@ -22,12 +22,10 @@ from typing import Callable
 import numpy as np
 
 from . import bessel, liealg, orbit
+from .orbit import SIGMA_GATE
 from .reports import VerificationReport
 
 ZERO = Fraction(0)
-# the per-point gate of the Monte Carlo checks, in standard errors: the
-# 3-sigma gate of the acceptance criteria
-SIGMA_GATE = 3.0
 
 
 # ----------------------------------------------------------- exact constants

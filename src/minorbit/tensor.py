@@ -12,10 +12,13 @@ forms of the catalog dual pairs.
 Everything runs on sparse coordinates: the bracket maps and the invariants
 bracket basis vectors through the integer ad table (GradedModel.bracket)
 and test membership against each subspace's cached sparse echelon form,
-reading only the rows that an element's support selects, and the
-rank-k frame support and the split along it are read off the basis
-entries, whose supports are pairwise disjoint.  No ambient matrix is
-formed; the tests keep a dense oracle for the brackets and the split.
+reading only the rows that an element's support selects.  The Gram matrices
+of the invariant form and of the definite product on a subspace's basis
+vectors u, w are GradedModel.trace(u, w) and -trace(u, theta w), entry by
+entry, the one trace form of the model.  The rank-k frame support and the
+split along it are read off the basis entries, whose supports are pairwise
+disjoint.  No ambient matrix is formed; the tests keep a dense oracle for
+the brackets and the split.
 
 Only dimensions are identified; no isomorphism testing is attempted, and the
 induction/Plancherel content behind the tensor-power decomposition is
@@ -81,39 +84,27 @@ class StabilizerDecomposition:
 
 
 def _lift(m: GradedModel, kernel: list[np.ndarray], basis: np.ndarray) -> LSubspace:
-    """The subspace spanned by the combinations kernel of the rows of basis."""
+    """The subspace spanned by the combinations kernel of the rows of basis;
+    both hold integers, so the product is exact."""
     if not kernel:
         return LSubspace(m, [])
-    return LSubspace(m, list(ratlin.matmul(np.array(kernel, dtype=object), basis)))
-
-
-def _pairing(gram: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """left @ gram @ right.T for a Gram matrix on the l-basis.
-
-    Both Gram matrices pair each basis element with exactly one basis
-    element, so gram has one nonzero per row, g_i at column c_i, and the
-    product is the single matmul of left scaled by g against the columns
-    c of right.  ModelInvariantError when gram has another shape.
-    """
-    rows, cols = np.nonzero(gram)
-    if rows.tolist() != list(range(len(gram))):
-        raise liealg.ModelInvariantError("Gram matrix on l has not one nonzero per row")
-    return ratlin.matmul(left * gram[rows, cols], right[:, cols].T)
+    return LSubspace(m, list(np.array(kernel, dtype=object).dot(basis)))
 
 
 def _form_radical(m: GradedModel, sub: LSubspace) -> LSubspace:
-    basis = np.array(sub.coords, dtype=object)
-    return _lift(m, ratlin.nullspace(_pairing(m.l_gram, basis, basis)), basis)
+    gram = np.array([[m.trace(u, w) for w in sub.sparse] for u in sub.sparse], dtype=object)
+    return _lift(m, ratlin.nullspace(gram), np.array(sub.coords, dtype=object))
 
 
 def _b_orthocomplement(m: GradedModel, sub: LSubspace, inside: LSubspace) -> LSubspace:
     """Orthocomplement of sub within inside for the definite product on l."""
     if not sub.coords:
         return inside
-    inside_mat = np.array(inside.coords, dtype=object)
-    # row u holds B(u, w) over the basis vectors w of inside
-    constraints = _pairing(m.l_gram_b.T, np.array(sub.coords, dtype=object), inside_mat)
-    return _lift(m, ratlin.nullspace(constraints), inside_mat)
+    # row u holds -tr(u theta w) over the basis vectors w of inside
+    theta_inside = [m.theta(w) for w in inside.sparse]
+    constraints = np.array([[-m.trace(u, tw) for tw in theta_inside] for u in sub.sparse],
+                           dtype=object)
+    return _lift(m, ratlin.nullspace(constraints), np.array(inside.coords, dtype=object))
 
 
 def _triple_support(m: GradedModel, k: int) -> set[int]:
@@ -235,10 +226,8 @@ def decomposition_invariants(m: GradedModel, dec: StabilizerDecomposition) -> Ve
     report.add("nilradical is an ideal of s_k", bad == 0, residual=bad)
     bad = _bracket_defects(m, dec.levi, dec.levi, dec.levi)
     report.add("levi closes under bracket", bad == 0, residual=bad)
-    bad = 0
-    if dec.nilradical.coords:
-        u = np.array(dec.nilradical.coords, dtype=object)
-        bad = int(np.count_nonzero(_pairing(m.l_gram, u, u)))
+    u = dec.nilradical.sparse
+    bad = sum(1 for a in u for b in u if m.trace(a, b))
     report.add("nilradical is isotropic for the form", bad == 0, residual=bad)
 
     sprime_in_s = all(dec.s_k.contains(v) for v in dec.s_k_prime.sparse)

@@ -11,7 +11,7 @@ from pathlib import Path
 import mpmath
 import pytest
 
-from minorbit import cli
+from minorbit import cli, orbit
 from conftest import DATA_DIR
 
 
@@ -273,6 +273,31 @@ def test_verify_spherical_underpowered_is_inconclusive(capsys):
                            "--n", "2", "--samples", "20000")
     assert code == cli.EXIT_INCONCLUSIVE
     assert "INCONCLUSIVE" in out
+
+
+def test_verify_orbit_underpowered_is_inconclusive(capsys):
+    # at 10 samples every ratio that misses the 1 % gate lies within 3
+    # standard errors of 1, so none can be decided either way
+    code, out, _ = run_cli(capsys, "verify", "orbit", "--model", "o2n2n", "--n", "2",
+                           "--samples", "10")
+    assert code == cli.EXIT_INCONCLUSIVE
+    assert "[INCONCLUSIVE]" in out
+    assert "[FAIL]" not in out
+
+
+def test_verify_orbit_ratio_far_off_still_fails(capsys, monkeypatch):
+    # control: a character 20 % too large puts the diag l ratios many
+    # standard errors away from 1 at 1e5 samples, which is a failure
+    random_diag_l = orbit.FloatBackend.random_diag_l
+
+    def wrong_character(self, rand):
+        lam2, char = random_diag_l(self, rand)
+        return lam2, 1.2 * char
+    monkeypatch.setattr(orbit.FloatBackend, "random_diag_l", wrong_character)
+    code, out, _ = run_cli(capsys, "verify", "orbit", "--model", "o2n2n", "--n", "2",
+                           "--samples", "100000")
+    assert code == cli.EXIT_FAIL
+    assert "[FAIL] equivariance: diag l#0 ratio [gauss]" in out
 
 
 def test_verify_json_report_deterministic(capsys, tmp_path):

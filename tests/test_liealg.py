@@ -284,13 +284,19 @@ def test_torus_act_is_ambient_conjugation(all_models):
 @pytest.mark.parametrize("family", list(liealg.SPECS))
 def test_table_equals_all_pairs_brackets(family, n):
     # the support index brackets only the pairs whose entries meet; the
-    # brute force brackets every pair, and both give the same entries in
-    # the same key order
+    # brute force brackets every pair, and both give the same ad rows with
+    # the same entries in the same key order
     m = liealg.build_model(family, n)
     sp = m._sparse
-    brute = {(i, j): m._coords_of(liealg._sparse_bracket(sp[i], sp[j]))
-             for i in range(m.dim) for j in range(i + 1, m.dim)}
-    assert list(m.table.items()) == list(brute.items())
+    brute = [{} for _ in range(m.dim)]
+    for i in range(m.dim):
+        for j in range(m.dim):
+            entry = m._coords_of(liealg._sparse_bracket(sp[i], sp[j]))
+            if entry:
+                brute[i][j] = entry
+    assert len(m.ad) == m.dim
+    for row, expected in zip(m.ad, brute):
+        assert list(row.items()) == list(expected.items())
 
 
 _small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)

@@ -735,3 +735,16 @@ def test_streamed_moments_keep_digits_far_from_zero():
 def test_streamed_moments_of_zeros_are_exactly_zero():
     acc = _streamed(np.zeros(2 * orbit.CHUNK + 3))
     assert acc.std == 0.0 and acc.mean == 0.0
+
+
+@pytest.mark.parametrize("stderr,inconclusive", [(0.0067, True), (0.0064, False), (0.0, False)])
+def test_ratio_missing_rtol_is_inconclusive_only_within_the_sigma_gate(stderr, inconclusive):
+    # lhs / rhs = 1.02 misses rtol = 0.01, and the ratio's stderr is 1.02
+    # times stderr: |z| is 2.93 inside the 3-sigma gate and 3.06 outside it,
+    # and a ratio with no error bar that misses rtol fails
+    report = orbit.VerificationReport("ratio")
+    orbit._add_ratio(report, "r", (1.02, 1.02 * stderr), (1.0, 0.0), 0.01, 10, "")
+    check = report.checks[0]
+    assert not check.passed and check.inconclusive == inconclusive
+    if stderr:
+        assert (abs(check.z) <= orbit.SIGMA_GATE) == inconclusive

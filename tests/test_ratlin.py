@@ -74,27 +74,3 @@ def test_echelon_membership_matches_rank(rows, data):
         assert member is None or expect == member
         assert ratlin.in_span(list(mat), v) == expect
 
-
-def test_products_past_the_int64_bound_use_python_ints(gl2):
-    # entries of 2**40 push max|x| max|y| * dim past 2**63, so the guard
-    # routes the product to Python ints; the result must scale exactly
-    x, y = (gl2.element(c) for c in (gl2.triples[0].x, gl2.triples[0].y))
-    big = 2 ** 40
-    assert big * big * gl2.dim_ambient > ratlin.INT64_MAX
-    small = ratlin.matmul(x, y)
-    assert list(small.flat) == list(x.dot(y).flat)
-    large = ratlin.matmul(big * x, big * y)
-    assert all(type(v) is int for v in large.flat)
-    assert list(large.flat) == [big * big * v for v in small.flat]
-
-
-def test_rational_products_divide_once(o2):
-    # one common denominator, integer products, one division: integral
-    # entries come back as ints, the others as reduced Fractions
-    y = o2.element(o2.triples[0].y) * Fraction(2, 3)
-    th = -y.T
-    prod = ratlin.matmul(y, th)
-    assert list(prod.flat) == list(y.dot(th).flat)
-    assert all(type(v) is int or v.denominator > 1 for v in prod.flat)
-    assert any(type(v) is Fraction for v in prod.flat)
-

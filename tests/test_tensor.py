@@ -118,28 +118,17 @@ def _random_l_element(m, rand):
 
 
 @pytest.mark.parametrize("fixture", ["o3", "gl3"])
-@pytest.mark.parametrize("gram", ["l_gram", "l_gram_b"])
-def test_pairing_matches_dense_products(fixture, gram, request):
+def test_trace_form_matches_dense_traces(fixture, request):
+    # the Grams of the radical and the orthocomplement are GradedModel.trace
+    # and -trace(u, theta v); the dense traces of the exact matrices are
+    # their oracle, since theta v = -v^T
     m = request.getfixturevalue(fixture)
-    g = getattr(m, gram)
     rand = random.Random(3)
-    left = np.array([[Fraction(rand.randint(-4, 4), rand.randint(1, 3))
-                      for _ in range(m.dim_l)] for _ in range(5)], dtype=object)
-    right = np.array([[rand.randint(-4, 4) for _ in range(m.dim_l)] for _ in range(7)],
-                     dtype=object)
-    dense = ratlin.matmul(ratlin.matmul(left, g), right.T)
-    assert np.array_equal(tensor._pairing(g, left, right), dense)
-    assert np.array_equal(tensor._pairing(g.T, right, left), dense.T)
-
-
-def test_pairing_refuses_gram_without_one_nonzero_per_row(o3):
-    left = np.ones((1, o3.dim_l), dtype=object)
-    extra, empty = o3.l_gram.copy(), o3.l_gram.copy()
-    extra[0, next(c for c in range(o3.dim_l) if not extra[0, c])] = 1
-    empty[2] = 0
-    for g in (extra, empty):
-        with pytest.raises(liealg.ModelInvariantError, match="one nonzero per row"):
-            tensor._pairing(g, left, left)
+    for _ in range(20):
+        u, v = _random_l_element(m, rand), _random_l_element(m, rand)
+        mat_u, mat_v = m.element(u), m.element(v)
+        assert m.trace(u, v) == np.trace(mat_u @ mat_v)
+        assert -m.trace(u, m.theta(v)) == np.trace(mat_u @ mat_v.T)
 
 
 @pytest.mark.parametrize("fixture", ["o3", "gl3"])
@@ -170,7 +159,7 @@ def _dense_support_split(m, sub, k):
     if not sub.coords:
         return [], []
     l_flat = np.array([m.basis[a].ravel() for a in m.l_indices], dtype=object)
-    flat = ratlin.matmul(np.array(sub.coords, dtype=object), l_flat)
+    flat = np.array(sub.coords, dtype=object).dot(l_flat)
     inside_rows, outside_rows = [], []
     for p in range(flat.shape[1]):
         col = flat[:, p]
