@@ -310,12 +310,11 @@ class GradedModel:
             meets = set()
             for (r, c), _ in sp:
                 meets.update(by_row.get(c, ()), by_col.get(r, ()))
-            for j in sorted(meets):
-                if j > i:
-                    entry = self._coords_of(_sparse_bracket(sp, self._sparse[j]))
-                    if entry:
-                        ad[i][j] = entry
-                        ad[j][i] = {k: -c for k, c in entry.items()}
+            for j in sorted(k for k in meets if k > i):
+                entry = self._coords_of(_sparse_bracket(sp, self._sparse[j]))
+                if entry:
+                    ad[i][j] = entry
+                    ad[j][i] = {k: -c for k, c in entry.items()}
         return ad
 
     def bracket(self, x: dict, y: dict) -> dict:
