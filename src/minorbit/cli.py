@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -347,7 +348,10 @@ def _add_model_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", type=int)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every command, built on the first call; later
+    calls return the same parser."""
     parser = _Parser(
         prog="minorbit",
         description="verification workbench for graded models, minimal orbits "
@@ -357,7 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_table = sub.add_parser("table", help="print the classification table")
     p_table.add_argument("--format", choices=("text", "csv", "json"), default="text")
     p_table.add_argument("--family", help="restrict to one family tag (e.g. o2n2n)")
-    p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="run verification suites")
     p_verify.add_argument("suite", choices=_SUITES)
@@ -365,7 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--samples", type=int, default=10 ** 6)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--json", help="write the full JSON report here")
-    p_verify.set_defaults(func=cmd_verify)
 
     p_bessel = sub.add_parser("bessel", help="emit (z, K, phi, residual) CSV")
     p_bessel.add_argument("--tau", type=float, required=True)
@@ -373,7 +375,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bessel.add_argument("--zmax", type=float, required=True)
     p_bessel.add_argument("--steps", type=int, required=True)
     p_bessel.add_argument("--out")
-    p_bessel.set_defaults(func=cmd_bessel)
 
     p_fourier = sub.add_parser("fourier", help="transform estimates along a ray")
     _add_model_flags(p_fourier)
@@ -384,25 +385,31 @@ def build_parser() -> argparse.ArgumentParser:
     p_fourier.add_argument("--samples", type=int, default=10 ** 5)
     p_fourier.add_argument("--seed", type=int, default=0)
     p_fourier.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_fourier.set_defaults(func=cmd_fourier)
 
     p_tensor = sub.add_parser("tensor", help="stabilizer and dual-pair audits")
     p_tensor.add_argument("action", choices=("audit",))
     _add_model_flags(p_tensor)
     p_tensor.add_argument("--k", type=int, required=True)
     p_tensor.add_argument("--json")
-    p_tensor.set_defaults(func=cmd_tensor)
 
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line; returns its exit code.
+
+    The argument parser is built on the first call and reused by every
+    later call in the process.
+    """
     try:
         try:
             args = build_parser().parse_args(argv)
         except SystemExit:  # raised by --help only, after it printed the help text
             return EXIT_PASS
-        return args.func(args)
+        # looked up when it runs, not when the parser was built: a command
+        # replaced after the first call (a stub, a tracing wrapper) is the
+        # one that runs
+        return globals()[f"cmd_{args.cmd}"](args)
     except UsageError as ex:
         print(ex, file=sys.stderr)
         return EXIT_USAGE

@@ -27,6 +27,10 @@ factors from the torus weights, each acting on integer coordinates over one
 common denominator.  Subspaces of l test membership on sparse echelon rows
 (LSubspace.contains).  The M = K cap L rotation of the float layer is exact
 too (m_rotation).
+
+build_model keeps what it builds: a process builds one model per (family,
+n, spec), spec the family's SPECS entry, and so each of its tables once;
+every caller shares that model and must not modify its tables.
 """
 
 from __future__ import annotations
@@ -326,8 +330,10 @@ class GradedModel:
             for j, b in y.items():
                 col = ad_i.get(j)
                 if col:
-                    _acc_coeff(out, col, a * b)
-        return out
+                    s = a * b
+                    for k, c in col.items():
+                        out[k] = out.get(k, 0) + s * c
+        return _nonzero(out)
 
     # ------------------------------------------------------- forms on nbar
 
@@ -469,8 +475,9 @@ def combine(*terms) -> dict:
     zero coefficients are dropped."""
     out: dict = {}
     for c, x in terms:
-        _acc_coeff(out, x, c)
-    return out
+        for k, v in x.items():
+            out[k] = out.get(k, 0) + c * v
+    return _nonzero(out)
 
 
 # ------------------------------------------------------------------ sparse
@@ -488,7 +495,12 @@ def _sparse_bracket(a, b) -> dict:
             if c2 == r1:
                 key = (r2, c1)
                 out[key] = out.get(key, 0) - v2 * v1
-    return {k: v for k, v in out.items() if v != 0}
+    return _nonzero(out)
+
+
+def _nonzero(coeffs: dict) -> dict:
+    """coeffs without its zero values."""
+    return {k: v for k, v in coeffs.items() if v}
 
 
 def _squares_to_zero(a) -> bool:
@@ -566,9 +578,24 @@ SPECS = {
 
 # ----------------------------------------------------------------- factory
 
+_MODELS: dict = {}   # (family, n, SPECS entry) -> its model, built once
+
+
 def build_model(family: Family | str, n: int) -> GradedModel:
-    """Construct the graded matrix model for a supported family and rank."""
-    return GradedModel(Family(family), n)
+    """The graded matrix model for a supported family and rank.
+
+    A process builds one model per (family, n, spec), spec the family's
+    SPECS entry, and returns that same object on every later call, so each
+    of its tables is built once; a refused family or rank raises on every
+    call and is not kept.  Callers share the model and its tables, and
+    must not modify them.
+    """
+    family = Family(family)
+    key = family, n, SPECS.get(family)
+    model = _MODELS.get(key)
+    if model is None:
+        model = _MODELS[key] = GradedModel(family, n)
+    return model
 
 
 # ------------------------------------------------------ module operations
@@ -645,7 +672,9 @@ def casimir_omega_scalar(m: GradedModel) -> Fraction:
     for k in m.n_indices:
         acc: dict = {}
         for v, w in zip(vectors, weights):
-            _acc_coeff(acc, m.bracket(v, m.bracket(v, {k: 1})), w)
+            for j, c in m.bracket(v, m.bracket(v, {k: 1})).items():
+                acc[j] = acc.get(j, 0) + w * c
+        acc = _nonzero(acc)
         if acc.keys() - {k}:
             raise ModelInvariantError("Casimir-type operator is not scalar on n")
         ratio = Fraction(acc.get(k, 0), den)
@@ -903,25 +932,37 @@ def structural_suite(m: GradedModel, rand_seed: int = 0) -> VerificationReport:
 
 
 def _jacobi_defects(m: GradedModel) -> int:
-    """Triples (i < j, l) with [[e_i, e_j], e_l] != [ad e_i, ad e_j] e_l."""
+    """Triples (i < j, l) with [[e_i, e_j], e_l] != [ad e_i, ad e_j] e_l.
+
+    The defect matrix of a pair, ad[e_i, e_j] - [ad e_i, ad e_j], is summed
+    in one dict keyed by (column l, coordinate); the pair adds the number
+    of distinct columns l with a nonzero entry.
+    """
     ad = m.ad
     bad = 0
     for i, ad_i in enumerate(ad):
         for j in range(i + 1, m.dim):
-            ad_j, cij = ad[j], ad_i.get(j, _EMPTY)
-            cols = ad_i.keys() | ad_j.keys()
-            for k in cij:
-                cols |= ad[k].keys()
-            for col in cols:
-                diff: dict = {}
-                for k, c in cij.items():
-                    _acc_coeff(diff, ad[k].get(col, _EMPTY), c)
-                for k, c in ad_j.get(col, _EMPTY).items():
-                    _acc_coeff(diff, ad_i.get(k, _EMPTY), -c)
-                for k, c in ad_i.get(col, _EMPTY).items():
-                    _acc_coeff(diff, ad_j.get(k, _EMPTY), c)
-                if diff:
-                    bad += 1
+            ad_j = ad[j]
+            diff: dict = {}
+            # ad[e_i, e_j] e_l
+            for k, c in ad_i.get(j, _EMPTY).items():
+                for col, entry in ad[k].items():
+                    for out, v in entry.items():
+                        key = col, out
+                        diff[key] = diff.get(key, 0) + c * v
+            # - [e_i, [e_j, e_l]]
+            for col, entry in ad_j.items():
+                for k, c in entry.items():
+                    for out, v in ad_i.get(k, _EMPTY).items():
+                        key = col, out
+                        diff[key] = diff.get(key, 0) - c * v
+            # + [e_j, [e_i, e_l]]
+            for col, entry in ad_i.items():
+                for k, c in entry.items():
+                    for out, v in ad_j.get(k, _EMPTY).items():
+                        key = col, out
+                        diff[key] = diff.get(key, 0) + c * v
+            bad += len({col for (col, _), v in diff.items() if v})
     return bad
 
 
@@ -944,15 +985,6 @@ def _invariance_defects(m: GradedModel) -> int:
 
 def _matrix_bracket(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a @ b - b @ a
-
-
-def _acc_coeff(acc: dict, entry: dict, scale):
-    for k, c in entry.items():
-        v = acc.get(k, 0) + scale * c
-        if v == 0:
-            acc.pop(k, None)
-        else:
-            acc[k] = v
 
 
 # ----------------------------------------------------------------- dumping

@@ -633,6 +633,31 @@ def test_unwritable_output_prints_its_exact_line(capsys, tmp_path, argv, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_reused_parser_gives_the_output_of_a_fresh_one(capsys):
+    # main builds its parser once; after a usage error the same parser
+    # still reads the next command lines as a fresh one does
+    calls = [("verify", "bogus", "--model", "o2n2n", "--n", "2"),
+             ("verify", "structural", "--model", "o2n2n", "--n", "2"),
+             ("bessel", "--tau", "0.5", "--zmin", "0.5", "--zmax", "3", "--steps", "6")]
+    parser = cli.build_parser()
+    shared = [run_cli(capsys, *argv) for argv in calls]
+    assert cli.build_parser() is parser
+    fresh = []
+    for argv in calls:
+        cli.build_parser.cache_clear()
+        fresh.append(run_cli(capsys, *argv))
+    assert cli.build_parser() is not parser
+    assert shared == fresh
+    assert [code for code, _, _ in shared] == [cli.EXIT_USAGE, cli.EXIT_PASS, cli.EXIT_PASS]
+    assert shared[0][1] == "" and shared[0][2].count("\n") == 1
+
+
+def test_reused_parser_runs_the_command_bound_now(capsys, monkeypatch):
+    assert run_cli(capsys, "table", "--format", "csv")[0] == cli.EXIT_PASS
+    monkeypatch.setattr(cli, "cmd_table", lambda args: cli.EXIT_INCONCLUSIVE)
+    assert run_cli(capsys, "table")[0] == cli.EXIT_INCONCLUSIVE
+
+
 def test_help_exits_zero(capsys):
     code, out, err = run_cli(capsys, "fourier", "--help")
     assert code == cli.EXIT_PASS and err == ""

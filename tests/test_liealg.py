@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import math
 import random
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from minorbit import liealg, ratlin
+from minorbit import cli, liealg, ratlin
 from minorbit.catalog import Family
 from minorbit.reports import ModelInvariantError, SpanError
 
@@ -428,3 +429,143 @@ def test_m_generator_off_l_or_with_x_cubed_not_minus_x_is_rejected(monkeypatch, 
                         dataclasses.replace(spec, m_planes=lambda n: planes))
     with pytest.raises(ModelInvariantError, match="M generator"):
         liealg.build_model(Family.GL2N_R, n).m_rotation
+
+
+# ------------------------------------------------ kernels on a fresh model
+
+def _per_column_jacobi_defects(m):
+    """Reference count of the Jacobi defects: for each pair i < j, one
+    dict per column l that the rows of e_i, e_j and [e_i, e_j] reach,
+    zeros dropped as they appear, and a defect for each nonempty dict."""
+    def acc(diff, entry, scale):
+        for k, c in entry.items():
+            v = diff.get(k, 0) + scale * c
+            if v == 0:
+                diff.pop(k, None)
+            else:
+                diff[k] = v
+
+    ad = m.ad
+    bad = 0
+    for i, ad_i in enumerate(ad):
+        for j in range(i + 1, m.dim):
+            ad_j, cij = ad[j], ad_i.get(j, {})
+            cols = ad_i.keys() | ad_j.keys()
+            for k in cij:
+                cols |= ad[k].keys()
+            for col in cols:
+                diff = {}
+                for k, c in cij.items():
+                    acc(diff, ad[k].get(col, {}), c)
+                for k, c in ad_j.get(col, {}).items():
+                    acc(diff, ad_i.get(k, {}), -c)
+                for k, c in ad_i.get(col, {}).items():
+                    acc(diff, ad_j.get(k, {}), c)
+                if diff:
+                    bad += 1
+    return bad
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_flipped_structure_constant_breaks_jacobi(family, n):
+    # one structure constant c^k_ij and its partner c^k_ji = -c^k_ij change
+    # sign on a fresh model (the shared one stays intact): the table stays
+    # antisymmetric, but the Jacobi count turns nonzero, equals the
+    # per-column reference, and fails the structural suite
+    rand = random.Random(n)
+    for _ in range(3):
+        m = liealg.GradedModel(family, n)
+        assert liealg._jacobi_defects(m) == _per_column_jacobi_defects(m) == 0
+        i, j = rand.choice([(i, j) for i, row in enumerate(m.ad) for j in row if i < j])
+        k = rand.choice(list(m.ad[i][j]))
+        m.ad[i][j][k] *= -1
+        m.ad[j][i][k] *= -1
+        bad = liealg._jacobi_defects(m)
+        assert bad > 0 and bad == _per_column_jacobi_defects(m), (i, j, k)
+        check, = (c for c in liealg.structural_suite(m).checks
+                  if c.name == "jacobi identity (all basis triples)")
+        assert not check.passed and check.residual == bad
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("family", list(liealg.SPECS))
+def test_bracket_matches_matrix_bracket_and_drops_cancelled_keys(family, n):
+    m = liealg.GradedModel(family, n)
+    rand = random.Random(5)
+
+    def element():
+        return {k: Fraction(rand.choice((-3, -2, -1, 1, 2, 3)), rand.randint(1, 4))
+                for k in rand.sample(range(m.dim), rand.randint(1, 4))}
+
+    cases = [(element(), element(), None) for _ in range(40)]
+    # [e_a, e_j] and [e_b, e_j] both reach e_k, with coefficients c_a and
+    # c_b: in [c_b e_a - c_a e_b, e_j] the two terms at e_k cancel
+    for j in range(m.dim):
+        reach: dict = {}
+        for a in range(m.dim):
+            for k, c in m.ad[a].get(j, {}).items():
+                reach.setdefault(k, []).append((a, c))
+        for k, hits in reach.items():
+            if len(hits) > 1:
+                (a, ca), (b, cb) = hits[:2]
+                x = {a: Fraction(cb, 2), b: Fraction(-ca, 2)}
+                cases.append((x, {j: Fraction(3)}, k))
+                cases.append(({j: Fraction(-1, 3)}, x, k))
+    assert any(k is not None for _, _, k in cases)
+    for x, y, cancelled in cases:
+        out = m.bracket(x, y)
+        assert out == m.coords(_matrix_bracket(m, x, y)), (x, y)
+        assert all(out.values()) and cancelled not in out, (x, y)
+        assert liealg.combine((1, out), (2, x), (-1, out)) == liealg.combine((2, x))
+        assert liealg.combine((1, x), (-1, x)) == {}
+
+
+# ------------------------------------------------------ one model per key
+
+def test_build_model_returns_one_model_per_family_and_rank():
+    m = liealg.build_model(Family.O2N2N, 2)
+    assert liealg.build_model("o2n2n", 2) is m
+    assert liealg.build_model(Family.O2N2N, 3) is not m
+    assert liealg.build_model(Family.GL2N_R, 2) is not m
+
+
+def test_replaced_spec_builds_a_fresh_model(monkeypatch):
+    m = liealg.build_model(Family.GL2N_R, 2)
+    spec = liealg.SPECS[Family.GL2N_R]
+    replaced = dataclasses.replace(spec, basis=lambda n: spec.basis(n))
+    monkeypatch.setitem(liealg.SPECS, Family.GL2N_R, replaced)
+    fresh = liealg.build_model(Family.GL2N_R, 2)
+    assert fresh is not m and fresh.spec is replaced
+    assert liealg.build_model(Family.GL2N_R, 2) is fresh
+    monkeypatch.undo()
+    assert liealg.build_model(Family.GL2N_R, 2) is m
+
+
+@pytest.mark.parametrize("family,n", [
+    (Family.O2N2N, 7), (Family.O2N2N, 1), (Family.E7_SPLIT, 3), ("no-such-family", 2)])
+def test_refused_model_raises_on_every_call_and_is_not_kept(family, n):
+    kept = dict(liealg._MODELS)
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            liealg.build_model(family, n)
+    assert liealg._MODELS == kept
+
+
+def _tables(m):
+    t = m.torus
+    return (m.ad, m.triples, m.trace_gram.tolist(), m.theta_perm,
+            (t.indices, t.weights.tolist(), t.character), m.nu_covector.tolist())
+
+
+@pytest.mark.parametrize("model,family", [("o2n2n", Family.O2N2N), ("gl2n", Family.GL2N_R)])
+def test_commands_leave_the_shared_tables_unchanged(capsys, model, family):
+    # every command shares the one model of its (family, n); none of them
+    # may write into its tables
+    m = liealg.build_model(family, 3)
+    before = copy.deepcopy(_tables(m))
+    cli.main(["verify", "all", "--model", model, "--n", "3", "--samples", "20000"])
+    cli.main(["tensor", "audit", "--model", model, "--n", "3", "--k", "2"])
+    capsys.readouterr()
+    assert liealg.build_model(family, 3) is m
+    assert _tables(m) == before
